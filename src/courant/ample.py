@@ -1,5 +1,14 @@
 """The ample Lie algebroid A = G + F and its form calculus.
 
+This module is the first layer of the split Courant algebroid
+E = F* + A (see :mod:`courant.dorfman`, which builds on it): the
+quadratic Lie algebroid A = G + F is fixed by the patch, the fiber, a
+connection on G and the curvature 2-form.  ``QuadAlgebroid`` owns the
+whole A-structure: the vector field bracket, the anchor action,
+nabla along a vector field, the R-contraction and the shape checks of
+the data.  ``Quintuple`` extends it with the leafwise 3-form and the
+F* part.
+
 Sections of A are pairs (r, x) of fiber and leafwise component
 vectors.  The bracket is determined by the connection, the curvature
 2-form and the fiber bracket; the anchor projects to the x part.
@@ -8,26 +17,19 @@ Forms on A are stored by bigraded components: the value on
 (e_{i_1},..,e_{i_s}, d/dx_{a_1},..,d/dx_{a_t}) with both index groups
 strictly increasing and fiber arguments first.  Evaluation on any
 argument order resolves the permutation sign, and evaluation on
-general sections expands multilinearly over the frame.
-
-Two differentials are implemented: the Lie algebroid differential
-``ce_differential`` on forms, and the degenerate-pairing differential
-``naive_differential`` which tabulates the corresponding operator on
-wedges of the Courant frame; on every wedge the two agree under the
-projection identification, which the test suite checks exactly.
+general sections expands multilinearly over the frame.  The Lie
+algebroid differential ``ce_differential`` acts on these forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .dorfman import Quintuple, Section
 from .fiber import QuadLieAlgebra
-from .geometry import FForm, GConnection, GValuedForm, Patch
+from .geometry import FForm, GConnection, GValuedForm, Patch, sort_with_sign
 from .poly import Poly
-from .report import Report, Witness
 
 
 @dataclass
@@ -47,7 +49,11 @@ class ASection:
 
 
 class QuadAlgebroid:
-    """Quadratic Lie algebroid data (patch, fiber, connection, curvature)."""
+    """Quadratic Lie algebroid data (patch, fiber, connection, curvature).
+
+    The structure maps read only the ``r`` and ``x`` parts of their
+    arguments, so they act on Courant sections as well.
+    """
 
     def __init__(
         self, patch: Patch, fiber: QuadLieAlgebra, conn: GConnection, curv: GValuedForm
@@ -55,18 +61,22 @@ class QuadAlgebroid:
         if conn.patch != patch or conn.dim != fiber.dim:
             raise ValueError("connection shape does not match patch/fiber")
         if curv.patch != patch or curv.dim != fiber.dim or curv.degree != 2:
-            raise ValueError("curvature must be a fiber-valued 2-form")
+            raise ValueError("curvature must be a fiber-valued 2-form on the patch")
         self.patch = patch
         self.fiber = fiber
         self.conn = conn
         self.curv = curv
+        p = patch.p
+        # dense antisymmetric lookup for the bracket hot path
+        self._r = [
+            [curv.get((a, b)) for b in range(1, p + 1)] for a in range(1, p + 1)
+        ]
+        self._zero = Poly.zero(patch.n)
 
     @staticmethod
-    def of(q: Quintuple) -> "QuadAlgebroid":
+    def of(q: "QuadAlgebroid") -> "QuadAlgebroid":
+        """The ample algebroid alone, e.g. of a quintuple."""
         return QuadAlgebroid(q.patch, q.fiber, q.conn, q.curv)
-
-    def with_hform(self, hform: FForm) -> Quintuple:
-        return Quintuple(self.patch, self.fiber, self.conn, self.curv, hform)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadAlgebroid):
@@ -81,16 +91,20 @@ class QuadAlgebroid:
 
     # -- sections -----------------------------------------------------------
 
+    def zero_poly(self) -> Poly:
+        return self._zero
+
     def zero_section(self) -> ASection:
-        z = Poly.zero(self.patch.n)
+        z = self._zero
         return ASection([z] * self.fiber.dim, [z] * self.patch.p)
 
-    def fiber_elem(self, i: int) -> ASection:
+    def fiber_elem(self, i: int):
         s = self.zero_section()
         s.r[i - 1] = self.patch.one()
         return s
 
-    def coord(self, a: int) -> ASection:
+    def coord(self, a: int):
+        """The frame vector section d/dx_a."""
         s = self.zero_section()
         s.x[a - 1] = self.patch.one()
         return s
@@ -100,49 +114,86 @@ class QuadAlgebroid:
             raise ValueError("ample section shape mismatch")
         return ASection(list(r), list(x))
 
-    def anchor_apply(self, u: ASection, f: Poly) -> Poly:
-        acc = Poly.zero(self.patch.n)
+    # -- structure maps -----------------------------------------------------
+
+    def anchor_apply(self, u, f: Poly) -> Poly:
+        """rho(u) f = sum_a x^a d_a f."""
+        acc = self._zero
         for a, xa in enumerate(u.x, start=1):
             if xa:
                 acc = acc + xa * f.diff(a)
         return acc
 
-    # -- bracket -----------------------------------------------------------
+    def nabla(self, a: int, r: Sequence[Poly]) -> List[Poly]:
+        return self.conn.apply(a, r)
 
-    def bracket(self, u: ASection, v: ASection) -> ASection:
-        """[r1 + x1, r2 + x2] = [r1,r2] + R(x1,x2) + nabla_{x1} r2 - nabla_{x2} r1
-        on the fiber side and the vector field bracket on the leaf side."""
-        p, m = self.patch.p, self.fiber.dim
-        zero = Poly.zero(self.patch.n)
+    def nabla_along(self, x: Sequence[Poly], r: Sequence[Poly]) -> List[Poly]:
+        """nabla_x r for a leafwise vector field x."""
+        out = [self._zero] * self.fiber.dim
+        for a in range(1, self.patch.p + 1):
+            if x[a - 1]:
+                da = self.nabla(a, r)
+                out = [acc + x[a - 1] * v if v else acc for acc, v in zip(out, da)]
+        return out
 
-        x_out = []
+    def vf_bracket(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
+        p = self.patch.p
+        out = []
         for b in range(p):
-            acc = zero
+            acc = self._zero
             for a in range(1, p + 1):
-                if u.x[a - 1]:
-                    acc = acc + u.x[a - 1] * v.x[b].diff(a)
-                if v.x[a - 1]:
-                    acc = acc - v.x[a - 1] * u.x[b].diff(a)
-            x_out.append(acc)
+                if x1[a - 1]:
+                    acc = acc + x1[a - 1] * x2[b].diff(a)
+                if x2[a - 1]:
+                    acc = acc - x2[a - 1] * x1[b].diff(a)
+            out.append(acc)
+        return out
 
-        r_out = self.fiber.bracket(u.r, v.r)
-        for a in range(1, p + 1):
-            if u.x[a - 1]:
-                dv = self.conn.apply(a, v.r)
-                r_out = [acc + u.x[a - 1] * t if t else acc for acc, t in zip(r_out, dv)]
-            if v.x[a - 1]:
-                du = self.conn.apply(a, u.r)
-                r_out = [acc - v.x[a - 1] * t if t else acc for acc, t in zip(r_out, du)]
+    def curv_contract(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
+        """R(x1, x2) as an m-vector."""
+        p = self.patch.p
+        out = [self._zero] * self.fiber.dim
         for a in range(p):
-            if not u.x[a]:
+            if not x1[a]:
                 continue
             for b in range(p):
-                if not v.x[b]:
+                if not x2[b]:
                     continue
-                rc = self.curv.get((a + 1, b + 1))
-                if any(rc):
-                    coeff = u.x[a] * v.x[b]
-                    r_out = [acc + coeff * t if t else acc for acc, t in zip(r_out, rc)]
+                vec = self._r[a][b]
+                if any(vec):
+                    coeff = x1[a] * x2[b]
+                    out = [acc + coeff * v if v else acc for acc, v in zip(out, vec)]
+        return out
+
+    # -- bracket -----------------------------------------------------------
+
+    def bracket(self, u, v) -> ASection:
+        """[r1 + x1, r2 + x2] = [r1,r2] + R(x1,x2) + nabla_{x1} r2 - nabla_{x2} r1
+        on the fiber side and the vector field bracket on the leaf side."""
+        return self._bracket(u, v, any(u.x), any(v.x), any(u.r), any(v.r))
+
+    def _bracket(self, u, v, x1_live, x2_live, r1_live, r2_live) -> ASection:
+        """The bracket, given which of x1, x2, r1, r2 are nonzero.
+
+        This is also the G + F part of the Dorfman bracket, its hot path:
+        the caller computes the flags once for both parts, and terms with
+        a zero factor are skipped rather than computed.
+        """
+        zero = self._zero
+        if x1_live or x2_live:
+            x_out = self.vf_bracket(u.x, v.x)
+        else:
+            x_out = [zero] * self.patch.p
+        if r1_live and r2_live:
+            r_out = self.fiber.bracket(u.r, v.r)
+        else:
+            r_out = [zero] * self.fiber.dim
+        if x1_live and x2_live:
+            r_out = [a + b for a, b in zip(r_out, self.curv_contract(u.x, v.x))]
+        if x1_live and r2_live:
+            r_out = [a + b for a, b in zip(r_out, self.nabla_along(u.x, v.r))]
+        if x2_live and r1_live:
+            r_out = [a - b for a, b in zip(r_out, self.nabla_along(v.x, u.r))]
         return ASection(r_out, x_out)
 
     def frame_bracket(self, u: Tuple[str, int], v: Tuple[str, int]) -> ASection:
@@ -249,10 +300,8 @@ class AForm:
         """Value on frame symbols in any order; repeats give zero."""
         if len(args) != self.degree:
             raise ValueError("wrong number of arguments")
-        ranked = []
-        for kind, idx in args:
-            ranked.append((0, idx) if kind == "g" else (1, idx))
-        key, sign = sort_with_sign_ranked(ranked)
+        ranked = [(0, idx) if kind == "g" else (1, idx) for kind, idx in args]
+        key, sign = sort_with_sign(ranked)
         if sign == 0:
             return self.patch.zero()
         gidx = tuple(idx for rank, idx in key if rank == 0)
@@ -285,13 +334,6 @@ class AForm:
                     total = total + coeff * sub
         return total
 
-    def bigrade_component(self, gcount: int) -> "AForm":
-        """The part with exactly gcount fiber indices."""
-        comps = {
-            key: value for key, value in self.comps.items() if len(key[0]) == gcount
-        }
-        return AForm(self.patch, self.dim, self.degree, comps)
-
     def __str__(self) -> str:
         if not self.comps:
             return "0"
@@ -300,22 +342,6 @@ class AForm:
             labels = ["e%d" % i for i in gidx] + ["dx%d" % a for a in fidx]
             parts.append("(%s) %s" % (self.comps[(gidx, fidx)], "^".join(labels)))
         return " + ".join(parts)
-
-
-def sort_with_sign_ranked(items: Sequence[Tuple[int, int]]):
-    """Insertion sort with sign on (rank, index) pairs; equal pairs give 0."""
-    seq = list(items)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(seq)):
-        if seq[i - 1] == seq[i]:
-            return tuple(seq), 0
-    return tuple(seq), sign
 
 
 def aform_keys(patch: Patch, dim: int, degree: int):
@@ -379,69 +405,6 @@ def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
 def is_horizontal(w: AForm) -> bool:
     """True iff the pure-fiber bigraded component vanishes."""
     return not any(len(key[0]) == w.degree for key in w.comps)
-
-
-def project_ample(q: Quintuple, e: Section) -> ASection:
-    """Quotient projection of a Courant section to the ample algebroid."""
-    return ASection(list(e.r), list(e.x))
-
-
-def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Poly]]:
-    """Tabulate the degenerate-pairing differential of a naive cochain.
-
-    ``s`` is read as a naive cochain through the projection: its value
-    on a wedge of Courant sections is the form evaluated on their
-    images in the ample algebroid.  The table lists, for every strictly
-    increasing (k+1)-wedge of the Courant frame, the alternating-sum
-    value built from anchored derivatives and the skew bracket.
-    """
-    frames = q.frame_sections()
-    k = s.degree
-    table: List[Tuple[Tuple[int, ...], Poly]] = []
-    for wedge in combinations(range(len(frames)), k + 1):
-        secs = [frames[t] for t in wedge]
-        total = q.zero_poly()
-        for pos in range(k + 1):
-            rest = secs[:pos] + secs[pos + 1:]
-            value = s.eval_sections([project_ample(q, v) for v in rest])
-            if value:
-                term = q.anchor_apply(secs[pos], value)
-                if term:
-                    total = total + term if pos % 2 == 0 else total - term
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                cb = q.courant(secs[i], secs[j])
-                rest = [secs[t] for t in range(k + 1) if t != i and t != j]
-                value = s.eval_sections(
-                    [project_ample(q, cb)] + [project_ample(q, v) for v in rest]
-                )
-                if value:
-                    total = total + value if (i + j) % 2 == 0 else total - value
-        table.append((wedge, total))
-    return table
-
-
-def naive_matches_ce(q: Quintuple, s: AForm) -> Report:
-    """Compare the naive-differential table with the algebroid differential."""
-    report = Report()
-    alg = QuadAlgebroid.of(q)
-    ds = ce_differential(alg, s)
-    frames = q.frame_sections()
-    first: Optional[Witness] = None
-    for wedge, value in naive_differential(q, s):
-        expected = ds.eval_sections([project_ample(q, frames[t]) for t in wedge])
-        residual = value - expected
-        if residual and first is None:
-            first = Witness(
-                "naive table minus algebroid differential",
-                tuple(t + 1 for t in wedge),
-                str(residual),
-            )
-    if first is None:
-        report.add_pass("naive_matches_ce")
-    else:
-        report.add_fail("naive_matches_ce", first)
-    return report
 
 
 def aform_from_fform(patch: Patch, dim: int, w: FForm) -> AForm:

@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
 from .dorfman import Quintuple, Section
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
-from .linalg import solve
+from .linalg import rank, solve
 from .poly import Poly
-from .report import Report, Witness
+from .report import Check, Report, Witness
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -187,68 +187,55 @@ def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
     return conn, curv
 
 
-def check_coherent(alg: QuadAlgebroid, c: AForm, h: Hoist) -> Report:
-    """The three hoist conditions plus closedness, all exact."""
-    report = Report()
-    patch, fiber = alg.patch, alg.fiber
-    m, p = fiber.dim, patch.p
-    cartan = fiber.cartan_three_form()
+def _coherent_closed(alg: QuadAlgebroid, c: AForm) -> Check:
+    check = Check("coherent_closed", "dC")
+    check.add_form(ce_differential(alg, c))
+    return check
 
-    wit = None
+
+def _coherent_cartan(alg: QuadAlgebroid, c: AForm) -> Check:
+    n, m = alg.patch.n, alg.fiber.dim
+    cartan = alg.fiber.cartan_three_form()
+    check = Check("coherent_cartan", "C(r,s,t) + <[r,s],t>")
     for gidx in combinations(range(1, m + 1), 3):
         i, j, k = gidx
-        expected = Poly.const(patch.n, cartan[i - 1][j - 1][k - 1])
-        residual = c.eval_frame([("g", i), ("g", j), ("g", k)]) - expected
-        if residual and wit is None:
-            wit = Witness("C(r,s,t) + <[r,s],t>", gidx, str(residual))
-    if wit is None:
-        report.add_pass("coherent_cartan")
-    else:
-        report.add_fail("coherent_cartan", wit)
+        expected = Poly.const(n, cartan[i - 1][j - 1][k - 1])
+        check.add(gidx, c.eval_frame([("g", i), ("g", j), ("g", k)]) - expected)
+    return check
 
+
+def _hoist_conditions(alg: QuadAlgebroid, c: AForm, h: Hoist) -> Tuple[Check, Check]:
+    """The mixed and curvature coherence conditions for a hoist."""
+    patch, fiber = alg.patch, alg.fiber
+    m, p = fiber.dim, patch.p
     kappa = [h.section(alg, a) for a in range(1, p + 1)]
 
-    wit = None
+    mixed = Check("coherent_mixed", "C(r,s,kappa x)")
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             for a in range(1, p + 1):
-                residual = c.eval_sections(
-                    [alg.fiber_elem(i), alg.fiber_elem(j), kappa[a - 1]]
+                mixed.add(
+                    (i, j, a),
+                    c.eval_sections([alg.fiber_elem(i), alg.fiber_elem(j), kappa[a - 1]]),
                 )
-                if residual and wit is None:
-                    wit = Witness("C(r,s,kappa x)", (i, j, a), str(residual))
-    if wit is None:
-        report.add_pass("coherent_mixed")
-    else:
-        report.add_fail("coherent_mixed", wit)
 
     _, curv_k = hoist_data(alg, h)
-    wit = None
+    curvature = Check("coherent_curvature", "C(r,kappa x,kappa y) - <r,R^kappa(x,y)>")
     for k in range(1, m + 1):
         ek = [Poly.const(patch.n, 1 if l == k else 0) for l in range(1, m + 1)]
         for a in range(1, p + 1):
             for b in range(a + 1, p + 1):
                 lhs = c.eval_sections([alg.fiber_elem(k), kappa[a - 1], kappa[b - 1]])
                 rhs = fiber.pairing(ek, curv_k.get((a, b)))
-                residual = lhs - rhs
-                if residual and wit is None:
-                    wit = Witness("C(r,kappa x,kappa y) - <r,R^kappa(x,y)>", (k, a, b), str(residual))
-    if wit is None:
-        report.add_pass("coherent_curvature")
-    else:
-        report.add_fail("coherent_curvature", wit)
+                curvature.add((k, a, b), lhs - rhs)
+    return mixed, curvature
 
-    dc = ce_differential(alg, c)
-    wit = None
-    for key in dc.keys():
-        gidx, fidx = key
-        wit = Witness("dC", gidx + fidx, str(dc.comps[key]))
-        break
-    if wit is None:
-        report.add_pass("coherent_closed")
-    else:
-        report.add_fail("coherent_closed", wit)
-    return report
+
+def check_coherent(alg: QuadAlgebroid, c: AForm, h: Hoist) -> Report:
+    """The three hoist conditions plus closedness, all exact."""
+    mixed, curvature = _hoist_conditions(alg, c, h)
+    checks = (_coherent_cartan(alg, c), mixed, curvature, _coherent_closed(alg, c))
+    return Report([check.record() for check in checks])
 
 
 @dataclass
@@ -271,22 +258,10 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
     m, p = fiber.dim, patch.p
     report = Report()
 
-    dc = ce_differential(alg, c)
-    if dc:
-        key = dc.keys()[0]
-        report.add_fail("coherent_closed", Witness("dC", key[0] + key[1], str(dc.comps[key])))
-        return HoistSearch(None, report)
-    report.add_pass("coherent_closed")
-
-    cartan = fiber.cartan_three_form()
-    for gidx in combinations(range(1, m + 1), 3):
-        i, j, k = gidx
-        expected = Poly.const(patch.n, cartan[i - 1][j - 1][k - 1])
-        residual = c.eval_frame([("g", i), ("g", j), ("g", k)]) - expected
-        if residual:
-            report.add_fail("coherent_cartan", Witness("C(r,s,t) + <[r,s],t>", gidx, str(residual)))
+    for check in (_coherent_closed(alg, c), _coherent_cartan(alg, c)):
+        report.add(check.record())
+        if check.failed:
             return HoistSearch(None, report)
-    report.add_pass("coherent_cartan")
 
     pairs = list(combinations(range(1, m + 1), 2))
     bmat = [[fiber.b[i - 1][j - 1][k] for k in range(m)] for i, j in pairs]
@@ -326,7 +301,7 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
                 [Fraction(1) if t == u else Fraction(0) for t in range(m)]
                 for u in complement + [idx]
             ]
-            if _rank(candidate) == len(candidate):
+            if rank(candidate) == len(candidate):
                 complement.append(idx)
         for a in range(p):
             col = columns[a]
@@ -353,21 +328,9 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
         )
     )
     report.add_pass("hoist_solvable")
-
-    full = check_coherent(alg, c, hoist)
-    seen = {record.name for record in report}
-    for record in full:
-        if record.name not in seen:
-            report.add(record)
-    return HoistSearch(hoist if full.ok else None, report)
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
-    from .linalg import _bareiss_echelon, _clear_denominators
-
-    cleared = [_clear_denominators(row) for row in rows]
-    _, pivots = _bareiss_echelon(cleared)
-    return len(pivots)
+    for check in _hoist_conditions(alg, c, hoist):
+        report.add(check.record())
+    return HoistSearch(hoist if report.ok else None, report)
 
 
 def build_from_pair(pair: CharPair, h: Hoist) -> Quintuple:

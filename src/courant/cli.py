@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .ample import AForm, QuadAlgebroid, ce_differential, naive_matches_ce
+from .ample import AForm, QuadAlgebroid, ce_differential
 from .charform import (
     CharPair,
     Hoist,
@@ -28,9 +28,9 @@ from .charform import (
     find_hoist,
     standard_three_form,
 )
-from .dorfman import Quintuple
+from .dorfman import Quintuple, naive_matches_ce
 from .fiber import QuadLieAlgebra
-from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch, pontryagin_form, leafwise_d
+from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from .morphism import (
     IsoData,
     central_shift_iso,
@@ -42,7 +42,7 @@ from .morphism import (
     validate_iso,
 )
 from .poly import Poly, PolyParseError, parse_poly
-from .report import Report, Witness
+from .report import Check, Report, Witness
 
 SECTIONS = (
     "base",
@@ -481,12 +481,9 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
         report.extend(q.check_axioms(degree))
     elif cmd == "charform":
         form = standard_three_form(q)
-        dc = ce_differential(QuadAlgebroid.of(q), form)
-        if dc:
-            key = dc.keys()[0]
-            report.add_fail("charform_closed", Witness("dC_s", key[0] + key[1], str(dc.comps[key])))
-        else:
-            report.add_pass("charform_closed")
+        closed = Check("charform_closed", "dC_s")
+        closed.add_form(ce_differential(q, form))
+        report.add(closed.record())
         _emit_aform(report, "C_s", form)
     elif cmd == "chernweil":
         target = standard_three_form(q)
@@ -496,25 +493,13 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
                 raise ConfigError("nabla_f must be torsion-free", None, "nabla_f.gamma")
             plans.append(("nabla_f", cfg.nabla_f))
         for label, fc in plans:
-            form = e_connection_form(q, fc)
-            diff = form - target
-            if diff:
-                key = diff.keys()[0]
-                report.add_fail(
-                    "chernweil_matches_standard_%s" % label,
-                    Witness("C_nablaE - C_s", key[0] + key[1], str(diff.comps[key])),
-                )
-            else:
-                report.add_pass("chernweil_matches_standard_%s" % label)
+            match = Check("chernweil_matches_standard_%s" % label, "C_nablaE - C_s")
+            match.add_form(e_connection_form(q, fc) - target)
+            report.add(match.record())
         _emit_aform(report, "C_nablaE", e_connection_form(q, FConnection.flat(cfg.patch)))
     elif cmd == "pontryagin":
-        rr = pontryagin_form(cfg.curv, cfg.fiber)
-        diff = rr - leafwise_d(cfg.hform)
-        if diff:
-            key = diff.keys()[0]
-            report.add_fail("dF_H_equals_RR", Witness("<R wedge R> - dF_H", key, str(diff.comps[key])))
-        else:
-            report.add_pass("dF_H_equals_RR")
+        rr, check = q.pontryagin_identity()
+        report.add(check.record())
         _emit_fform(report, "RR", rr)
     elif cmd == "coherent":
         cform = _require(cfg.cform, "cform")
@@ -547,10 +532,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
             report.add_fail("build_coherent", Witness(str(exc), (), "1"))
             return report
         report.add_pass("build_coherent")
-        for record in built.validate():
-            report.add(
-                record.__class__("built_" + record.name, record.status, record.witness)
-            )
+        report.extend(built.validate().renamed("built_%s"))
         for a in range(cfg.patch.p):
             for i in range(cfg.fiber.dim):
                 for j in range(cfg.fiber.dim):
@@ -586,10 +568,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
         if not report.ok:
             return report
         moved = transport(q, iso)
-        for record in moved.validate():
-            report.add(
-                record.__class__("target_" + record.name, record.status, record.witness)
-            )
+        report.extend(moved.validate().renamed("target_%s"))
         report.extend(intertwining_report(q, moved, iso, degree_cap=min(degree, 1)))
         report.extend(coboundary_identity_check(q, iso))
     elif cmd == "shift":
@@ -619,22 +598,13 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
                 report.add_pass(label)
             else:
                 report.add_fail(label, Witness("transport differs from prediction", (), "1"))
-        for record in predicted.validate():
-            report.add(
-                record.__class__("target_" + record.name, record.status, record.witness)
-            )
+        report.extend(predicted.validate().renamed("target_%s"))
     elif cmd == "naive":
         forms = [("C_s", standard_three_form(q))]
         if cfg.cform is not None:
             forms.append(("cform", cfg.cform))
         for label, form in forms:
-            sub = naive_matches_ce(q, form)
-            record = sub.records[0]
-            report.add(
-                record.__class__(
-                    "naive_matches_ce_%s" % label, record.status, record.witness
-                )
-            )
+            report.extend(naive_matches_ce(q, form).renamed("%s_" + label))
     else:
         raise ConfigError("unknown command %r" % cmd)
     return report

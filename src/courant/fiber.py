@@ -13,11 +13,12 @@ The metric may be indefinite; no positivity is assumed anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import List, Sequence
 
 from .linalg import nullspace, rational_det
 from .poly import Poly
-from .report import Report, Witness
+from .report import Check, Report, Witness
 
 Rat = Fraction  # entries may also be plain ints
 
@@ -51,51 +52,31 @@ class QuadLieAlgebra:
         m = self.dim
         c, g, b = self.c, self.g, self.b
 
-        skew = None
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    r = c[i][j][k] + c[j][i][k]
-                    if r and skew is None:
-                        skew = Witness("c[i][j][k] + c[j][i][k]", (i + 1, j + 1, k + 1), str(r))
-        if skew is None:
-            report.add_pass("fiber_bracket_skew")
-        else:
-            report.add_fail("fiber_bracket_skew", skew)
+        skew = Check("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]")
+        for i, j, k in product(range(m), repeat=3):
+            skew.add((i + 1, j + 1, k + 1), c[i][j][k] + c[j][i][k])
+        report.add(skew.record())
 
-        jacobi = None
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for s in range(m):
-                        r = sum(
-                            (
-                                c[i][j][l] * c[l][k][s]
-                                + c[j][k][l] * c[l][i][s]
-                                + c[k][i][l] * c[l][j][s]
-                                for l in range(m)
-                            ),
-                            Fraction(0),
-                        )
-                        if r and jacobi is None:
-                            jacobi = Witness(
-                                "jacobiator", (i + 1, j + 1, k + 1, s + 1), str(r)
-                            )
-        if jacobi is None:
-            report.add_pass("fiber_jacobi")
-        else:
-            report.add_fail("fiber_jacobi", jacobi)
+        jacobi = Check("fiber_jacobi", "jacobiator")
+        for i, j, k, s in product(range(m), repeat=4):
+            jacobi.add(
+                (i + 1, j + 1, k + 1, s + 1),
+                sum(
+                    (
+                        c[i][j][l] * c[l][k][s]
+                        + c[j][k][l] * c[l][i][s]
+                        + c[k][i][l] * c[l][j][s]
+                        for l in range(m)
+                    ),
+                    Fraction(0),
+                ),
+            )
+        report.add(jacobi.record())
 
-        sym = None
-        for i in range(m):
-            for j in range(m):
-                r = g[i][j] - g[j][i]
-                if r and sym is None:
-                    sym = Witness("g[i][j] - g[j][i]", (i + 1, j + 1), str(r))
-        if sym is None:
-            report.add_pass("fiber_metric_symmetric")
-        else:
-            report.add_fail("fiber_metric_symmetric", sym)
+        sym = Check("fiber_metric_symmetric", "g[i][j] - g[j][i]")
+        for i, j in product(range(m), repeat=2):
+            sym.add((i + 1, j + 1), g[i][j] - g[j][i])
+        report.add(sym.record())
 
         det = rational_det(self.g)
         if det:
@@ -107,19 +88,10 @@ class QuadLieAlgebra:
 
         # total antisymmetry of B (skew in (i,j) is implied by the bracket
         # skew check; the new content is antisymmetry in the last two slots)
-        adinv = None
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    r = b[i][j][k] + b[i][k][j]
-                    if r and adinv is None:
-                        adinv = Witness(
-                            "B[i][j][k] + B[i][k][j]", (i + 1, j + 1, k + 1), str(r)
-                        )
-        if adinv is None:
-            report.add_pass("fiber_ad_invariance")
-        else:
-            report.add_fail("fiber_ad_invariance", adinv)
+        adinv = Check("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]")
+        for i, j, k in product(range(m), repeat=3):
+            adinv.add((i + 1, j + 1, k + 1), b[i][j][k] + b[i][k][j])
+        report.add(adinv.record())
         return report
 
     # -- operations --------------------------------------------------------
@@ -171,17 +143,6 @@ class QuadLieAlgebra:
                     coeff = self.c[i][j][k]
                     if coeff:
                         out[k][j] = out[k][j] + v[i].scale(coeff)
-        return out
-
-    def ad_matrix_rational(self, v: Sequence) -> List[List[Fraction]]:
-        m = self.dim
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            if not v[i]:
-                continue
-            for j in range(m):
-                for k in range(m):
-                    out[k][j] += Fraction(v[i]) * self.c[i][j][k]
         return out
 
     def cartan_three_form(self) -> List[List[List[Fraction]]]:

@@ -11,13 +11,12 @@ coordinates, but only the leafwise derivatives d/dx1..d/dxp ever act.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .poly import Poly
-from .report import Report, Witness
+from .report import Check, Report
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,12 @@ class Patch:
         return Poly.variable(self.n, i)
 
 
-def sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
+def sort_with_sign(indices: Sequence) -> Tuple[tuple, int]:
+    """Sort a tuple of comparable indices, returning (sorted tuple,
+    permutation sign).
 
-    Repeated indices give sign 0.
+    Repeated indices give sign 0.  Indices may themselves be tuples,
+    such as the (rank, index) pairs of ample frame symbols.
     """
     idx = list(indices)
     sign = 1
@@ -290,7 +291,7 @@ def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
     patch, m = conn.patch, conn.dim
     g = fiber.g
 
-    skew = None
+    skew = Check("conn_metric_skew", "g*Gamma_a + Gamma_a^T*g")
     for a in range(patch.p):
         mat = conn.gamma[a]
         for i in range(m):
@@ -302,14 +303,10 @@ def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
                         acc = acc + mat[l][j].scale(g[i][l])
                     if mat[l][i] and g[l][j]:
                         acc = acc + mat[l][i].scale(g[l][j])
-                if acc and skew is None:
-                    skew = Witness("g*Gamma_a + Gamma_a^T*g", (a + 1, i + 1, j + 1), str(acc))
-    if skew is None:
-        report.add_pass("conn_metric_skew")
-    else:
-        report.add_fail("conn_metric_skew", skew)
+                skew.add((a + 1, i + 1, j + 1), acc)
+    report.add(skew.record())
 
-    deriv = None
+    deriv = Check("conn_bracket_derivation", "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]")
     for a in range(patch.p):
         mat = conn.gamma[a]
         for i in range(m):
@@ -324,16 +321,8 @@ def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
                             acc = acc - mat[l][i].scale(fiber.c[l][j][k])
                         if mat[l][j] and fiber.c[i][l][k]:
                             acc = acc - mat[l][j].scale(fiber.c[i][l][k])
-                    if acc and deriv is None:
-                        deriv = Witness(
-                            "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]",
-                            (a + 1, i + 1, j + 1, k + 1),
-                            str(acc),
-                        )
-    if deriv is None:
-        report.add_pass("conn_bracket_derivation")
-    else:
-        report.add_fail("conn_bracket_derivation", deriv)
+                    deriv.add((a + 1, i + 1, j + 1, k + 1), acc)
+    report.add(deriv.record())
     return report
 
 

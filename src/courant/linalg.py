@@ -119,6 +119,12 @@ def nullspace(matrix: Sequence[Sequence], ncols: int) -> List[Vec]:
     return basis
 
 
+def rank(matrix: Sequence[Sequence]) -> int:
+    """Exact rank of a rational matrix."""
+    rows = [_clear_denominators(row) for row in matrix]
+    return len(_bareiss_echelon(rows)[1])
+
+
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
     """One exact solution of ``matrix @ x = rhs`` or None if inconsistent."""
     nrows = len(matrix)
@@ -156,14 +162,6 @@ def poly_mat_identity(nvars: int, n: int) -> List[List[Poly]]:
 
 def poly_mat_from_rational(nvars: int, matrix: Sequence[Sequence]) -> List[List[Poly]]:
     return [[Poly.const(nvars, v) for v in row] for row in matrix]
-
-
-def poly_mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def poly_mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def poly_mat_mul(a, b):
@@ -204,20 +202,8 @@ def poly_mat_vec(a, v):
     return out
 
 
-def poly_mat_transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def poly_mat_scale(a, c):
-    return [[x.scale(c) for x in row] for row in a]
-
-
 def poly_mat_diff(a, index: int):
     return [[x.diff(index) for x in row] for row in a]
-
-
-def poly_mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def poly_mat_det(a) -> Poly:

@@ -28,14 +28,16 @@ from .dorfman import Quintuple, Section
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
 from .linalg import (
+    poly_mat_det,
     poly_mat_diff,
     poly_mat_identity,
     poly_mat_inverse_constant_det,
     poly_mat_mul,
     poly_mat_vec,
+    rank,
 )
 from .poly import Poly
-from .report import Report, Witness
+from .report import Check, Report, Witness
 
 HALF = Fraction(1, 2)
 
@@ -69,22 +71,16 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
     m, p, n = fiber.dim, patch.p, patch.n
     tau, beta = iso.tau, iso.beta
 
-    wit = None
+    pairing = Check("iso_pairing_condition", "<beta x|y>/2 + <x|beta y>/2 + <phi x,phi y>")
     for a in range(1, p + 1):
         for b in range(a, p + 1):
             residual = (beta[b - 1][a - 1] + beta[a - 1][b - 1]).scale(HALF) + fiber.pairing(
                 iso.phi_col(a), iso.phi_col(b)
             )
-            if residual and wit is None:
-                wit = Witness(
-                    "<beta x|y>/2 + <x|beta y>/2 + <phi x,phi y>", (a, b), str(residual)
-                )
-    if wit is None:
-        report.add_pass("iso_pairing_condition")
-    else:
-        report.add_fail("iso_pairing_condition", wit)
+            pairing.add((a, b), residual)
+    report.add(pairing.record())
 
-    wit = None
+    bracket = Check("tau_bracket_automorphism", "tau[e_i,e_j] - [tau e_i, tau e_j]")
     for i in range(m):
         for j in range(m):
             for k in range(m):
@@ -96,14 +92,10 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
                     for s in range(m):
                         if fiber.c[l][s][k] and tau[l][i] and tau[s][j]:
                             acc = acc - (tau[l][i] * tau[s][j]).scale(fiber.c[l][s][k])
-                if acc and wit is None:
-                    wit = Witness("tau[e_i,e_j] - [tau e_i, tau e_j]", (i + 1, j + 1, k + 1), str(acc))
-    if wit is None:
-        report.add_pass("tau_bracket_automorphism")
-    else:
-        report.add_fail("tau_bracket_automorphism", wit)
+                bracket.add((i + 1, j + 1, k + 1), acc)
+    report.add(bracket.record())
 
-    wit = None
+    metric = Check("tau_metric_automorphism", "tau^T g tau - g")
     for i in range(m):
         for j in range(m):
             acc = Poly.const(n, -fiber.g[i][j])
@@ -111,14 +103,8 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
                 for s in range(m):
                     if fiber.g[l][s] and tau[l][i] and tau[s][j]:
                         acc = acc + (tau[l][i] * tau[s][j]).scale(fiber.g[l][s])
-            if acc and wit is None:
-                wit = Witness("tau^T g tau - g", (i + 1, j + 1), str(acc))
-    if wit is None:
-        report.add_pass("tau_metric_automorphism")
-    else:
-        report.add_fail("tau_metric_automorphism", wit)
-
-    from .linalg import poly_mat_det
+            metric.add((i + 1, j + 1), acc)
+    report.add(metric.record())
 
     if m:
         det = poly_mat_det(tau)
@@ -248,36 +234,22 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
 
 def intertwining_report(q1: Quintuple, q2: Quintuple, iso: IsoData, degree_cap: int = 1) -> Report:
     """Check that the section map takes the bracket of q1 to that of q2."""
-    report = Report()
+    if degree_cap < 0:
+        raise ValueError("intertwining degree cap must be >= 0, got %d" % degree_cap)
     family, _ = q1.axiom_family(degree_cap)
     patch, fiber = q1.patch, q1.fiber
-    wit = None
-    pair_wit = None
+    pairing = Check("pairing_preserved", "<e1,e2> - <Theta e1, Theta e2>")
+    bracket = Check("dorfman_intertwined", "Theta[[e1,e2]]_1 - [[Theta e1,Theta e2]]_2")
     images = [apply_iso(patch, fiber, iso, e) for e in family]
     for i, e1 in enumerate(family):
         for j, e2 in enumerate(family):
-            if pair_wit is None:
-                d = q1.pairing(e1, e2) - q2.pairing(images[i], images[j])
-                if d:
-                    pair_wit = Witness("<e1,e2> - <Theta e1, Theta e2>", (i + 1, j + 1), str(d))
-            if wit is None:
+            if not pairing.failed:
+                pairing.add((i + 1, j + 1), q1.pairing(e1, e2) - q2.pairing(images[i], images[j]))
+            if not bracket.failed:
                 lhs = apply_iso(patch, fiber, iso, q1.dorfman(e1, e2))
                 rhs = q2.dorfman(images[i], images[j])
-                d = lhs - rhs
-                if not d.is_zero():
-                    comp = next(c for c in d.components() if c)
-                    wit = Witness(
-                        "Theta[[e1,e2]]_1 - [[Theta e1,Theta e2]]_2", (i + 1, j + 1), str(comp)
-                    )
-    if pair_wit is None:
-        report.add_pass("pairing_preserved")
-    else:
-        report.add_fail("pairing_preserved", pair_wit)
-    if wit is None:
-        report.add_pass("dorfman_intertwined")
-    else:
-        report.add_fail("dorfman_intertwined", wit)
-    return report
+                bracket.add_section((i + 1, j + 1), lhs - rhs)
+    return Report([pairing.record(), bracket.record()])
 
 
 # -- the two exact 2-forms and their closed-form differentials -------------
@@ -494,13 +466,11 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
 
 
 def _not_in_span(rows: List[List[Fraction]], vec: List[Fraction]) -> bool:
-    from .charform import _rank
-
     if not any(vec):
         return False
     if not rows:
         return True
-    return _rank(rows + [vec]) != _rank(rows)
+    return rank(rows + [vec]) != rank(rows)
 
 
 # -- pullbacks, intrinsic forms, the coboundary identity ---------------------
@@ -539,15 +509,12 @@ def is_ample_automorphism(q: Quintuple, tau: List[List[Poly]], phi: GValuedForm)
     report.records = [r for r in report.records if r.name != "iso_pairing_condition"]
     beta = [[Poly.zero(patch.n)] * patch.p for _ in range(patch.p)]
     moved = transport(q, IsoData(tau, phi, beta))
-    wit = None
     if moved.conn != q.conn:
-        wit = Witness("transported connection differs", (), "nonzero")
+        report.add_fail("ample_bracket_preserved", Witness("transported connection differs", (), "nonzero"))
     elif moved.curv != q.curv:
-        wit = Witness("transported curvature differs", (), "nonzero")
-    if wit is None:
-        report.add_pass("ample_bracket_preserved")
+        report.add_fail("ample_bracket_preserved", Witness("transported curvature differs", (), "nonzero"))
     else:
-        report.add_fail("ample_bracket_preserved", wit)
+        report.add_pass("ample_bracket_preserved")
     return report
 
 
@@ -566,7 +533,6 @@ def intrinsic_form(
 
 def coboundary_identity_check(q1: Quintuple, iso: IsoData) -> Report:
     """Pulled-back canonical forms differ by d(Psi_beta/2 + Phi_{tau^-1 phi})."""
-    report = Report()
     patch, fiber = q1.patch, q1.fiber
     m = fiber.dim
     q2 = transport(q1, iso)
@@ -582,15 +548,8 @@ def coboundary_identity_check(q1: Quintuple, iso: IsoData) -> Report:
             j_comps[(a,)] = col
     jform = GValuedForm(patch, m, 1, j_comps)
     primitive = psi_form(patch, m, iso.beta).scale(HALF) + phi_form(patch, m, jform, fiber)
-    rhs = ce_differential(QuadAlgebroid.of(q1), primitive)
+    rhs = ce_differential(q1, primitive)
 
-    diff = lhs - rhs
-    wit = None
-    for key in diff.keys():
-        wit = Witness("iota^* C2 - C1 - d(Psi/2 + Phi)", key[0] + key[1], str(diff.comps[key]))
-        break
-    if wit is None:
-        report.add_pass("coboundary_identity")
-    else:
-        report.add_fail("coboundary_identity", wit)
-    return report
+    check = Check("coboundary_identity", "iota^* C2 - C1 - d(Psi/2 + Phi)")
+    check.add_form(lhs - rhs)
+    return Report([check.record()])

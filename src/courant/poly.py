@@ -308,6 +308,11 @@ class PolyParseError(ValueError):
         self.offset = offset
 
 
+# Deepest accepted parenthesis nesting: the parser recurses once per
+# level, so a bound keeps hostile input from exhausting the stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     # expr   := term (('+'|'-') term)*
     # term   := factor ('*' factor)*
@@ -320,6 +325,7 @@ class _Parser:
         self.src = src
         self.nvars = nvars
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -346,9 +352,13 @@ class _Parser:
     def parse_atom(self) -> Poly:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError("parentheses nested deeper than %d" % MAX_NESTING, self.pos)
+            self.depth += 1
             self.pos += 1
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if ch == "x":
             start = self.pos

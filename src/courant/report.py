@@ -39,6 +39,46 @@ class CheckRecord:
         return self.status == "pass"
 
 
+class Check:
+    """First-witness recorder for one named identity.
+
+    Feed it the instances of the identity as ``(indices, residual)``;
+    the first nonzero residual becomes the witness of a failing record.
+    ``add_section`` and ``add_form`` take a whole section or form and
+    pick its residual by the shared rules: the first nonzero component
+    of a section, and the component at the first key of a form.
+    """
+
+    def __init__(self, name: str, identity: str):
+        self.name = name
+        self.identity = identity
+        self.witness: Optional[Witness] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.witness is not None
+
+    def add(self, indices: Sequence, residual) -> None:
+        if residual and self.witness is None:
+            self.witness = Witness(self.identity, tuple(indices), str(residual))
+
+    def add_section(self, indices: Sequence, section) -> None:
+        if self.witness is None and not section.is_zero():
+            self.add(indices, next(c for c in section.components() if c))
+
+    def add_form(self, form) -> None:
+        """The residual is the component at the form's first key.  Keys
+        of forms on A, (fiber, leaf) pairs of index tuples, flatten to
+        the fiber indices followed by the leaf indices."""
+        keys = form.keys()
+        if keys:
+            key = keys[0]
+            self.add(key[0] + key[1] if key and isinstance(key[0], tuple) else key, form.comps[key])
+
+    def record(self) -> CheckRecord:
+        return CheckRecord(self.name, "fail" if self.failed else "pass", self.witness)
+
+
 @dataclass
 class Report:
     records: List[CheckRecord] = field(default_factory=list)
@@ -54,6 +94,10 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)
+
+    def renamed(self, pattern: str) -> "Report":
+        """A copy whose record names are ``pattern % name``."""
+        return Report([CheckRecord(pattern % r.name, r.status, r.witness) for r in self.records])
 
     def __iter__(self):
         return iter(self.records)
@@ -108,17 +152,3 @@ class Report:
             "exit": self.exit_code,
         }
         return json.dumps(payload, indent=2) + "\n"
-
-
-def check(report: Report, name: str, residual, identity: str, indices: Sequence) -> bool:
-    """Record pass/fail for one identity instance.
-
-    ``residual`` is anything with truthiness + str (a Poly); records the
-    first failing instance only when the caller loops, by convention of
-    calling this once per name with the first nonzero residual found.
-    """
-    if residual:
-        report.add_fail(name, Witness(identity, tuple(indices), str(residual)))
-        return False
-    report.add_pass(name)
-    return True

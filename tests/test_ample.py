@@ -6,7 +6,9 @@ import pytest
 from courant import (
     AForm,
     ASection,
+    FForm,
     QuadAlgebroid,
+    Quintuple,
     aform_from_fform,
     ce_differential,
     is_horizontal,
@@ -213,3 +215,24 @@ def test_aform_shape_errors():
         AForm(q.patch, 3, 2, {((1,), (1, 2)): q.patch.one()})
     with pytest.raises(ValueError):
         AForm(q.patch, 3, 2, {((2, 1), ()): q.patch.one()})
+
+
+def test_dorfman_projects_to_ample_bracket():
+    # the G + F part of the Dorfman bracket is the ample bracket
+    from test_dorfman import rand_section
+
+    rng = random.Random(11)
+    for q in (fixture_c(), fixture_d()):
+        alg = QuadAlgebroid.of(q)
+        for _ in range(10):
+            e1, e2 = rand_section(rng, q), rand_section(rng, q)
+            br = q.dorfman(e1, e2)
+            assert ASection(br.r, br.x) == alg.bracket(ASection(e1.r, e1.x), ASection(e2.r, e2.x))
+
+
+def test_quintuple_equality_includes_hform():
+    q = fixture_c()
+    other = Quintuple(q.patch, q.fiber, q.conn, q.curv, FForm.zero(q.patch, 3))
+    assert q == Quintuple(q.patch, q.fiber, q.conn, q.curv, q.hform)
+    assert q != other
+    assert QuadAlgebroid.of(q) == QuadAlgebroid.of(other)

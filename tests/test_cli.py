@@ -264,3 +264,16 @@ def test_cli_demos_configs_exist_and_pass():
     for name in ("fixture_c.cfg", "fixture_d.cfg"):
         cfg = parse_config(os.path.join(root, name))
         assert run_command("check", cfg, degree=1).ok
+
+
+def test_main_rejects_deep_nesting_and_negative_degree(tmp_path, capsys):
+    deep = "(" * 5000 + "x1" + ")" * 5000
+    path = write(tmp_path, FIXTURE_C_TEXT.replace("2*x1", deep), "deep.cfg")
+    assert main(["check", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "nested deeper than 100" in out.err
+    path = write(tmp_path, FIXTURE_D_TEXT)
+    for cmd in ("check", "axioms"):
+        assert main([cmd, path, "--degree", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "degree cap must be >= 0" in out.err

@@ -276,3 +276,10 @@ def test_bracket_and_pairing_shape_guards():
         qd.dorfman(qd.zero_section(), foreign)
     with pytest.raises(ValueError):
         qd.pairing(foreign, qd.zero_section())
+
+
+def test_check_axioms_rejects_negative_degree():
+    q = fixture_d()
+    for method in ("reduced", "direct"):
+        with pytest.raises(ValueError):
+            q.check_axioms(-1, method=method)

@@ -9,6 +9,7 @@ from courant.linalg import (
     poly_mat_identity,
     poly_mat_inverse_constant_det,
     poly_mat_mul,
+    rank,
     rational_det,
     solve,
 )
@@ -110,3 +111,16 @@ def test_poly_det_laplace_random_vs_rational():
         vals = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
         mat = [[Poly.const(0, v) for v in row] for row in vals]
         assert poly_mat_det(mat).constant_value() == rational_det(vals)
+
+
+def test_rank():
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert rank([[1, 2, 3], [0, Fraction(1, 3), 1], [1, 0, 0]]) == 3
+    rng = random.Random(0)
+    for _ in range(20):
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)] for _ in range(2)]
+        # a third row in the span never raises the rank
+        combo = [rows[0][j] * 2 - rows[1][j] for j in range(3)]
+        assert rank(rows + [combo]) == rank(rows) == 3 - len(nullspace(rows, 3))

@@ -396,3 +396,10 @@ def test_transport_on_fiber_with_center():
     assert moved.validate().ok
     assert intertwining_report(q, moved, iso, degree_cap=1).ok
     assert coboundary_identity_check(q, iso).ok
+
+
+def test_intertwining_rejects_negative_degree():
+    q = fixture_d()
+    iso = identity_iso(q.patch, q.fiber.dim)
+    with pytest.raises(ValueError):
+        intertwining_report(q, transport(q, iso), iso, degree_cap=-1)

@@ -179,3 +179,13 @@ def test_pow():
     assert x ** 5 == Poly(1, {(5,): 1})
     with pytest.raises(ValueError):
         x ** -1
+
+
+def test_parse_nesting_limit():
+    # nesting is bounded well below the interpreter's recursion limit
+    assert parse_poly("(" * 100 + "x1" + ")" * 100, 1) == Poly.variable(1, 1)
+    for depth in (101, 5000):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("(" * depth + "x1" + ")" * depth, 1)
+        assert "nested deeper than 100" in str(err.value)
+        assert err.value.offset == 100
