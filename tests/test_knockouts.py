@@ -1,0 +1,151 @@
+"""Code knockouts: the axiom check catches bugs in the bracket itself.
+
+Each knockout replaces one helper of ``Quintuple``/``QuadAlgebroid`` by a
+broken variant: one of the two terms of the Lie derivative dropped, or
+the H-contraction, the Q-form, nabla along a vector field, the
+R-contraction or the P-form zeroed or sign-flipped.  The data stay
+valid, so every failure below comes from the implementation.  The full
+failing records of ``check_axioms(1)`` (name, witness indices, residual)
+are pinned, so a change to the checker that moves a witness shows up
+here.  An empty list is a knockout the fixture cannot see: fixture A has
+no fiber, and on a rank-2 leaf (A and D) every 3-form vanishes, so the
+H-contraction is invisible there; fixture C (rank 4) catches it.
+"""
+
+import pytest
+
+from courant import Quintuple
+from fixtures import fixture_a, fixture_c, fixture_d
+
+
+def _lie_covector_without_transport(self, x, xi):
+    """(L_x xi)_b with the x^a d_a xi_b term dropped."""
+    p = self.patch.p
+    out = []
+    for b in range(1, p + 1):
+        acc = self._zero
+        for a in range(1, p + 1):
+            if xi[a - 1]:
+                acc = acc + xi[a - 1] * x[a - 1].diff(b)
+        out.append(acc)
+    return out
+
+
+def _lie_covector_without_dx(self, x, xi):
+    """(L_x xi)_b with the xi_a d_b x^a term dropped."""
+    p = self.patch.p
+    out = []
+    for b in range(1, p + 1):
+        acc = self._zero
+        for a in range(1, p + 1):
+            if x[a - 1]:
+                acc = acc + x[a - 1] * xi[b - 1].diff(a)
+        out.append(acc)
+    return out
+
+
+def _zeroed(name):
+    orig = getattr(Quintuple, name)
+
+    def broken(self, *args):
+        return [self._zero] * len(orig(self, *args))
+
+    return broken
+
+
+def _flipped(name):
+    orig = getattr(Quintuple, name)
+
+    def broken(self, *args):
+        return [-v for v in orig(self, *args)]
+
+    return broken
+
+
+KNOCKOUTS = {
+    "lie_covector-transport": ("lie_covector", _lie_covector_without_transport),
+    "lie_covector-dx": ("lie_covector", _lie_covector_without_dx),
+    "h_contract=0": ("h_contract", _zeroed("h_contract")),
+    "h_contract*-1": ("h_contract", _flipped("h_contract")),
+    "q_form=0": ("q_form", _zeroed("q_form")),
+    "q_form*-1": ("q_form", _flipped("q_form")),
+    "nabla_along=0": ("nabla_along", _zeroed("nabla_along")),
+    "nabla_along*-1": ("nabla_along", _flipped("nabla_along")),
+    "curv_contract=0": ("curv_contract", _zeroed("curv_contract")),
+    "curv_contract*-1": ("curv_contract", _flipped("curv_contract")),
+    "p_form=0": ("p_form", _zeroed("p_form")),
+}
+
+
+def failing(report):
+    return [(r.name, r.witness.indices, r.witness.residual) for r in report.failures()]
+
+
+# failing records of check_axioms(1) under each knockout
+EXPECTED_A = {
+    "lie_covector-transport": [
+        ("axiom_3", (3, 1, 3), "-1"),
+        ("axiom_5", (4, 4), "2"),
+        ("leibniz_left_rule", (1, 3, 3), "1"),
+    ],
+    "lie_covector-dx": [("axiom_3", (1, 3, 2), "1"), ("leibniz_left_rule", (3, 1, 2), "-1")],
+    "h_contract=0": [],
+    "h_contract*-1": [],
+    "q_form=0": [],
+    "q_form*-1": [],
+    "nabla_along=0": [],
+    "nabla_along*-1": [],
+    "curv_contract=0": [],
+    "curv_contract*-1": [],
+    "p_form=0": [],
+}
+
+EXPECTED_D = {
+    "lie_covector-transport": [
+        ("axiom_3", (6, 1, 3), "-1"),
+        ("axiom_5", (4, 7), "2"),
+        ("leibniz_left_rule", (1, 6, 3), "1"),
+    ],
+    "lie_covector-dx": [("axiom_3", (1, 6, 2), "1"), ("leibniz_left_rule", (6, 1, 2), "-1")],
+    "h_contract=0": [],
+    "h_contract*-1": [],
+    "q_form=0": [("axiom_1", (3, 4, 6), "2"), ("axiom_6", (6, 5, 7), "-1")],
+    "q_form*-1": [("axiom_1", (3, 4, 6), "4"), ("axiom_6", (6, 5, 7), "-2")],
+    "nabla_along=0": [
+        ("axiom_1", (3, 4, 6), "-2"),
+        ("axiom_3", (6, 3, 3), "-1"),
+        ("axiom_6", (3, 5, 7), "1"),
+        ("leibniz_left_rule", (3, 6, 3), "1"),
+    ],
+    "nabla_along*-1": [
+        ("axiom_1", (3, 4, 6), "-4"),
+        ("axiom_3", (6, 3, 3), "-2"),
+        ("axiom_6", (3, 5, 7), "2"),
+        ("leibniz_left_rule", (3, 6, 3), "2"),
+    ],
+    "curv_contract=0": [("axiom_1", (3, 6, 7), "2"), ("axiom_6", (6, 5, 7), "1")],
+    "curv_contract*-1": [("axiom_1", (3, 6, 7), "4"), ("axiom_6", (6, 5, 7), "2")],
+    "p_form=0": [
+        ("axiom_1", (3, 4, 6), "-2"),
+        ("axiom_6", (3, 5, 7), "-1"),
+        ("leibniz_left_rule", (3, 3, 2), "-2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("knockout", sorted(KNOCKOUTS))
+@pytest.mark.parametrize("build, expected", [(fixture_a, EXPECTED_A), (fixture_d, EXPECTED_D)])
+def test_knockout_witnesses(monkeypatch, knockout, build, expected):
+    name, broken = KNOCKOUTS[knockout]
+    monkeypatch.setattr(Quintuple, name, broken)
+    assert failing(build().check_axioms(1)) == expected[knockout]
+
+
+@pytest.mark.parametrize("knockout", ["h_contract=0", "h_contract*-1"])
+def test_h_knockouts_fail_jacobiator_on_rank_4_leaf(monkeypatch, knockout):
+    name, broken = KNOCKOUTS[knockout]
+    monkeypatch.setattr(Quintuple, name, broken)
+    record = fixture_c().check_axioms(1)["axiom_1"]
+    assert not record.ok
+    assert record.witness.indices == (6, 7, 8)
+
