@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from courant import Poly, Section, monomials
+from courant import Poly, Quintuple, Section, monomials
 from fixtures import (
     ALL_FIXTURES,
     fixture_a,
@@ -145,6 +146,43 @@ def test_leibniz_rules_hold_for_general_sections():
             assert leibniz_left_defect(q, e1, e2, f).is_zero()
 
 
+def rand_cubic(rng, n):
+    """A random polynomial with a term of total degree exactly 3."""
+    exp = [0] * n
+    for _ in range(3):
+        exp[rng.randrange(n)] += 1
+    return rand_poly(rng, n, 3, terms=4) + Poly(n, {tuple(exp): rng.randint(1, 3)})
+
+
+def test_leibniz_rules_hold_beyond_certified_coefficients():
+    # the reduced axiom check certifies both rules from degree <= 1
+    # coefficients on frame pairs; check its conclusion on degree-2
+    # sections and cubic coefficients, over a rank-4 leaf and an su(2) fiber
+    rng = random.Random(11)
+    for q in (fixture_c(), fixture_d()):
+        for _ in range(6):
+            e1 = rand_section(rng, q)
+            e2 = rand_section(rng, q)
+            f = rand_cubic(rng, q.patch.n)
+            assert leibniz_right_defect(q, e1, e2, f).is_zero()
+            assert leibniz_left_defect(q, e1, e2, f).is_zero()
+
+
+def test_reduced_axiom_check_bracket_count(monkeypatch):
+    # a deterministic guard on the cost of the degree-independent Leibniz
+    # stages: the widened stages they replace made ~96,000 brackets here
+    calls = []
+    dorfman = Quintuple.dorfman
+
+    def counted(self, e1, e2):
+        calls.append(1)
+        return dorfman(self, e1, e2)
+
+    monkeypatch.setattr(Quintuple, "dorfman", counted)
+    assert fixture_c().check_axioms(2).ok
+    assert len(calls) <= 4000
+
+
 def test_axiom4_shape_on_family():
     q = fixture_d()
     family, _ = q.axiom_family(1)
@@ -260,6 +298,16 @@ def test_monomials_enumeration():
     assert [str(m) for m in monos] == ["1", "x2", "x1", "x2^2", "x1*x2", "x1^2"]
     assert len(monomials(4, 2)) == 15
     assert [str(m) for m in monomials(0, 3)] == ["1"]
+
+
+def test_monomials_match_box_enumeration():
+    # the enumeration by total degree lists what filtering the exponent box
+    # {0..d}^n by total degree and sorting graded-lex gives, in that order
+    for n in range(5):
+        for d in range(-1, 7):
+            box = [e for e in product(range(d + 1), repeat=n) if sum(e) <= d]
+            box.sort(key=lambda e: (sum(e), e))
+            assert monomials(n, d) == [Poly(n, {e: 1}) for e in box], (n, d)
 
 
 def test_section_shape_mismatch():
