@@ -470,14 +470,13 @@ class Quintuple(QuadAlgebroid):
         are still checked, since on broken code each gives its own
         witness.
 
-        Loop order and indices are those of the widened check this
-        replaces (family x frame x monomials of degree <= 2 * cap): the
-        frames are the first family members and the degree-1 monomials a
-        prefix of the widened coefficients, and under the assumption a
-        failing instance there implies one at (frame, frame, x_a), which
-        comes first.  The test suite cross-checks this certificate
-        against the literal enumeration ``method="direct"``, on valid and
-        on mutated data.
+        Witness indices use family numbering: the frames are the first
+        members of ``axiom_family`` and 1, x_n, .., x_1 the first
+        monomials, and under the assumption a failing Leibniz instance
+        anywhere in family x frame x monomials implies one at some
+        (frame, frame, x_a), which comes earlier.  The test suite
+        cross-checks this certificate against the literal enumeration
+        ``method="direct"``, on valid and on mutated data.
         """
         frames = self.frame_sections()
         nu = len(frames)
@@ -488,6 +487,7 @@ class Quintuple(QuadAlgebroid):
             for j, v in enumerate(frames)
         }
         pairs = list(product(enumerate(frames), repeat=2))
+        pair = {(i, j): self.pairing(u, v) for (i, u), (j, v) in pairs}
 
         ax = {k: Check("axiom_%d" % k, text) for k, text in AXIOM_IDENTITIES.items()}
         ax[3] = Check("axiom_3", "[[e1, f u]] - f[[e1,u]] - (rho(e1)f) u")
@@ -510,9 +510,8 @@ class Quintuple(QuadAlgebroid):
                 break
         for ((i, u), (j, v)), (fi, f) in product(pairs, enumerate(linear)):
             rhs = br[(i, j)].mul(f) - u.mul(self.anchor_apply(v, f))
-            pair = self.pairing(u, v)
-            if pair:
-                rhs = rhs + self.d_operator(f).mul(pair.scale(2))
+            if pair[(i, j)]:
+                rhs = rhs + self.d_operator(f).mul(pair[(i, j)].scale(2))
             left.add_section((i + 1, j + 1, fi + 1), self.dorfman(u.mul(f), v) - rhs)
             if left.failed:
                 break
@@ -520,7 +519,7 @@ class Quintuple(QuadAlgebroid):
         # axiom 4 on unordered frame pairs
         for i in range(nu):
             for j in range(i, nu):
-                d = br[(i, j)] + br[(j, i)] - self.d_operator(self.pairing(frames[i], frames[j])).scale(2)
+                d = br[(i, j)] + br[(j, i)] - self.d_operator(pair[(i, j)]).scale(2)
                 ax[4].add_section((i + 1, j + 1), d)
 
         # axiom 5 with frame second arguments, coefficients of degree <= 2 * cap
@@ -540,7 +539,7 @@ class Quintuple(QuadAlgebroid):
             for j in range(nu):
                 for k in range(j, nu):
                     d = (
-                        self.anchor_apply(frames[i], self.pairing(frames[j], frames[k]))
+                        self.anchor_apply(frames[i], pair[(j, k)])
                         - self.pairing(br[(i, j)], frames[k])
                         - self.pairing(frames[j], br[(i, k)])
                     )
