@@ -481,12 +481,8 @@ class Quintuple(QuadAlgebroid):
         frames = self.frame_sections()
         nu = len(frames)
         linear = monomials(self.patch.n, 1)
-        br = {
-            (i, j): self.dorfman(u, v)
-            for i, u in enumerate(frames)
-            for j, v in enumerate(frames)
-        }
         pairs = list(product(enumerate(frames), repeat=2))
+        br = {(i, j): self.dorfman(u, v) for (i, u), (j, v) in pairs}
         pair = {(i, j): self.pairing(u, v) for (i, u), (j, v) in pairs}
 
         ax = {k: Check("axiom_%d" % k, text) for k, text in AXIOM_IDENTITIES.items()}
