@@ -433,19 +433,22 @@ def config_to_text(cfg: Config) -> str:
 # -- commands ----------------------------------------------------------------
 
 
+def _emit(report: Report, prefix: str, entries) -> None:
+    """A passing record ``prefix.i.j..`` per nonzero (indices, value)."""
+    for indices, value in entries:
+        if value:
+            name = "%s.%s" % (prefix, ".".join(str(t) for t in indices))
+            report.add_pass(name, Witness("component", indices, str(value)))
+
+
 def _emit_aform(report: Report, prefix: str, form: AForm) -> None:
     for gidx, fidx in form.keys():
         kind = "g" * len(gidx) + "f" * len(fidx)
-        name = "%s.%s.%s" % (prefix, kind, ".".join(str(t) for t in gidx + fidx))
-        report.add_pass(
-            name, Witness("component", gidx + fidx, str(form.comps[(gidx, fidx)]))
-        )
+        _emit(report, "%s.%s" % (prefix, kind), [(gidx + fidx, form.comps[(gidx, fidx)])])
 
 
 def _emit_fform(report: Report, prefix: str, form: FForm) -> None:
-    for key in form.keys():
-        name = "%s.%s" % (prefix, ".".join(str(t) for t in key))
-        report.add_pass(name, Witness("component", key, str(form.comps[key])))
+    _emit(report, prefix, ((key, form.comps[key]) for key in form.keys()))
 
 
 def _require(cfg_piece, what: str):
@@ -507,14 +510,8 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
         search = find_hoist(alg, cform)
         report.extend(search.report)
         if search.hoist is not None:
-            for a in range(1, cfg.patch.p + 1):
-                col = search.hoist.column(a)
-                for k in range(cfg.fiber.dim):
-                    if col[k]:
-                        report.add_pass(
-                            "hoist.J.%d.%d" % (a, k + 1),
-                            Witness("component", (a, k + 1), str(col[k])),
-                        )
+            cols = [(a, search.hoist.column(a)) for a in range(1, cfg.patch.p + 1)]
+            _emit(report, "hoist.J", [((a, k + 1), v) for a, col in cols for k, v in enumerate(col)])
     elif cmd == "build":
         cform = _require(cfg.cform, "cform")
         alg = QuadAlgebroid.of(q)
@@ -533,22 +530,12 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
             return report
         report.add_pass("build_coherent")
         report.extend(built.validate().renamed("built_%s"))
-        for a in range(cfg.patch.p):
-            for i in range(cfg.fiber.dim):
-                for j in range(cfg.fiber.dim):
-                    if built.conn.gamma[a][i][j]:
-                        report.add_pass(
-                            "built.gamma.%d.%d.%d" % (a + 1, i + 1, j + 1),
-                            Witness("component", (a + 1, i + 1, j + 1), str(built.conn.gamma[a][i][j])),
-                        )
-        for key in built.curv.keys():
-            vec = built.curv.comps[key]
-            for k in range(cfg.fiber.dim):
-                if vec[k]:
-                    report.add_pass(
-                        "built.R.%d.%d.%d" % (key[0], key[1], k + 1),
-                        Witness("component", key + (k + 1,), str(vec[k])),
-                    )
+        m = cfg.fiber.dim
+        gamma = [((a + 1, i + 1, j + 1), built.conn.gamma[a][i][j])
+                 for a in range(cfg.patch.p) for i in range(m) for j in range(m)]
+        _emit(report, "built.gamma", gamma)
+        curv = [(key + (k + 1,), v) for key in built.curv.keys() for k, v in enumerate(built.curv.comps[key])]
+        _emit(report, "built.R", curv)
         _emit_fform(report, "built.H", built.hform)
     elif cmd == "roundtrip":
         pair = characteristic_pair_of(q)
@@ -569,7 +556,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str
             return report
         moved = transport(q, iso)
         report.extend(moved.validate().renamed("target_%s"))
-        report.extend(intertwining_report(q, moved, iso, degree_cap=min(degree, 1)))
+        report.extend(intertwining_report(q, moved, iso, degree_cap=degree))
         report.extend(coboundary_identity_check(q, iso))
     elif cmd == "shift":
         if kind == "hoist":

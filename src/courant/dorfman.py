@@ -368,7 +368,10 @@ class Quintuple(QuadAlgebroid):
         raise ValueError("unknown axiom check method %r" % method)
 
     def _axioms_direct(self, degree_cap: int) -> Report:
-        """Literal enumeration: pairs for axioms 2-5, triples for 1 and 6."""
+        """Literal enumeration: pairs for axioms 2-5, triples for 1 and 6.
+
+        At cap 0 the family is the frame and f = 1 is the only coefficient
+        tried, so axiom 5 (D 1 = 0) is vacuous there."""
         family, monos = self.axiom_family(degree_cap)
         nf = len(family)
         cache: Dict[Tuple[int, int], Section] = {}
@@ -463,12 +466,15 @@ class Quintuple(QuadAlgebroid):
         are tensorial, so frame pairs and triples certify them.  The
         defect of axiom 5, [[D f, e]], is tensorial in e and a linear
         differential operator of order <= 2 in f, so frame second
-        arguments and monomials of degree <= 2 * cap certify it for all
-        f once cap >= 1.  Given axioms 2, 4, 5 and 6 the Jacobiator is
+        arguments and monomials of degree <= max(2 * cap, 2) certify it
+        for all f.  Given axioms 2, 4, 5 and 6 the Jacobiator is
         tensorial, so frame triples certify axiom 1.  Uchino (LMP 2002)
         shows that some of these axioms follow from the others; all six
         are still checked, since on broken code each gives its own
-        witness.
+        witness.  After a Leibniz failure a frame-level pass of axiom 1,
+        2, 4, 5 or 6 certifies nothing, so those records come from the
+        literal enumeration; a frame-level failure is a counterexample
+        and stays.
 
         Witness indices use family numbering: the frames are the first
         members of ``axiom_family`` and 1, x_n, .., x_1 the first
@@ -518,8 +524,8 @@ class Quintuple(QuadAlgebroid):
                 d = br[(i, j)] + br[(j, i)] - self.d_operator(pair[(i, j)]).scale(2)
                 ax[4].add_section((i + 1, j + 1), d)
 
-        # axiom 5 with frame second arguments, coefficients of degree <= 2 * cap
-        for fi, f in enumerate(monomials(self.patch.n, 2 * degree_cap)):
+        # axiom 5 with frame second arguments, coefficients of degree <= max(2 * cap, 2)
+        for fi, f in enumerate(monomials(self.patch.n, max(2 * degree_cap, 2))):
             if ax[5].failed:
                 break
             df = self.d_operator(f)
@@ -550,7 +556,11 @@ class Quintuple(QuadAlgebroid):
                     )
                     ax[1].add_section((i + 1, j + 1, k + 1), d)
 
-        return Report([ax[k].record() for k in range(1, 7)] + [left.record()])
+        records = [ax[k].record() for k in range(1, 7)]
+        if ax[3].failed or left.failed:
+            direct = self._axioms_direct(degree_cap)
+            records = [direct[r.name] if r.ok and r.name != "axiom_3" else r for r in records]
+        return Report(records + [left.record()])
 
 
 def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Poly]]:

@@ -235,12 +235,6 @@ class Poly:
             total += v
         return total
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
-
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
 

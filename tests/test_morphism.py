@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 
 from courant import (
     FForm,
+    GConnection,
     GValuedForm,
     Poly,
     QuadAlgebroid,
+    Quintuple,
     apply_iso,
     ce_differential,
     central_shift_iso,
@@ -30,8 +33,10 @@ from courant import (
     transport,
     validate_iso,
 )
+from courant.cli import parse_config
 from courant.linalg import poly_mat_from_rational
 from courant.morphism import IsoData
+from courant.report import Check, Report
 from fixtures import (
     cayley_so3,
     fixture_c,
@@ -45,6 +50,11 @@ from fixtures import (
     seeded_iso_fixture_d,
 )
 from test_dorfman import rand_section
+from test_knockouts import KNOCKOUTS
+
+FIXTURE_C_SHIFT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "configs", "fixture_c_shift.cfg"
+)
 
 
 # -- validation -------------------------------------------------------------
@@ -403,3 +413,129 @@ def test_intertwining_rejects_negative_degree():
     iso = identity_iso(q.patch, q.fiber.dim)
     with pytest.raises(ValueError):
         intertwining_report(q, transport(q, iso), iso, degree_cap=-1)
+
+
+# -- the intertwining certificate against the literal all-pairs loop ----------
+
+
+def literal_intertwining_report(q1, q2, iso, degree_cap):
+    """Reference: every pair of the family, which ``intertwining_report``
+    restricts to coefficient degrees summing to <= 1."""
+    family, _ = q1.axiom_family(degree_cap)
+    patch, fiber = q1.patch, q1.fiber
+    pairing = Check("pairing_preserved", "<e1,e2> - <Theta e1, Theta e2>")
+    bracket = Check("dorfman_intertwined", "Theta[[e1,e2]]_1 - [[Theta e1,Theta e2]]_2")
+    images = [apply_iso(patch, fiber, iso, e) for e in family]
+    for i, e1 in enumerate(family):
+        for j, e2 in enumerate(family):
+            if not pairing.failed:
+                pairing.add((i + 1, j + 1), q1.pairing(e1, e2) - q2.pairing(images[i], images[j]))
+            if not bracket.failed:
+                lhs = apply_iso(patch, fiber, iso, q1.dorfman(e1, e2))
+                rhs = q2.dorfman(images[i], images[j])
+                bracket.add_section((i + 1, j + 1), lhs - rhs)
+    return Report([pairing.record(), bracket.record()])
+
+
+def assert_matches_literal(q1, q2, iso, caps=(1, 2)):
+    for cap in caps:
+        expected = literal_intertwining_report(q1, q2, iso, cap).to_json()
+        assert intertwining_report(q1, q2, iso, cap).to_json() == expected, cap
+
+
+def fixture_c_shift():
+    cfg = parse_config(FIXTURE_C_SHIFT)
+    return cfg.quintuple(), cfg.iso
+
+
+def with_beta(iso, a, b, delta):
+    """A copy of the isomorphism with beta[b][a] shifted by delta."""
+    beta = [list(row) for row in iso.beta]
+    beta[b][a] = beta[b][a] + delta
+    return IsoData(iso.tau, iso.phi, beta)
+
+
+def broken_cases():
+    """(q1, q2, iso) where the intertwining can fail: a degree-1 term added
+    to one Gamma or one R entry of the target, a perturbed diagonal beta
+    entry (breaks the pairing), and a skew change of beta."""
+    q = fixture_d()
+    patch, fiber = q.patch, q.fiber
+    lin = patch.var(1) + Poly.const(patch.n, 2)
+    for seed in (0, 1):
+        iso = seeded_iso_fixture_d(seed, q)
+        moved = transport(q, iso)
+        gamma = [[list(row) for row in mat] for mat in moved.conn.gamma]
+        gamma[0][0][1] = gamma[0][0][1] + lin
+        conn = GConnection(patch, fiber.dim, gamma)
+        yield q, Quintuple(patch, fiber, conn, moved.curv, moved.hform), iso
+        comps = {(1, 2): [u + lin if k == 2 else u for k, u in enumerate(moved.curv.get((1, 2)))]}
+        curv = GValuedForm(patch, fiber.dim, 2, comps)
+        yield q, Quintuple(patch, fiber, moved.conn, curv, moved.hform), iso
+        yield q, moved, with_beta(iso, 0, 0, Poly.const(patch.n, 1))
+        yield q, moved, with_beta(with_beta(iso, 0, 1, lin), 1, 0, -lin)
+    qc, iso = fixture_c_shift()
+    moved = transport(qc, iso)
+    yield qc, moved, iso
+    yield qc, moved, with_beta(iso, 2, 2, qc.patch.var(4))
+    skew = qc.patch.var(1) * qc.patch.var(2)
+    yield qc, moved, with_beta(with_beta(iso, 1, 3, skew), 3, 1, -skew)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_intertwining_certificate_matches_literal_loop(seed):
+    q = fixture_d()
+    iso = seeded_iso_fixture_d(seed, q)
+    assert_matches_literal(q, transport(q, iso), iso)
+
+
+def test_intertwining_certificate_matches_literal_loop_on_broken_data():
+    outcomes = []
+    for q1, q2, iso in broken_cases():
+        assert_matches_literal(q1, q2, iso)
+        outcomes.append(intertwining_report(q1, q2, iso, 1).ok)
+    assert outcomes.count(True) and outcomes.count(False)
+
+
+@pytest.mark.parametrize("knockout", sorted(KNOCKOUTS))
+def test_intertwining_certificate_matches_literal_loop_under_knockouts(monkeypatch, knockout):
+    name, broken = KNOCKOUTS[knockout]
+    monkeypatch.setattr(Quintuple, name, broken)
+    q = fixture_d()
+    iso = seeded_iso_fixture_d(0, q)
+    assert_matches_literal(q, transport(q, iso), iso)
+    # the rank-4 leaf of fixture C sees the H-contraction; cap 2 runs there
+    # in the broken-data test
+    qc, iso = fixture_c_shift()
+    assert_matches_literal(qc, transport(qc, iso), iso, caps=(1,))
+
+
+def test_lie_covector_dx_knockout_fails_off_the_frame(monkeypatch):
+    # cap 0 is the frame x frame check, which this knockout passes; the
+    # degree-1 coefficients catch it
+    monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-dx"])
+    q = fixture_d()
+    iso = seeded_iso_fixture_d(0, q)
+    moved = transport(q, iso)
+    assert intertwining_report(q, moved, iso, 0).ok
+    record = intertwining_report(q, moved, iso, 1)["dorfman_intertwined"]
+    assert not record.ok
+    assert max(record.witness.indices) > len(q.frame_sections())
+
+
+def test_intertwining_bracket_count(monkeypatch):
+    calls = []
+    dorfman = Quintuple.dorfman
+
+    def counted(self, e1, e2):
+        calls.append(1)
+        return dorfman(self, e1, e2)
+
+    monkeypatch.setattr(Quintuple, "dorfman", counted)
+    q = fixture_d()
+    iso = seeded_iso_fixture_d(0, q)
+    moved = transport(q, iso)
+    for cap in (1, 2):
+        calls.clear()
+        assert intertwining_report(q, moved, iso, cap).ok
+        assert len(calls) <= 490, cap
