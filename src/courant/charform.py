@@ -25,7 +25,7 @@ from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
 from .dorfman import Quintuple, Section
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from .linalg import rank, solve
-from .poly import Poly
+from .poly import Poly, coefficient_vectors
 from .report import Check, Report, Witness
 
 THIRD = Fraction(1, 3)
@@ -272,10 +272,8 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
         rhs_polys = [
             c.eval_frame([("g", i), ("g", j), ("f", a)]) for i, j in pairs
         ]
-        monos = sorted({exp for poly in rhs_polys for exp in poly.terms})
         col = [Poly.zero(patch.n) for _ in range(m)]
-        for exp in monos:
-            rhs = [Fraction(poly.terms.get(exp, 0)) for poly in rhs_polys]
+        for exp, rhs in coefficient_vectors(rhs_polys):
             sol = solve(bmat, rhs)
             if sol is None:
                 report.add_fail(
@@ -305,10 +303,8 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
                 complement.append(idx)
         for a in range(p):
             col = columns[a]
-            monos = sorted({exp for poly in col for exp in poly.terms})
             fixed = [Poly.zero(patch.n) for _ in range(m)]
-            for exp in monos:
-                vec = [Fraction(poly.terms.get(exp, 0)) for poly in col]
+            for exp, vec in coefficient_vectors(col):
                 # write vec in (center + complement) coordinates, drop the center part
                 cols_mat = [list(z) for z in center] + [
                     [Fraction(1) if t == u else Fraction(0) for t in range(m)]

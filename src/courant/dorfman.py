@@ -105,6 +105,23 @@ class Section:
         return list(self.xi) + list(self.r) + list(self.x)
 
 
+# Largest accepted degree cap.  The direct axiom check enumerates family
+# tuples with coefficients up to degree 2 * cap, whose count grows like
+# cap^(3n), so an unbounded cap could exhaust memory; the reduced check
+# needs no more than cap 1.
+MAX_DEGREE_CAP = 4
+
+
+def check_degree_cap(degree_cap: int, what: str) -> None:
+    """Raise ValueError unless 0 <= degree_cap <= MAX_DEGREE_CAP."""
+    if degree_cap < 0:
+        raise ValueError("%s degree cap must be >= 0, got %d" % (what, degree_cap))
+    if degree_cap > MAX_DEGREE_CAP:
+        raise ValueError(
+            "%s degree cap must be <= %d, got %d" % (what, MAX_DEGREE_CAP, degree_cap)
+        )
+
+
 def monomials(nvars: int, max_degree: int) -> List[Poly]:
     """All monomials of total degree <= max_degree, graded-lex ascending."""
     out = []
@@ -359,8 +376,7 @@ class Quintuple(QuadAlgebroid):
         return family, monos
 
     def check_axioms(self, degree_cap: int = 2, method: str = "reduced") -> Report:
-        if degree_cap < 0:
-            raise ValueError("axiom degree cap must be >= 0, got %d" % degree_cap)
+        check_degree_cap(degree_cap, "axiom")
         if method == "reduced":
             return self._axioms_reduced(degree_cap)
         if method == "direct":
@@ -368,10 +384,14 @@ class Quintuple(QuadAlgebroid):
         raise ValueError("unknown axiom check method %r" % method)
 
     def _axioms_direct(self, degree_cap: int) -> Report:
-        """Literal enumeration: pairs for axioms 2-5, triples for 1 and 6.
+        """Literal enumeration: pairs for axioms 2-4, triples for 1 and 6.
 
-        At cap 0 the family is the frame and f = 1 is the only coefficient
-        tried, so axiom 5 (D 1 = 0) is vacuous there."""
+        Axiom 3 tries the coefficients f of degree <= cap, so at cap 0
+        only f = 1.  Axiom 5 pairs D f with every family member for the
+        monomials f of degree <= max(2 * cap, 2): its defect [[D f, e]]
+        has order 2 in f, which coefficients of degree <= 1 (D f
+        constant) cannot see.  Those monomials extend ``monos``, so the
+        witness indices keep the family numbering."""
         family, monos = self.axiom_family(degree_cap)
         nf = len(family)
         cache: Dict[Tuple[int, int], Section] = {}
@@ -403,10 +423,12 @@ class Quintuple(QuadAlgebroid):
                     d = br(i, j) + br(j, i) - self.d_operator(self.pairing(family[i], family[j])).scale(2)
                     ax[4].add_section((i + 1, j + 1), d)
 
-        for fi, f in enumerate(monos):
+        for fi, f in enumerate(monomials(self.patch.n, max(2 * degree_cap, 2))):
             if ax[5].failed:
                 break
             df = self.d_operator(f)
+            if df.is_zero():
+                continue
             for j in range(nf):
                 ax[5].add_section((fi + 1, j + 1), self.dorfman(df, family[j]))
                 if ax[5].failed:

@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
 from .charform import standard_three_form
-from .dorfman import Quintuple, Section
+from .dorfman import Quintuple, Section, check_degree_cap
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
 from .linalg import (
@@ -39,7 +39,7 @@ from .linalg import (
     poly_mat_vec,
     rank,
 )
-from .poly import Poly
+from .poly import Poly, coefficient_vectors
 from .report import Check, Report, Witness
 
 HALF = Fraction(1, 2)
@@ -254,8 +254,7 @@ def intertwining_report(q1: Quintuple, q2: Quintuple, iso: IsoData, degree_cap: 
     (x_a u, v), (u, x_a v), which comes earlier in family order: the
     witness is that of the literal all-pairs loop.
     """
-    if degree_cap < 0:
-        raise ValueError("intertwining degree cap must be >= 0, got %d" % degree_cap)
+    check_degree_cap(degree_cap, "intertwining")
     family, _ = q1.axiom_family(min(degree_cap, 1))
     nu = len(q1.frame_sections())
     patch, fiber = q1.patch, q1.fiber
@@ -441,8 +440,7 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
     span_rows = [list(z) for z in center]
     for a in range(1, p + 1):
         col = j.get((a,))
-        for exp in sorted({e for poly in col for e in poly.terms}):
-            vec = [Fraction(poly.terms.get(exp, 0)) for poly in col]
+        for _, vec in coefficient_vectors(col):
             if _not_in_span(span_rows, vec):
                 raise ValueError(
                     "central shift rejected: J(d_%d) is not valued in the fiber center" % a

@@ -1,71 +1,95 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in variables x1..xn is stored as a dict mapping exponent
-tuples (one nonnegative int per variable) to nonzero rational
-coefficients.  Coefficients are Python ints when the denominator is 1
-and ``fractions.Fraction`` otherwise; both interoperate transparently
-and hash consistently, so canonical forms compare by plain ``==``.
+A polynomial in variables x1..xn is stored as integer numerators over
+one common denominator, the layout of FLINT's ``fmpq_mpoly``:
+``num`` maps exponent tuples (one nonnegative int per variable) to
+nonzero ints and ``den`` is a positive int.  The value is
+sum(num[e] * x^e) / den, kept canonical:
 
-The zero polynomial has an empty term dict.  Two polynomials are equal
-iff they have the same variable count and identical term dicts, which
-makes every identity in this package a decidable exact equality.
+- ``den >= 1`` and ``gcd(den, *num.values()) == 1``;
+- ``num`` holds no zero numerators;
+- the zero polynomial has an empty ``num`` and ``den == 1``.
+
+So ring operations and ``diff`` do pure ``int`` arithmetic plus one
+``gcd`` reduction per result (none when the denominator is 1), and two
+polynomials are equal iff they have the same variable count,
+denominator and numerators, which makes every identity in this package
+a decidable exact equality.
+
+``terms`` is a read-only view of the coefficients themselves: ints
+when a coefficient's reduced denominator is 1, ``fractions.Fraction``
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Coeff = Union[int, Fraction]
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    """Collapse denominator-1 fractions to plain ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+def _coeff(num: int, den: int) -> Coeff:
+    """num / den as an int when the reduced denominator is 1, else a Fraction."""
+    c = Fraction(num, den)
+    return c.numerator if c.denominator == 1 else c
 
 
-def coeff_str(c: Coeff) -> str:
-    """Render a rational coefficient as 'p' or 'p/q'."""
-    c = _norm_coeff(c)
-    if isinstance(c, Fraction):
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
+def _make(nvars: int, num: Dict[Exponent, int], den: int) -> "Poly":
+    """A Poly from zero-free numerators over a positive denominator,
+    reduced to canonical form."""
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {exp: c // g for exp, c in num.items()}
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out.num = num
+    out.den = den
+    out._hash = None
+    return out
 
 
 class Poly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "num", "den", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Coeff] = ()):
-        self.nvars = nvars
-        clean: Dict[Exponent, Coeff] = {}
+        coeffs: Dict[Exponent, Fraction] = {}
         for exp, c in dict(terms).items():
-            c = _norm_coeff(c)
             if c:
                 if len(exp) != nvars:
                     raise ValueError(
                         "exponent %r has length %d, expected %d" % (exp, len(exp), nvars)
                     )
-                clean[tuple(exp)] = c
-        self.terms = clean
+                coeffs[tuple(exp)] = Fraction(c)
+        # the lcm of reduced denominators is coprime to the numerators
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nvars = nvars
+        self.num = {exp: c.numerator * (den // c.denominator) for exp, c in coeffs.items()}
+        self.den = den
         self._hash = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        return _make(nvars, {}, 1)
 
     @staticmethod
     def const(nvars: int, value: Coeff) -> "Poly":
-        value = _norm_coeff(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
+        value = Fraction(value)
         if not value:
-            return Poly(nvars)
-        return Poly(nvars, {(0,) * nvars: value})
+            return _make(nvars, {}, 1)
+        return _make(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
@@ -74,7 +98,19 @@ class Poly:
             raise ValueError("variable index %d out of range 1..%d" % (index, nvars))
         exp = [0] * nvars
         exp[index - 1] = 1
-        return Poly(nvars, {tuple(exp): 1})
+        return _make(nvars, {tuple(exp): 1}, 1)
+
+    # -- coefficients --------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Exponent, Coeff]:
+        """Read-only map from exponent to nonzero coefficient."""
+        den = self.den
+        if den == 1:
+            return MappingProxyType(self.num)
+        return MappingProxyType(
+            {exp: _coeff(c, den) for exp, c in self.num.items()}
+        )
 
     # -- ring structure ------------------------------------------------
 
@@ -85,94 +121,89 @@ class Poly:
             )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, sign = 1 or -1."""
+        self._check_compat(other)
+        if not other.num:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            num = dict(self.num)
+            mb = sign
+        else:
+            g = gcd(da, db)
+            ma = db // g
+            num = {exp: c * ma for exp, c in self.num.items()}
+            da *= ma
+            mb = sign * (da // db)
+        get = num.get
+        for exp, c in other.num.items():
+            s = get(exp, 0) + c * mb
+            if s:
+                num[exp] = s
+            else:
+                del num[exp]
+        return _make(self.nvars, num, da)
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_compat(other)
-        if not other.terms:
-            return self
-        if not self.terms:
+        if not self.num:
+            self._check_compat(other)
             return other
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
-            if s:
-                terms[exp] = _norm_coeff(s)
-            elif exp in terms:
-                del terms[exp]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        out._hash = None
-        return out
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compat(other)
-        if not other.terms:
-            return self
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) - c
-            if s:
-                terms[exp] = _norm_coeff(s)
-            elif exp in terms:
-                del terms[exp]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        out._hash = None
-        return out
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        if not self.terms:
+        if not self.num:
             return self
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _make(self.nvars, {exp: -c for exp, c in self.num.items()}, self.den)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         self._check_compat(other)
-        if not self.terms:
+        if not self.num:
             return self
-        if not other.terms:
+        if not other.num:
             return other
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        terms: Dict[Exponent, Coeff] = {}
+        num: Dict[Exponent, int] = {}
+        get = num.get
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exp = tuple(map(int.__add__, ea, eb))
-                s = terms.get(exp, 0) + ca * cb
-                if s:
-                    terms[exp] = s
-                elif exp in terms:
-                    del terms[exp]
-        for exp, c in terms.items():
-            terms[exp] = _norm_coeff(c)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        out._hash = None
-        return out
+                num[exp] = get(exp, 0) + ca * cb
+        if 0 in num.values():
+            num = {exp: c for exp, c in num.items() if c}
+        return _make(self.nvars, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff) -> "Poly":
-        if not self.terms:
+        if not self.num:
             return self
-        c = _norm_coeff(c)
+        if type(c) is not int:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c.denominator != 1:
+                return _make(
+                    self.nvars,
+                    {exp: v * c.numerator for exp, v in self.num.items()},
+                    self.den * c.denominator,
+                )
+            c = c.numerator
+        if c == 1:
+            return self
         if not c:
-            return Poly(self.nvars)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {exp: _norm_coeff(v * c) for exp, v in self.terms.items()}
-        out._hash = None
-        return out
+            return _make(self.nvars, {}, 1)
+        return _make(self.nvars, {exp: v * c for exp, v in self.num.items()}, self.den)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -189,11 +220,11 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, self.den, frozenset(self.num.items())))
         return self._hash
 
     # -- calculus ------------------------------------------------------
@@ -202,24 +233,16 @@ class Poly:
         """Exact formal partial derivative with respect to x_index (1-based)."""
         if not 1 <= index <= self.nvars:
             raise ValueError("variable index %d out of range 1..%d" % (index, self.nvars))
-        if not self.terms:
+        if not self.num:
             return self
         i = index - 1
-        terms: Dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e:
-                new = exp[:i] + (e - 1,) + exp[i + 1:]
-                s = terms.get(new, 0) + c * e
-                if s:
-                    terms[new] = _norm_coeff(s)
-                elif new in terms:
-                    del terms[new]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        out._hash = None
-        return out
+        # exp -> exp - e_i is injective, so no two terms collide
+        num = {
+            exp[:i] + (exp[i] - 1,) + exp[index:]: c * exp[i]
+            for exp, c in self.num.items()
+            if exp[i]
+        }
+        return _make(self.nvars, num, self.den)
 
     def evaluate(self, point: Iterable[Coeff]) -> Fraction:
         """Evaluate at a rational point (used by test oracles)."""
@@ -227,24 +250,22 @@ class Poly:
         if len(pt) != self.nvars:
             raise ValueError("point has wrong dimension")
         total = Fraction(0)
-        for exp, c in self.terms.items():
+        for exp, c in self.num.items():
             v = Fraction(c)
             for x, e in zip(pt, exp):
                 if e:
                     v *= x ** e
             total += v
-        return total
+        return total / self.den
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        return all(not any(exp) for exp in self.num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
 
     # -- canonical printing --------------------------------------------
 
@@ -266,7 +287,7 @@ class Poly:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for pos, (exp, c) in enumerate(self._sorted_terms()):
@@ -274,9 +295,9 @@ class Poly:
             neg = c < 0
             mag = -c if neg else c
             if mono:
-                body = mono if mag == 1 else "%s*%s" % (coeff_str(mag), mono)
+                body = mono if mag == 1 else "%s*%s" % (mag, mono)
             else:
-                body = coeff_str(mag)
+                body = str(mag)
             if pos == 0:
                 if neg:
                     # keep the output inside the expression grammar: a
@@ -289,6 +310,13 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%d, %s)" % (self.nvars, str(self))
+
+
+def coefficient_vectors(polys: Sequence[Poly]) -> List[Tuple[Exponent, List[Fraction]]]:
+    """Each monomial of ``polys`` in sorted order, with its coefficient
+    in every polynomial (0 where absent), as Fractions."""
+    monos = sorted({exp for poly in polys for exp in poly.num})
+    return [(exp, [Fraction(poly.num.get(exp, 0), poly.den) for poly in polys]) for exp in monos]
 
 
 class PolyParseError(ValueError):

@@ -12,6 +12,7 @@ from courant.cli import (
     parse_config_text,
     run_command,
 )
+from courant.dorfman import MAX_DEGREE_CAP
 
 FIXTURE_D_TEXT = """
 [base]
@@ -277,3 +278,11 @@ def test_main_rejects_deep_nesting_and_negative_degree(tmp_path, capsys):
         assert main([cmd, path, "--degree", "-1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "degree cap must be >= 0" in out.err
+
+
+def test_main_rejects_degree_above_ceiling(tmp_path, capsys):
+    path = write(tmp_path, FIXTURE_D_TEXT)
+    for cmd in ("check", "axioms"):
+        assert main([cmd, path, "--degree", str(MAX_DEGREE_CAP + 1)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "degree cap must be <= %d" % MAX_DEGREE_CAP in out.err

@@ -13,6 +13,7 @@ from fixtures import (
     mutate_fixture_d,
     rand_poly,
 )
+from courant.dorfman import MAX_DEGREE_CAP
 from courant.geometry import FForm
 
 
@@ -319,3 +320,10 @@ def test_check_axioms_rejects_negative_degree():
     for method in ("reduced", "direct"):
         with pytest.raises(ValueError):
             q.check_axioms(-1, method=method)
+
+
+def test_check_axioms_rejects_degree_above_ceiling():
+    q = fixture_d()
+    for method in ("reduced", "direct"):
+        with pytest.raises(ValueError, match="must be <= %d" % MAX_DEGREE_CAP):
+            q.check_axioms(MAX_DEGREE_CAP + 1, method=method)

@@ -182,3 +182,14 @@ def test_leibniz_failure_takes_axiom_passes_from_direct(monkeypatch):
 def test_axiom_5_not_vacuous_at_degree_0(monkeypatch):
     monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
     assert not fixture_a().check_axioms(0)["axiom_5"].ok
+
+
+@pytest.mark.parametrize("build, indices", [(fixture_a, (4, 4)), (fixture_d, (4, 7))])
+def test_both_methods_fail_second_order_axiom_5(monkeypatch, build, indices):
+    # [[D f, e]] has order 2 in f: at cap 1 only coefficients of degree 2 see it
+    monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
+    q = build()
+    for method in ("reduced", "direct"):
+        record = q.check_axioms(1, method=method)["axiom_5"]
+        assert not record.ok
+        assert record.witness.indices == indices

@@ -34,6 +34,7 @@ from courant import (
     validate_iso,
 )
 from courant.cli import parse_config
+from courant.dorfman import MAX_DEGREE_CAP
 from courant.linalg import poly_mat_from_rational
 from courant.morphism import IsoData
 from courant.report import Check, Report
@@ -413,6 +414,13 @@ def test_intertwining_rejects_negative_degree():
     iso = identity_iso(q.patch, q.fiber.dim)
     with pytest.raises(ValueError):
         intertwining_report(q, transport(q, iso), iso, degree_cap=-1)
+
+
+def test_intertwining_rejects_degree_above_ceiling():
+    q = fixture_d()
+    iso = identity_iso(q.patch, q.fiber.dim)
+    with pytest.raises(ValueError, match="must be <= %d" % MAX_DEGREE_CAP):
+        intertwining_report(q, transport(q, iso), iso, degree_cap=MAX_DEGREE_CAP + 1)
 
 
 # -- the intertwining certificate against the literal all-pairs loop ----------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -189,3 +190,118 @@ def test_parse_nesting_limit():
             parse_poly("(" * depth + "x1" + ")" * depth, 1)
         assert "nested deeper than 100" in str(err.value)
         assert err.value.offset == 100
+
+
+# -- the numerator/denominator layout against a dict-of-Fraction model --------
+
+
+def assert_canonical(p):
+    # exact == relies on this form: den >= 1, gcd(den, *num) == 1, no zero
+    # numerators, den == 1 for the zero polynomial
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
+
+
+def model_add(a, b, sign=1):
+    out = dict(a)
+    for exp, c in b.items():
+        out[exp] = out.get(exp, 0) + sign * c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def model_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return {exp: c for exp, c in out.items() if c}
+
+
+def model_diff(a, index):
+    i = index - 1
+    return {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i] for exp, c in a.items() if exp[i]}
+
+
+def model_str(a):
+    if not a:
+        return "0"
+    out = ""
+    ordered = sorted(a.items(), key=lambda item: (-sum(item[0]), [-e for e in item[0]]))
+    for pos, (exp, c) in enumerate(ordered):
+        mono = "*".join(
+            "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e) for i, e in enumerate(exp) if e
+        )
+        mag = abs(c)
+        num = str(mag.numerator) if mag.denominator == 1 else str(mag)
+        body = mono if mono and mag == 1 else ("%s*%s" % (num, mono) if mono else num)
+        if pos == 0:
+            out = body if c > 0 else ("-1*" + mono if mono and mag == 1 else "-" + body)
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out
+
+
+def assert_matches(p, model, nvars=2):
+    assert_canonical(p)
+    assert dict(p.terms) == model
+    for c in p.terms.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    rebuilt = Poly(nvars, model)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert str(p) == model_str(model)
+    if all(not any(exp) for exp in model):
+        assert p.constant_value() == model.get((0,) * nvars, 0)
+
+
+@st.composite
+def models(draw, nvars=2):
+    # denominators with common factors, so sums and products need reduction
+    model = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3, 4, 6])))
+        model[exp] = model.get(exp, 0) + c
+    return {exp: c for exp, c in model.items() if c}
+
+
+scalars = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), models(), scalars, st.integers(0, 3))
+def test_poly_matches_fraction_model(ma, mb, c, k):
+    a, b = Poly(2, ma), Poly(2, mb)
+    assert_matches(a, ma)
+    assert (a == b) == (ma == mb)
+    assert_matches(a + b, model_add(ma, mb))
+    assert_matches(a - b, model_add(ma, mb, -1))
+    assert_matches(a - a, {})
+    assert_matches(-a, model_add({}, ma, -1))
+    assert_matches(a * b, model_mul(ma, mb))
+    power = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        power = model_mul(power, ma)
+    assert_matches(a ** k, power)
+    scaled = {exp: v * c for exp, v in ma.items() if v * c}
+    for p in (a.scale(c), a * c, c * a):
+        assert_matches(p, scaled)
+    if c.denominator == 1:
+        assert_matches(a.scale(c.numerator), scaled)
+    for index in (1, 2):
+        assert_matches(a.diff(index), model_diff(ma, index))
+
+
+def test_reduction_to_canonical_form():
+    half = Poly(1, {(1,): Fraction(1, 2), (0,): Fraction(1, 2)})
+    assert (half.num, half.den) == ({(1,): 1, (0,): 1}, 2)
+    doubled = half * 2
+    assert (doubled.num, doubled.den) == ({(1,): 1, (0,): 1}, 1)
+    assert doubled == parse_poly("x1 + 1", 1)
+    assert dict(doubled.terms) == {(1,): 1, (0,): 1}
+    assert (half - half).den == 1 and not (half - half).num
+    third = Poly(1, {(1,): Fraction(1, 6)}) + Poly(1, {(1,): Fraction(1, 6)})
+    assert (third.num, third.den) == ({(1,): 1}, 3)
+    assert third.terms[(1,)] == Fraction(1, 3)
