@@ -20,11 +20,14 @@ Two verification layers:
   the Pontryagin identity d^F H = <R wedge R>).
 * ``check_axioms`` verifies the six Courant axioms.  The default
   strategy (see ``_axioms_reduced``) checks both Leibniz rules on frame
-  pairs with coefficients of degree <= 1, which certifies them for all
-  polynomial sections, and the axioms on frame tuples; the degree cap
-  bounds only the coefficients of axiom 5.  The literal enumeration on
-  the family {monomial * frame section} is kept as ``method="direct"``
-  and cross-checked against it in the test suite.
+  pairs with coefficients x_a, which certifies them for all polynomial
+  sections, axiom 5 on coefficients of degree <= 2, and the other
+  axioms on frame tuples, axiom 1 on strictly increasing triples once
+  the Jacobiator is known to be totally skew.  The degree cap matters
+  only after a Leibniz failure, where the literal enumeration on the
+  family {monomial * frame section} supplies the records that the frame
+  checks cannot certify.  That enumeration is also kept whole as
+  ``method="direct"`` and cross-checked in the test suite.
 
 The naive differential, the degenerate-pairing differential tabulated
 on wedges of the Courant frame, lives here too: on every wedge it
@@ -108,7 +111,7 @@ class Section:
 # Largest accepted degree cap.  The direct axiom check enumerates family
 # tuples with coefficients up to degree 2 * cap, whose count grows like
 # cap^(3n), so an unbounded cap could exhaust memory; the reduced check
-# needs no more than cap 1.
+# uses the cap only after a Leibniz failure.
 MAX_DEGREE_CAP = 4
 
 
@@ -383,7 +386,9 @@ class Quintuple(QuadAlgebroid):
             return self._axioms_direct(degree_cap)
         raise ValueError("unknown axiom check method %r" % method)
 
-    def _axioms_direct(self, degree_cap: int) -> Report:
+    def _axioms_direct(
+        self, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_IDENTITIES)
+    ) -> Report:
         """Literal enumeration: pairs for axioms 2-4, triples for 1 and 6.
 
         Axiom 3 tries the coefficients f of degree <= cap, so at cap 0
@@ -391,7 +396,8 @@ class Quintuple(QuadAlgebroid):
         monomials f of degree <= max(2 * cap, 2): its defect [[D f, e]]
         has order 2 in f, which coefficients of degree <= 1 (D f
         constant) cannot see.  Those monomials extend ``monos``, so the
-        witness indices keep the family numbering."""
+        witness indices keep the family numbering.  Only the records of
+        ``axioms`` are computed and returned, in axiom order."""
         family, monos = self.axiom_family(degree_cap)
         nf = len(family)
         cache: Dict[Tuple[int, int], Section] = {}
@@ -402,29 +408,30 @@ class Quintuple(QuadAlgebroid):
                 cache[key] = self.dorfman(family[i], family[j])
             return cache[key]
 
-        ax = {k: Check("axiom_%d" % k, text) for k, text in AXIOM_IDENTITIES.items()}
+        ax = {k: Check("axiom_%d" % k, AXIOM_IDENTITIES[k]) for k in sorted(axioms)}
 
-        for i in range(nf):
-            for j in range(nf):
-                b = br(i, j)
-                if not ax[2].failed:
-                    lhs = self.anchor(b)
-                    rhs = self.vf_bracket(family[i].x, family[j].x)
-                    for a, (u, v) in enumerate(zip(lhs, rhs), start=1):
-                        ax[2].add((i + 1, j + 1, a), u - v)
-                if not ax[3].failed:
-                    for fi, f in enumerate(monos):
-                        lhs = self.dorfman(family[i], family[j].mul(f))
-                        rhs = b.mul(f) + family[j].scale(1).mul(self.anchor_apply(family[i], f))
-                        ax[3].add_section((i + 1, j + 1, fi + 1), lhs - rhs)
-                        if ax[3].failed:
-                            break
-                if not ax[4].failed and i <= j:
-                    d = br(i, j) + br(j, i) - self.d_operator(self.pairing(family[i], family[j])).scale(2)
-                    ax[4].add_section((i + 1, j + 1), d)
+        def live(k: int) -> bool:
+            return k in ax and not ax[k].failed
+
+        for i, j in product(range(nf), repeat=2):
+            if live(2):
+                lhs = self.anchor(br(i, j))
+                rhs = self.vf_bracket(family[i].x, family[j].x)
+                for a, (u, v) in enumerate(zip(lhs, rhs), start=1):
+                    ax[2].add((i + 1, j + 1, a), u - v)
+            if live(3):
+                for fi, f in enumerate(monos):
+                    lhs = self.dorfman(family[i], family[j].mul(f))
+                    rhs = br(i, j).mul(f) + family[j].scale(1).mul(self.anchor_apply(family[i], f))
+                    ax[3].add_section((i + 1, j + 1, fi + 1), lhs - rhs)
+                    if ax[3].failed:
+                        break
+            if live(4) and i <= j:
+                d = br(i, j) + br(j, i) - self.d_operator(self.pairing(family[i], family[j])).scale(2)
+                ax[4].add_section((i + 1, j + 1), d)
 
         for fi, f in enumerate(monomials(self.patch.n, max(2 * degree_cap, 2))):
-            if ax[5].failed:
+            if not live(5):
                 break
             df = self.d_operator(f)
             if df.is_zero():
@@ -434,32 +441,25 @@ class Quintuple(QuadAlgebroid):
                 if ax[5].failed:
                     break
 
-        for i in range(nf):
-            if ax[1].failed and ax[6].failed:
+        for i, j, k in product(range(nf), repeat=3):
+            if not (live(1) or live(6)):
                 break
-            for j in range(nf):
-                if ax[1].failed and ax[6].failed:
-                    break
-                bij = br(i, j)
-                for k in range(nf):
-                    if not ax[1].failed:
-                        d = (
-                            self.dorfman(family[i], br(j, k))
-                            - self.dorfman(bij, family[k])
-                            - self.dorfman(family[j], br(i, k))
-                        )
-                        ax[1].add_section((i + 1, j + 1, k + 1), d)
-                    if not ax[6].failed:
-                        d = (
-                            self.anchor_apply(family[i], self.pairing(family[j], family[k]))
-                            - self.pairing(bij, family[k])
-                            - self.pairing(family[j], br(i, k))
-                        )
-                        ax[6].add((i + 1, j + 1, k + 1), d)
-                    if ax[1].failed and ax[6].failed:
-                        break
+            if live(1):
+                d = (
+                    self.dorfman(family[i], br(j, k))
+                    - self.dorfman(br(i, j), family[k])
+                    - self.dorfman(family[j], br(i, k))
+                )
+                ax[1].add_section((i + 1, j + 1, k + 1), d)
+            if live(6):
+                d = (
+                    self.anchor_apply(family[i], self.pairing(family[j], family[k]))
+                    - self.pairing(br(i, j), family[k])
+                    - self.pairing(family[j], br(i, k))
+                )
+                ax[6].add((i + 1, j + 1, k + 1), d)
 
-        return Report([ax[k].record() for k in range(1, 7)])
+        return Report([check.record() for check in ax.values()])
 
     def _axioms_reduced(self, degree_cap: int) -> Report:
         """Frame-level certificate of the six axioms for all polynomial sections.
@@ -479,24 +479,50 @@ class Quintuple(QuadAlgebroid):
         defect [[f e1, e2]] - f[[e1,e2]] + (rho(e2)f) e1 - 2<e1,e2> D f has
         the same form.  Both defects are tensorial in the two sections and
         depend on f only through df, and at f = x_a they equal S_a.  So
-        checking both rules on frame x frame x monomials of degree <= 1
-        (1, x_n, .., x_1) certifies them for all polynomial sections and
-        coefficients, whatever the degree cap.
+        checking both rules on frame x frame x {x_n, .., x_1} certifies
+        them for all polynomial sections and coefficients, whatever the
+        degree cap.  f = 1 is skipped: u.mul(1) == u, so both defects
+        vanish there identically.
 
         With both rules, and with rho(D f) = 0 and 2<D f, e> = rho(e) f
         (D f has F* components only), the defects of axioms 2, 4 and 6
-        are tensorial, so frame pairs and triples certify them.  The
-        defect of axiom 5, [[D f, e]], is tensorial in e and a linear
-        differential operator of order <= 2 in f, so frame second
-        arguments and monomials of degree <= max(2 * cap, 2) certify it
-        for all f.  Given axioms 2, 4, 5 and 6 the Jacobiator is
-        tensorial, so frame triples certify axiom 1.  Uchino (LMP 2002)
-        shows that some of these axioms follow from the others; all six
-        are still checked, since on broken code each gives its own
-        witness.  After a Leibniz failure a frame-level pass of axiom 1,
-        2, 4, 5 or 6 certifies nothing, so those records come from the
-        literal enumeration; a frame-level failure is a counterexample
-        and stays.
+        are tensorial, so frame pairs and triples certify them.
+
+        Axiom 5: by the assumption alone, [[D f, e]] for a frame e is a
+        linear differential operator of order <= 2 in f, sum_a c^a d_a f
+        + sum_{a<=b} c^{ab} d_a d_b f, which vanishes at f = 1.  At f =
+        x_a it is c^a, and at f = x_a x_b it is x_b c^a + x_a c^b + c^{ab}
+        (2 x_a c^a + 2 c^{aa} at a = b), so if it vanishes on all
+        monomials of degree <= 2 it vanishes for all f.  Those monomials
+        come first in the graded order, so they also hold the first
+        witness of any longer list.
+
+        Axiom 1: given axioms 2, 4, 5 and 6 the Jacobiator J is
+        tensorial, so frame triples certify it.  When both rules and the
+        frame checks of 4, 5 and 6 pass (so 4, 5 and 6 hold for all
+        sections), J is also totally skew:
+
+            J(a,b,c) + J(b,a,c) = -[[2 D<a,b>, c]] = 0           (4, 5)
+            J(a,b,c) + J(a,c,b) = [[a, 2 D<b,c>]] - 2 D<[[a,b]],c>
+                                  - 2 D<[[a,c]],b>
+                                = 2 D(rho(a)<b,c> - <[[a,b]],c>
+                                  - <b,[[a,c]]>) = 0              (6)
+
+        using [[a, D f]] = -[[D f, a]] + 2 D<D f, a> = D(rho(a) f) by 4
+        and 5.  So J vanishes on triples with a repeated frame and is
+        +-J(sorted) on the others: the strictly increasing triples
+        certify it, and the lex-first failing triple of the full loop is
+        strictly increasing, so the witness is the same.  Otherwise the
+        full frame x frame x frame loop runs.  Every loop stops at its
+        first witness.
+
+        Uchino (LMP 2002) shows that some of these axioms follow from the
+        others; all six are still checked, since on broken code each
+        gives its own witness.  After a Leibniz failure a frame-level
+        pass of axiom 1, 2, 4, 5 or 6 certifies nothing, so those records
+        come from the literal enumeration at the degree cap, which
+        computes only them; a frame-level failure is a counterexample
+        and stays.  The cap matters only there.
 
         Witness indices use family numbering: the frames are the first
         members of ``axiom_family`` and 1, x_n, .., x_1 the first
@@ -508,7 +534,7 @@ class Quintuple(QuadAlgebroid):
         """
         frames = self.frame_sections()
         nu = len(frames)
-        linear = monomials(self.patch.n, 1)
+        linear = list(enumerate(monomials(self.patch.n, 1)))[1:]
         pairs = list(product(enumerate(frames), repeat=2))
         br = {(i, j): self.dorfman(u, v) for (i, u), (j, v) in pairs}
         pair = {(i, j): self.pairing(u, v) for (i, u), (j, v) in pairs}
@@ -523,8 +549,8 @@ class Quintuple(QuadAlgebroid):
             for a, (s, t) in enumerate(zip(self.anchor(br[(i, j)]), rhs), start=1):
                 ax[2].add((i + 1, j + 1, a), s - t)
 
-        # axiom 3 and the left Leibniz rule: frame pairs, coefficients of degree <= 1
-        for ((i, u), (j, v)), (fi, f) in product(pairs, enumerate(linear)):
+        # axiom 3 and the left Leibniz rule: frame pairs, coefficients x_n, .., x_1
+        for ((i, u), (j, v)), (fi, f) in product(pairs, linear):
             rhs = br[(i, j)].mul(f)
             rf = self.anchor_apply(u, f)
             if rf:
@@ -532,7 +558,7 @@ class Quintuple(QuadAlgebroid):
             ax[3].add_section((i + 1, j + 1, fi + 1), self.dorfman(u, v.mul(f)) - rhs)
             if ax[3].failed:
                 break
-        for ((i, u), (j, v)), (fi, f) in product(pairs, enumerate(linear)):
+        for ((i, u), (j, v)), (fi, f) in product(pairs, linear):
             rhs = br[(i, j)].mul(f) - u.mul(self.anchor_apply(v, f))
             if pair[(i, j)]:
                 rhs = rhs + self.d_operator(f).mul(pair[(i, j)].scale(2))
@@ -541,15 +567,12 @@ class Quintuple(QuadAlgebroid):
                 break
 
         # axiom 4 on unordered frame pairs
-        for i in range(nu):
-            for j in range(i, nu):
-                d = br[(i, j)] + br[(j, i)] - self.d_operator(pair[(i, j)]).scale(2)
-                ax[4].add_section((i + 1, j + 1), d)
+        for i, j in combinations_with_replacement(range(nu), 2):
+            d = br[(i, j)] + br[(j, i)] - self.d_operator(pair[(i, j)]).scale(2)
+            ax[4].add_section((i + 1, j + 1), d)
 
-        # axiom 5 with frame second arguments, coefficients of degree <= max(2 * cap, 2)
-        for fi, f in enumerate(monomials(self.patch.n, max(2 * degree_cap, 2))):
-            if ax[5].failed:
-                break
+        # axiom 5 with frame second arguments, coefficients of degree <= 2
+        for fi, f in enumerate(monomials(self.patch.n, 2)):
             df = self.d_operator(f)
             if df.is_zero():
                 continue
@@ -557,31 +580,37 @@ class Quintuple(QuadAlgebroid):
                 ax[5].add_section((fi + 1, j + 1), self.dorfman(df, frames[j]))
                 if ax[5].failed:
                     break
+            if ax[5].failed:
+                break
 
-        # axioms 6 and 1 on frame triples
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(j, nu):
-                    d = (
-                        self.anchor_apply(frames[i], pair[(j, k)])
-                        - self.pairing(br[(i, j)], frames[k])
-                        - self.pairing(frames[j], br[(i, k)])
-                    )
-                    ax[6].add((i + 1, j + 1, k + 1), d)
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(nu):
-                    d = (
-                        self.dorfman(frames[i], br[(j, k)])
-                        - self.dorfman(br[(i, j)], frames[k])
-                        - self.dorfman(frames[j], br[(i, k)])
-                    )
-                    ax[1].add_section((i + 1, j + 1, k + 1), d)
+        # axiom 6 on frame triples, symmetric in the last two
+        for i, (j, k) in product(range(nu), combinations_with_replacement(range(nu), 2)):
+            d = (
+                self.anchor_apply(frames[i], pair[(j, k)])
+                - self.pairing(br[(i, j)], frames[k])
+                - self.pairing(frames[j], br[(i, k)])
+            )
+            ax[6].add((i + 1, j + 1, k + 1), d)
+            if ax[6].failed:
+                break
+
+        # axiom 1: strictly increasing frame triples when J is totally skew
+        skew = not any(c.failed for c in (ax[3], left, ax[4], ax[5], ax[6]))
+        for i, j, k in combinations(range(nu), 3) if skew else product(range(nu), repeat=3):
+            d = (
+                self.dorfman(frames[i], br[(j, k)])
+                - self.dorfman(br[(i, j)], frames[k])
+                - self.dorfman(frames[j], br[(i, k)])
+            )
+            ax[1].add_section((i + 1, j + 1, k + 1), d)
+            if ax[1].failed:
+                break
 
         records = [ax[k].record() for k in range(1, 7)]
         if ax[3].failed or left.failed:
-            direct = self._axioms_direct(degree_cap)
-            records = [direct[r.name] if r.ok and r.name != "axiom_3" else r for r in records]
+            redo = [k for k in (1, 2, 4, 5, 6) if not ax[k].failed]
+            direct = {r.name: r for r in self._axioms_direct(degree_cap, redo)}
+            records = [direct.get(r.name, r) for r in records]
         return Report(records + [left.record()])
 
 

@@ -334,6 +334,16 @@ class PolyParseError(ValueError):
 # level, so a bound keeps hostile input from exhausting the stack.
 MAX_NESTING = 100
 
+# Size ceilings on parsed input, so that a short line cannot exhaust
+# memory or time: the exponent of a power; the terms of every
+# intermediate result, where a product (each step of a power included)
+# is refused before it is computed when its factors' term counts
+# multiply to more; and the bits of every numerator and denominator,
+# since nested powers of a constant grow them exponentially.
+MAX_EXPONENT = 16
+MAX_TERMS = 1000
+MAX_COEFF_BITS = 4096
+
 
 class _Parser:
     # expr   := term (('+'|'-') term)*
@@ -369,7 +379,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected digit", start)
-        return int(self.src[start:self.pos])
+        try:
+            return int(self.src[start:self.pos])
+        except ValueError:  # beyond the interpreter's digit limit for int()
+            raise PolyParseError("number too long", start) from None
 
     def parse_atom(self) -> Poly:
         ch = self.peek()
@@ -392,6 +405,7 @@ class _Parser:
                 )
             return Poly.variable(self.nvars, index)
         if ch == "-" or ch.isdigit():
+            start = self.pos
             neg = ch == "-"
             if neg:
                 self.pos += 1
@@ -403,33 +417,55 @@ class _Parser:
                 if den == 0:
                     raise PolyParseError("zero denominator", self.pos - 1)
             value = Fraction(-num if neg else num, den)
-            return Poly.const(self.nvars, value)
+            return self.bounded(Poly.const(self.nvars, value), start)
         raise PolyParseError("expected rational, variable or '('", self.pos)
+
+    def bounded(self, value: Poly, offset: int) -> Poly:
+        """``value``, unless it exceeds MAX_TERMS or MAX_COEFF_BITS."""
+        if len(value.num) > MAX_TERMS:
+            raise PolyParseError("more than %d terms" % MAX_TERMS, offset)
+        if max([value.den, *map(abs, value.num.values())]).bit_length() > MAX_COEFF_BITS:
+            raise PolyParseError("coefficient longer than %d bits" % MAX_COEFF_BITS, offset)
+        return value
+
+    def product(self, a: Poly, b: Poly, offset: int) -> Poly:
+        if len(a.num) * len(b.num) > MAX_TERMS:
+            raise PolyParseError("product could have more than %d terms" % MAX_TERMS, offset)
+        return self.bounded(a * b, offset)
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
-            return base ** self.parse_uint()
-        return base
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        offset = self.pos
+        k = self.parse_uint()
+        if k > MAX_EXPONENT:
+            raise PolyParseError("exponent %d above %d" % (k, MAX_EXPONENT), offset)
+        value = Poly.const(self.nvars, 1)
+        for _ in range(k):
+            value = self.product(value, base, offset)
+        return value
 
     def parse_term(self) -> Poly:
         value = self.parse_factor()
         while self.peek() == "*":
+            offset = self.pos
             self.pos += 1
-            value = value * self.parse_factor()
+            value = self.product(value, self.parse_factor(), offset)
         return value
 
     def parse_expr(self) -> Poly:
         value = self.parse_term()
         while True:
             ch = self.peek()
+            offset = self.pos
             if ch == "+":
                 self.pos += 1
-                value = value + self.parse_term()
+                value = self.bounded(value + self.parse_term(), offset)
             elif ch == "-":
                 self.pos += 1
-                value = value - self.parse_term()
+                value = self.bounded(value - self.parse_term(), offset)
             else:
                 return value
 

@@ -292,3 +292,94 @@ def mutate_fixture_d(seed: int) -> Tuple[Quintuple, str]:
     vec = [u + Poly.const(patch.n, t) for u, t in zip(q.curv.get((1, 2)), v)]
     curv = GValuedForm(patch, 3, 2, {(1, 2): vec})
     return Quintuple(patch, fiber, q.conn, curv, q.hform), cls
+
+
+# -- seeded data mutants on rank-3 and rank-4 leaves --------------------------
+
+RANK_MUTANT_CLASSES = {
+    # fixture C: the leaf has rank 4, so the Pontryagin identity can break
+    "mut_c": ("h_scale", "h_extra", "bianchi"),
+    # su(2) on the n=4, p=3 patch: Bianchi and curvature matching can break
+    "mut_s": ("curv_const", "gamma_ad", "bianchi"),
+}
+
+
+def su2_patch(n: int, p: int) -> Quintuple:
+    """su(2) over an (n, p) patch with Gamma_a = ad e_a and R_ab = [e_a, e_b]."""
+    patch = Patch(n, p)
+    fiber = su2()
+
+    def unit(k):
+        return [patch.one() if i == k else patch.zero() for i in (1, 2, 3)]
+
+    curv = {}
+    for a, b in combinations(range(1, p + 1), 2):
+        vec = fiber.bracket(unit(a), unit(b))
+        if any(vec):
+            curv[(a, b)] = vec
+    return Quintuple(
+        patch,
+        fiber,
+        su2_adjoint_connection(patch, fiber),
+        GValuedForm(patch, 3, 2, curv),
+        FForm.zero(patch, 3),
+    )
+
+
+def _replace(q: Quintuple, conn=None, curv=None, hform=None) -> Quintuple:
+    return Quintuple(q.patch, q.fiber, conn or q.conn, curv or q.curv, hform or q.hform)
+
+
+def _add_to_curv(q: Quintuple, key, delta) -> Quintuple:
+    comps = {k: list(q.curv.get(k)) for k in q.curv.keys()}
+    vec = comps.setdefault(key, [q.patch.zero()] * q.fiber.dim)
+    comps[key] = [u + v for u, v in zip(vec, delta)]
+    return _replace(q, curv=GValuedForm(q.patch, q.fiber.dim, 2, comps))
+
+
+def _nonzero_vector(rng: random.Random, n: int, m: int):
+    v = [rng.randint(-2, 2) for _ in range(m)]
+    if not any(v):
+        v[rng.randrange(m)] = 1
+    return [Poly.const(n, t) for t in v]
+
+
+def rank_mutant(family: str, index: int) -> Tuple[Quintuple, str]:
+    """The index-th seeded invalid variant of fixture C (``mut_c``) or of
+    su(2) on the n=4, p=3 patch (``mut_s``); class = index mod 3.
+
+    These are the ``mut_c_*`` and ``mut_s_*`` configs of the benchmark
+    pool, with the same seeds.  ``h_scale`` and ``h_extra`` change H, so
+    d^F H = <R wedge R> fails; ``bianchi`` adds a non-closed term to one
+    curvature component; ``curv_const`` and ``gamma_ad`` break curvature
+    matching.  The bracket code is untouched, so the Leibniz rules hold
+    and axiom 1 is where the data errors surface.
+    """
+    rng = random.Random("%s:%d" % (family, index))
+    cls = RANK_MUTANT_CLASSES[family][index % 3]
+    if family == "mut_c":
+        q = fixture_c()
+        n = q.patch.n
+        k = rng.choice([-1, 1, 3, 4])
+        if cls == "h_scale":
+            return _replace(q, hform=FForm(q.patch, 3, {(2, 3, 4): q.patch.var(1).scale(k)})), cls
+        if cls == "h_extra":
+            comps = {(2, 3, 4): q.patch.var(1).scale(2), (1, 2, 3): q.patch.var(4).scale(k)}
+            return _replace(q, hform=FForm(q.patch, 3, comps)), cls
+        key = rng.choice([(1, 2), (3, 4)])
+        free = rng.choice([c for c in range(1, n + 1) if c not in key])
+        return _add_to_curv(q, key, [q.patch.var(free).scale(k)]), cls
+    q = su2_patch(4, 3)
+    n = q.patch.n
+    if cls == "gamma_ad":
+        ad = q.fiber.ad_matrix(_nonzero_vector(rng, n, 3))
+        x = q.patch.var(1)
+        # an x1 factor on Gamma_2: d_1 Gamma_2 then picks up ad(v) itself
+        gamma = [[list(row) for row in mat] for mat in q.conn.gamma]
+        gamma[1] = [[g + e * x for g, e in zip(grow, arow)] for grow, arow in zip(gamma[1], ad)]
+        return _replace(q, conn=GConnection(q.patch, 3, gamma)), cls
+    if cls == "curv_const":
+        return _add_to_curv(q, (1, 2), _nonzero_vector(rng, n, 3)), cls
+    # bianchi: a non-closed perturbation of R_12 along the third leaf direction
+    x3 = q.patch.var(3)
+    return _add_to_curv(q, (1, 2), [v * x3 for v in _nonzero_vector(rng, n, 3)]), cls

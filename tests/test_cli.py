@@ -286,3 +286,10 @@ def test_main_rejects_degree_above_ceiling(tmp_path, capsys):
         assert main([cmd, path, "--degree", str(MAX_DEGREE_CAP + 1)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "degree cap must be <= %d" % MAX_DEGREE_CAP in out.err
+
+
+def test_main_rejects_polynomial_above_size_ceiling(tmp_path, capsys):
+    path = write(tmp_path, FIXTURE_C_TEXT.replace('"2*x1"', '"2*x1^17"'), "big.cfg")
+    assert main(["check", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "exponent 17 above 16" in out.err

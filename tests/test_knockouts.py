@@ -193,3 +193,25 @@ def test_both_methods_fail_second_order_axiom_5(monkeypatch, build, indices):
         record = q.check_axioms(1, method=method)["axiom_5"]
         assert not record.ok
         assert record.witness.indices == indices
+
+
+def test_leibniz_failure_recomputes_only_replaced_records(monkeypatch):
+    # only the frame-level passes (axioms 2, 4 and 6 here) come from the
+    # literal enumeration; running all of it took 31,018 brackets
+    monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
+    calls = []
+    dorfman = Quintuple.dorfman
+
+    def counted(self, e1, e2):
+        calls.append(1)
+        return dorfman(self, e1, e2)
+
+    monkeypatch.setattr(Quintuple, "dorfman", counted)
+    assert failing(fixture_c().check_axioms(1)) == [
+        ("axiom_1", (6, 7, 8), "-2"),
+        ("axiom_3", (6, 1, 5), "-1"),
+        ("axiom_5", (6, 9), "2"),
+        ("axiom_6", (6, 6, 37), "1/2"),
+        ("leibniz_left_rule", (1, 6, 5), "1"),
+    ]
+    assert len(calls) <= 4000

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courant import Poly, PolyParseError, parse_poly
+from courant.poly import MAX_COEFF_BITS, MAX_EXPONENT, MAX_TERMS
 
 
 def rational(rng):
@@ -180,6 +181,38 @@ def test_pow():
     assert x ** 5 == Poly(1, {(5,): 1})
     with pytest.raises(ValueError):
         x ** -1
+
+
+def test_parse_size_ceilings():
+    # each ceiling tested only at ceiling + 1: above it the parser refuses
+    # the input before computing anything large
+    assert MAX_EXPONENT == 16 and MAX_TERMS == 1000 and MAX_COEFF_BITS == 4096
+    cases = [
+        ("x1^17", 1, "exponent 17 above 16"),
+        # 7 x 143 = 1001 possible terms
+        (
+            "(%s)*(%s)" % (
+                " + ".join("x1^%d" % i for i in range(7)),
+                " + ".join("x2^%d*x3^%d" % (j, k) for j in range(11) for k in range(13)),
+            ),
+            3,
+            "product could have more than 1000 terms",
+        ),
+        (
+            " + ".join("x1^%d*x2^%d*x3^%d" % (i, j, k) for i in range(7) for j in range(11) for k in range(13)),
+            3,
+            "more than 1000 terms",
+        ),
+        # 2^4096 has 4097 bits, as a literal and as nested powers
+        (str(2 ** 4096), 0, "coefficient longer than 4096 bits"),
+        ("((2^16)^16)^16", 0, "coefficient longer than 4096 bits"),
+        # more digits than int() converts by default
+        ("1" * 4301, 0, ""),
+    ]
+    for src, nvars, message in cases:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(src, nvars)
+        assert message in str(err.value)
 
 
 def test_parse_nesting_limit():
