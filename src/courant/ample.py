@@ -23,26 +23,23 @@ algebroid differential ``ce_differential`` acts on these forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, sort_with_sign
 from .poly import Poly
+from .report import Record
 
 
-@dataclass
-class ASection:
+class ASection(Record):
     """A section r + x of the ample algebroid."""
 
-    r: List[Poly]
-    x: List[Poly]
+    __slots__ = _fields = ("r", "x")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ASection):
-            return NotImplemented
-        return self.r == other.r and self.x == other.x
+    def __init__(self, r: List[Poly], x: List[Poly]):
+        self.r = r
+        self.x = x
 
     def is_zero(self) -> bool:
         return not (any(self.r) or any(self.x))
@@ -83,8 +80,7 @@ class QuadAlgebroid:
             return NotImplemented
         return (
             self.patch == other.patch
-            and self.fiber.c == other.fiber.c
-            and self.fiber.g == other.fiber.g
+            and self.fiber == other.fiber
             and self.conn == other.conn
             and self.curv == other.curv
         )

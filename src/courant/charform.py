@@ -16,7 +16,6 @@ and inverted by ``characteristic_pair_of``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -26,21 +25,21 @@ from .dorfman import Quintuple, Section
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from .linalg import rank, solve
 from .poly import Poly, coefficient_vectors
-from .report import Check, Report, Witness
+from .report import Check, Record, Report, Witness
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
 
 
-@dataclass
-class Hoist:
+class Hoist(Record):
     """Anchor section x -> J(x) + x, encoded by the fiber-valued 1-form J."""
 
-    j: GValuedForm  # degree 1
+    _fields = ("j",)
 
-    def __post_init__(self):
-        if self.j.degree != 1:
+    def __init__(self, j: GValuedForm):
+        if j.degree != 1:
             raise ValueError("hoist data must be a fiber-valued 1-form")
+        self.j = j
 
     @staticmethod
     def standard(patch: Patch, dim: int) -> "Hoist":
@@ -55,12 +54,14 @@ class Hoist:
         return s
 
 
-@dataclass
-class CharPair:
+class CharPair(Record):
     """Ample algebroid data together with a coherent closed 3-form."""
 
-    alg: QuadAlgebroid
-    c: AForm
+    _fields = ("alg", "c")
+
+    def __init__(self, alg: QuadAlgebroid, c: AForm):
+        self.alg = alg
+        self.c = c
 
 
 def standard_three_form(q: Quintuple) -> AForm:
@@ -238,12 +239,14 @@ def check_coherent(alg: QuadAlgebroid, c: AForm, h: Hoist) -> Report:
     return Report([check.record() for check in checks])
 
 
-@dataclass
-class HoistSearch:
+class HoistSearch(Record):
     """Outcome of the hoist solve: a hoist or a refusal witness."""
 
-    hoist: Optional[Hoist]
-    report: Report
+    _fields = ("hoist", "report")
+
+    def __init__(self, hoist: Optional[Hoist], report: Report):
+        self.hoist = hoist
+        self.report = report
 
 
 def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .ample import AForm, QuadAlgebroid, ce_differential
 from .charform import (
@@ -42,7 +41,7 @@ from .morphism import (
     validate_iso,
 )
 from .poly import Poly, PolyParseError, parse_poly
-from .report import Check, Report, Witness
+from .report import Check, Record, Report, Witness
 
 SECTIONS = (
     "base",
@@ -56,6 +55,26 @@ SECTIONS = (
     "omega",
     "cform",
 )
+
+COMMANDS = (
+    "check",
+    "axioms",
+    "charform",
+    "chernweil",
+    "pontryagin",
+    "coherent",
+    "build",
+    "roundtrip",
+    "transport",
+    "shift",
+    "naive",
+)
+
+# Shape ceilings of a config, above every shipped or tested config
+# (n <= 4, m <= 3).  Without them a long integer escapes as OverflowError
+# and fiber.dim = 3000 exhausts memory on the m^3 bracket table.
+MAX_BASE_DIM = 8
+MAX_FIBER_DIM = 16
 
 
 class ConfigError(ValueError):
@@ -73,27 +92,44 @@ class ConfigError(ValueError):
         self.key = key
 
 
-@dataclass
-class Config:
-    patch: Patch
-    fiber: QuadLieAlgebra
-    conn: GConnection
-    curv: GValuedForm
-    hform: FForm
-    nabla_f: Optional[FConnection] = None
-    iso: Optional[IsoData] = None
-    hoist: Optional[Hoist] = None
-    omega: Optional[FForm] = None
-    cform: Optional[AForm] = None
-    raw: Dict[str, str] = field(default_factory=dict)
+class Config(Record):
+    """A parsed config; each optional block is None when its section is absent."""
+
+    _fields = ("patch", "fiber", "conn", "curv", "hform", "nabla_f", "iso", "hoist", "omega", "cform")
+
+    def __init__(
+        self,
+        patch: Patch,
+        fiber: QuadLieAlgebra,
+        conn: GConnection,
+        curv: GValuedForm,
+        hform: FForm,
+        nabla_f: Optional[FConnection] = None,
+        iso: Optional[IsoData] = None,
+        hoist: Optional[Hoist] = None,
+        omega: Optional[FForm] = None,
+        cform: Optional[AForm] = None,
+    ):
+        self.patch = patch
+        self.fiber = fiber
+        self.conn = conn
+        self.curv = curv
+        self.hform = hform
+        self.nabla_f = nabla_f
+        self.iso = iso
+        self.hoist = hoist
+        self.omega = omega
+        self.cform = cform
 
     def quintuple(self) -> Quintuple:
         return Quintuple(self.patch, self.fiber, self.conn, self.curv, self.hform)
 
 
-def _parse_entries(text: str) -> Dict[str, Tuple[str, int]]:
-    """Key -> (raw value, line number), enforcing section membership."""
+def _parse_entries(text: str) -> Tuple[Dict[str, Tuple[str, int]], Set[str]]:
+    """Key -> (raw value, line number), enforcing section membership, and
+    the names of the sections present, empty ones included."""
     entries: Dict[str, Tuple[str, int]] = {}
+    sections: Set[str] = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -106,6 +142,7 @@ def _parse_entries(text: str) -> Dict[str, Tuple[str, int]]:
             if name not in SECTIONS:
                 raise ConfigError("unknown section [%s]" % name, lineno)
             section = name
+            sections.add(name)
             continue
         if "=" not in line:
             raise ConfigError("expected key = value", lineno)
@@ -123,7 +160,7 @@ def _parse_entries(text: str) -> Dict[str, Tuple[str, int]]:
         if key in entries:
             raise ConfigError("duplicate key", lineno, key)
         entries[key] = (value, lineno)
-    return entries
+    return entries, sections
 
 
 def _key_parts(key: str, expected: int, lineno: int) -> List[int]:
@@ -158,37 +195,36 @@ def _parse_int(entries, key: str) -> int:
 
 
 def parse_config_text(text: str) -> Config:
-    entries = _parse_entries(text)
+    entries, saw = _parse_entries(text)
     n = _parse_int(entries, "base.n")
+    if not 0 <= n <= MAX_BASE_DIM:
+        raise ConfigError("need 0 <= n <= %d" % MAX_BASE_DIM, None, "base.n")
     p = _parse_int(entries, "base.p")
-    if n < 0 or not 0 <= p <= n:
+    if not 0 <= p <= n:
         raise ConfigError("need 0 <= p <= n", None, "base.p")
     patch = Patch(n, p)
     m = _parse_int(entries, "fiber.dim")
-    if m < 0:
-        raise ConfigError("fiber.dim must be nonnegative", None, "fiber.dim")
+    if not 0 <= m <= MAX_FIBER_DIM:
+        raise ConfigError("need 0 <= fiber.dim <= %d" % MAX_FIBER_DIM, None, "fiber.dim")
 
     c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
     g = [[Fraction(0)] * m for _ in range(m)]
     gamma = [[[Poly.zero(n) for _ in range(m)] for _ in range(m)] for _ in range(p)]
     curv_comps: Dict[Tuple[int, ...], List[Poly]] = {}
     h_comps: Dict[Tuple[int, ...], Poly] = {}
-    fc_gamma = None
+    fc_gamma = [[[Poly.zero(n) for _ in range(p)] for _ in range(p)] for _ in range(p)]
     tau = None
     phi_comps: Dict[Tuple[int, ...], List[Poly]] = {}
     beta = None
     hoist_comps: Dict[Tuple[int, ...], List[Poly]] = {}
     omega_comps: Dict[Tuple[int, ...], Poly] = {}
     cform_comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-    saw = {name: False for name in SECTIONS}
 
     def want(idx: int, upper: int, key: str, lineno: int, what: str) -> None:
         if not 1 <= idx <= upper:
             raise ConfigError("%s index %d out of range 1..%d" % (what, idx, upper), lineno, key)
 
     for key, (value, lineno) in entries.items():
-        head = key.split(".")[0]
-        saw[head] = True
         if key in ("base.n", "base.p", "fiber.dim"):
             continue
         if key.startswith("fiber.bracket."):
@@ -232,10 +268,6 @@ def parse_config_text(text: str) -> Config:
             a, b, cc = _key_parts(key, 3, lineno)
             for t in (a, b, cc):
                 want(t, p, key, lineno, "leaf")
-            if fc_gamma is None:
-                fc_gamma = [
-                    [[Poly.zero(n) for _ in range(p)] for _ in range(p)] for _ in range(p)
-                ]
             fc_gamma[a - 1][b - 1][cc - 1] = _parse_poly_value(value, n, lineno, key)
         elif key.startswith("iso.tau."):
             i, j = _key_parts(key, 2, lineno)
@@ -313,10 +345,9 @@ def parse_config_text(text: str) -> Config:
     curv = GValuedForm(patch, m, 2, curv_comps)
     hform = FForm(patch, 3, h_comps)
     cfg = Config(patch, fiber, conn, curv, hform)
-    cfg.raw = {key: value for key, (value, _) in entries.items()}
-    if fc_gamma is not None:
+    if "nabla_f" in saw:
         cfg.nabla_f = FConnection(patch, fc_gamma)
-    if saw["iso"]:
+    if "iso" in saw:
         if tau is None:
             tau = [
                 [Poly.const(n, 1 if i == j else 0) for j in range(m)] for i in range(m)
@@ -324,11 +355,11 @@ def parse_config_text(text: str) -> Config:
         if beta is None:
             beta = [[Poly.zero(n) for _ in range(p)] for _ in range(p)]
         cfg.iso = IsoData(tau, GValuedForm(patch, m, 1, phi_comps), beta)
-    if saw["hoist"]:
+    if "hoist" in saw:
         cfg.hoist = Hoist(GValuedForm(patch, m, 1, hoist_comps))
-    if saw["omega"]:
+    if "omega" in saw:
         cfg.omega = FForm(patch, 2, omega_comps)
-    if saw["cform"]:
+    if "cform" in saw:
         cfg.cform = AForm(patch, m, 3, cform_comps)
     return cfg
 
@@ -610,30 +641,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="courant",
         description="Exact verification of split-form regular Courant algebroids.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        "check",
-        "axioms",
-        "charform",
-        "chernweil",
-        "pontryagin",
-        "coherent",
-        "build",
-        "roundtrip",
-        "transport",
-        "shift",
-        "naive",
-    )
-    for name in commands:
-        cp = sub.add_parser(name)
-        cp.add_argument("config")
-        cp.add_argument("--format", choices=("text", "json"), default="text")
-        cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument("--degree", type=int, default=2)
-        if name == "shift":
-            cp.add_argument("--kind", choices=("hoist", "omega", "central"), required=True)
-
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("config")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--degree", type=int, default=2)
+    parser.add_argument("--kind", choices=("hoist", "omega", "central"), help="shift only, required there")
     args = parser.parse_args(argv)
+    if args.command == "shift" and args.kind is None:
+        parser.error("shift requires --kind")
+    if args.command != "shift" and args.kind is not None:
+        parser.error("--kind applies to shift only")
     try:
         cfg = parse_config(args.config)
         report = run_command(
@@ -641,7 +659,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg,
             degree=args.degree,
             seed=args.seed,
-            kind=getattr(args, "kind", ""),
+            kind=args.kind or "",
         )
     except ConfigError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -37,7 +37,6 @@ which ``naive_matches_ce`` checks exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, List, Sequence, Tuple
@@ -46,7 +45,7 @@ from .ample import AForm, QuadAlgebroid, ce_differential
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form, validate_connection
 from .poly import Poly
-from .report import Check, Report
+from .report import Check, Record, Report
 
 HALF = Fraction(1, 2)
 
@@ -60,18 +59,15 @@ AXIOM_IDENTITIES = {
 }
 
 
-@dataclass
-class Section:
+class Section(Record):
     """A section xi + r + x of F* + G + F with polynomial components."""
 
-    xi: List[Poly]
-    r: List[Poly]
-    x: List[Poly]
+    __slots__ = _fields = ("xi", "r", "x")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self.xi == other.xi and self.r == other.r and self.x == other.x
+    def __init__(self, xi: List[Poly], r: List[Poly], x: List[Poly]):
+        self.xi = xi
+        self.r = r
+        self.x = x
 
     def __add__(self, other: "Section") -> "Section":
         return Section(
@@ -495,7 +491,18 @@ class Quintuple(QuadAlgebroid):
         (2 x_a c^a + 2 c^{aa} at a = b), so if it vanishes on all
         monomials of degree <= 2 it vanishes for all f.  Those monomials
         come first in the graded order, so they also hold the first
-        witness of any longer list.
+        witness of any longer list.  When both Leibniz stages pass, the
+        order is 1 and degree <= 1 suffices: D f = sum_a (d_a f) delta^a
+        over the leaf directions, and the left rule with 2<delta^a, e> =
+        e^a = rho(e) x_a gives
+
+            [[D f, e]] = sum_a (d_a f) [[delta^a, e]]
+                         + sum_{a,b} (d_a d_b f) (e^a delta^b - e^b delta^a),
+
+        whose second sum vanishes: symmetric times skew in (a, b).  The
+        coefficients [[delta^a, e]] are the values at f = x_a.  After a
+        Leibniz failure the stage keeps degree <= 2, so that a frame-level
+        failure keeps its witness.
 
         Axiom 1: given axioms 2, 4, 5 and 6 the Jacobiator J is
         tensorial, so frame triples certify it.  When both rules and the
@@ -571,8 +578,10 @@ class Quintuple(QuadAlgebroid):
             d = br[(i, j)] + br[(j, i)] - self.d_operator(pair[(i, j)]).scale(2)
             ax[4].add_section((i + 1, j + 1), d)
 
-        # axiom 5 with frame second arguments, coefficients of degree <= 2
-        for fi, f in enumerate(monomials(self.patch.n, 2)):
+        # axiom 5 with frame second arguments, coefficients of degree <= 1
+        # given both Leibniz rules, else <= 2
+        leibniz = not (ax[3].failed or left.failed)
+        for fi, f in enumerate(monomials(self.patch.n, 1 if leibniz else 2)):
             df = self.d_operator(f)
             if df.is_zero():
                 continue
@@ -595,7 +604,7 @@ class Quintuple(QuadAlgebroid):
                 break
 
         # axiom 1: strictly increasing frame triples when J is totally skew
-        skew = not any(c.failed for c in (ax[3], left, ax[4], ax[5], ax[6]))
+        skew = leibniz and not any(c.failed for c in (ax[4], ax[5], ax[6]))
         for i, j, k in combinations(range(nu), 3) if skew else product(range(nu), repeat=3):
             d = (
                 self.dorfman(frames[i], br[(j, k)])
@@ -607,7 +616,7 @@ class Quintuple(QuadAlgebroid):
                 break
 
         records = [ax[k].record() for k in range(1, 7)]
-        if ax[3].failed or left.failed:
+        if not leibniz:
             redo = [k for k in (1, 2, 4, 5, 6) if not ax[k].failed]
             direct = {r.name: r for r in self._axioms_direct(degree_cap, redo)}
             records = [direct.get(r.name, r) for r in records]

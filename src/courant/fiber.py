@@ -45,6 +45,11 @@ class QuadLieAlgebra:
             for i in range(dim)
         ]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadLieAlgebra):
+            return NotImplemented
+        return self.dim == other.dim and self.c == other.c and self.g == other.g
+
     # -- validation ------------------------------------------------------
 
     def validate(self) -> Report:

@@ -10,25 +10,23 @@ coordinates, but only the leafwise derivatives d/dx1..d/dxp ever act.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .poly import Poly
-from .report import Check, Report
+from .report import Check, FrozenRecord, Report
 
 
-@dataclass(frozen=True)
-class Patch:
+class Patch(FrozenRecord):
     """n base coordinates with F spanned by the first p of them."""
 
-    n: int
-    p: int
+    _fields = ("n", "p")
 
-    def __post_init__(self):
-        if not 0 <= self.p <= self.n:
+    def __init__(self, n: int, p: int):
+        if not 0 <= p <= n:
             raise ValueError("need 0 <= p <= n")
+        self.__dict__.update(n=n, p=p)
 
     def zero(self) -> Poly:
         return Poly.zero(self.n)
@@ -364,6 +362,11 @@ class FConnection:
         self.christoffel = [
             [[entry for entry in col] for col in row] for row in christoffel
         ]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FConnection):
+            return NotImplemented
+        return self.patch == other.patch and self.christoffel == other.christoffel
 
     @staticmethod
     def flat(patch: Patch) -> "FConnection":

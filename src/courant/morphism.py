@@ -20,7 +20,6 @@ to <= 1, assuming the bracket has total order <= 1 (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Tuple
@@ -40,18 +39,20 @@ from .linalg import (
     rank,
 )
 from .poly import Poly, coefficient_vectors
-from .report import Check, Report, Witness
+from .report import Check, Record, Report, Witness
 
 HALF = Fraction(1, 2)
 
 
-@dataclass
-class IsoData:
+class IsoData(Record):
     """tau: m x m, phi: fiber-valued 1-form, beta[b][a] = <beta(d_a)|d_b>."""
 
-    tau: List[List[Poly]]
-    phi: GValuedForm
-    beta: List[List[Poly]]
+    _fields = ("tau", "phi", "beta")
+
+    def __init__(self, tau: List[List[Poly]], phi: GValuedForm, beta: List[List[Poly]]):
+        self.tau = tau
+        self.phi = phi
+        self.beta = beta
 
     def phi_col(self, a: int) -> List[Poly]:
         return self.phi.get((a,))

@@ -10,15 +10,55 @@ runs on the same input produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class Witness:
-    identity: str
-    indices: tuple
-    residual: str
+class Record:
+    """Base of the plain record classes: ``==`` field by field between
+    records of the same class, a dataclass-style ``repr`` over
+    ``_fields``, and no hash, since records are mutable.  Each subclass
+    writes out its ``__init__``.  (The records are not ``dataclasses``:
+    that import alone costs every command ~10 ms.)
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class FrozenRecord(Record):
+    """A record fixed at construction: assignment raises AttributeError,
+    and equal records hash alike.  ``__init__`` fills ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Witness(FrozenRecord):
+    _fields = ("identity", "indices", "residual")
+
+    def __init__(self, identity: str, indices: tuple, residual: str):
+        self.__dict__.update(identity=identity, indices=indices, residual=residual)
 
     def to_dict(self) -> dict:
         return {
@@ -28,11 +68,12 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: Optional[Witness] = None
+class CheckRecord(FrozenRecord):
+    _fields = ("name", "status", "witness")
+
+    def __init__(self, name: str, status: str, witness: Optional[Witness] = None):
+        # status is "pass" or "fail"
+        self.__dict__.update(name=name, status=status, witness=witness)
 
     @property
     def ok(self) -> bool:
@@ -79,9 +120,11 @@ class Check:
         return CheckRecord(self.name, "fail" if self.failed else "pass", self.witness)
 
 
-@dataclass
-class Report:
-    records: List[CheckRecord] = field(default_factory=list)
+class Report(Record):
+    _fields = ("records",)
+
+    def __init__(self, records: Optional[List[CheckRecord]] = None):
+        self.records: List[CheckRecord] = [] if records is None else records
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from courant.cli import (
+    MAX_BASE_DIM,
+    MAX_FIBER_DIM,
     ConfigError,
     config_to_text,
     emit_report,
@@ -109,6 +111,7 @@ def test_config_roundtrip():
     text = config_to_text(cfg)
     cfg2 = parse_config_text(text)
     assert config_to_text(cfg2) == text
+    assert cfg2 == cfg
     assert cfg2.fiber.c == cfg.fiber.c
     assert cfg2.fiber.g == cfg.fiber.g
     assert cfg2.conn == cfg.conn
@@ -293,3 +296,30 @@ def test_main_rejects_polynomial_above_size_ceiling(tmp_path, capsys):
     assert main(["check", path]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "exponent 17 above 16" in out.err
+
+
+def test_main_rejects_shapes_above_ceiling(tmp_path, capsys):
+    # without a ceiling a 20-digit fiber.dim escaped main as OverflowError
+    # and fiber.dim = 3000 raised MemoryError, both with exit status 1
+    big = "9" * 20
+    cases = [
+        ("base.n = 4", "base.n = %d" % (MAX_BASE_DIM + 1), "base.n"),
+        ("base.n = 4", "base.n = " + big, "base.n"),
+        ("fiber.dim = 1", "fiber.dim = %d" % (MAX_FIBER_DIM + 1), "fiber.dim"),
+        ("fiber.dim = 1", "fiber.dim = " + big, "fiber.dim"),
+    ]
+    for old, new, key in cases:
+        path = write(tmp_path, FIXTURE_C_TEXT.replace(old, new), "shape.cfg")
+        assert main(["check", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "key %s" % key in out.err
+
+
+@pytest.mark.parametrize("argv", [["shift", "{path}"], ["check", "{path}", "--kind", "omega"]])
+def test_kind_is_required_by_shift_and_refused_elsewhere(tmp_path, capsys, argv):
+    path = write(tmp_path, FIXTURE_D_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(path=path) for arg in argv])
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--kind" in out.err
