@@ -3,8 +3,9 @@
 The config format is a flat key-value text file with section headers.
 Every key is fully dotted and must live under its own section header;
 unspecified components are zero.  Polynomial values use the expression
-grammar of :mod:`courant.poly` and may be double-quoted.  See the
-README for the complete key reference.
+grammar of :mod:`courant.poly` and may be double-quoted.  ``FAMILIES``
+holds every indexed key, for the parser and the writer alike; the
+README documents each one.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input
 error (I/O, syntax, shape or a missing config block).
@@ -43,18 +44,34 @@ from .morphism import (
 from .poly import Poly, PolyParseError, parse_poly
 from .report import Check, Record, Report, Witness
 
-SECTIONS = (
-    "base",
-    "fiber",
-    "connection",
-    "curvature",
-    "hform",
-    "nabla_f",
-    "iso",
-    "hoist",
-    "omega",
-    "cform",
-)
+# The key families of the config format, in the order config_to_text
+# writes them, each with its index names as the README spells them and
+# the positions of the indices that must strictly increase.  An index
+# i, j or k runs over the fiber 1..fiber.dim, and a, b or c over the
+# leaf 1..base.p.  fiber.* values are rational constants; all others
+# are polynomials in x1..xn.
+FAMILIES = {
+    "fiber.bracket": ("ijk", ()),
+    "fiber.metric": ("ij", ()),
+    "connection.gamma": ("aij", ()),
+    "curvature.R": ("abk", (0, 1)),
+    "hform.H": ("abc", (0, 1, 2)),
+    "nabla_f.gamma": ("abc", ()),
+    "iso.tau": ("ij", ()),
+    "iso.phi": ("ak", ()),
+    "iso.beta": ("ab", ()),
+    "hoist.J": ("ak", ()),
+    "omega.w": ("ab", (0, 1)),
+    "cform.ggg": ("ijk", (0, 1, 2)),
+    "cform.ggf": ("ija", (0, 1)),
+    "cform.gff": ("iab", (1, 2)),
+    "cform.fff": ("abc", (0, 1, 2)),
+}
+FIBER_INDICES = "ijk"
+SHAPE_KEYS = ("base.n", "base.p", "fiber.dim")
+SECTIONS = ("base",) + tuple(dict.fromkeys(family.split(".")[0] for family in FAMILIES))
+# Sections that parse to None when absent, named as their Config field.
+OPTIONAL = ("nabla_f", "iso", "hoist", "omega", "cform")
 
 COMMANDS = (
     "check",
@@ -163,205 +180,161 @@ def _parse_entries(text: str) -> Tuple[Dict[str, Tuple[str, int]], Set[str]]:
     return entries, sections
 
 
-def _key_parts(key: str, expected: int, lineno: int) -> List[int]:
-    parts = key.split(".")
-    idx = parts[-expected:]
-    try:
-        return [int(t) for t in idx]
-    except ValueError:
-        raise ConfigError("expected integer indices", lineno, key)
-
-
-def _parse_poly_value(value: str, nvars: int, lineno: int, key: str) -> Poly:
-    try:
-        return parse_poly(value, nvars)
-    except PolyParseError as exc:
-        raise ConfigError("bad polynomial %r: %s" % (value, exc), lineno, key)
-
-
-def _parse_rational_value(value: str, lineno: int, key: str) -> Fraction:
-    poly = _parse_poly_value(value, 0, lineno, key)
-    return poly.constant_value()
-
-
-def _parse_int(entries, key: str) -> int:
+def _parse_dim(entries, key: str, upper: int) -> int:
+    """The value of the shape key ``key``, an integer in 0..upper."""
     if key not in entries:
         raise ConfigError("missing required key", None, key)
     value, lineno = entries[key]
     try:
-        return int(value)
+        dim = int(value)
     except ValueError:
         raise ConfigError("expected an integer, got %r" % value, lineno, key)
+    if not 0 <= dim <= upper:
+        raise ConfigError("need 0 <= %s <= %d" % (key, upper), lineno, key)
+    return dim
+
+
+def _bigrade(names: str, indices: Tuple[int, ...]):
+    """The AForm key (fiber indices, leaf indices) of a cform component,
+    whose fiber indices come first."""
+    fiber = tuple(t for t, name in zip(indices, names) if name in FIBER_INDICES)
+    return fiber, indices[len(fiber):]
+
+
+def _dense(comps, shape, fill):
+    """Nested lists of ``shape`` holding comps[(i, j, ..)] at [i - 1][j - 1].., else ``fill``."""
+    if len(shape) == 1:
+        array = [fill] * shape[0]
+    else:
+        array = [_dense({}, shape[1:], fill) for _ in range(shape[0])]
+    for key, value in comps.items():
+        row = array
+        for i in key[:-1]:
+            row = row[i - 1]
+        row[key[-1] - 1] = value
+    return array
+
+
+def _sparse(array, prefix=()):
+    """The inverse of _dense: {(i, j, ..): entry} of the nonzero entries, in index order."""
+    comps = {}
+    for i, entry in enumerate(array, 1):
+        if isinstance(entry, (list, tuple)):
+            comps.update(_sparse(entry, prefix + (i,)))
+        elif entry:
+            comps[prefix + (i,)] = entry
+    return comps
+
+
+def _vectors(comps, dim: int, zero: Poly):
+    """{(a.., k): v} -> GValuedForm components {(a..): [v_1, .., v_dim]}."""
+    vectors: Dict[Tuple[int, ...], List[Poly]] = {}
+    for key, value in comps.items():
+        vectors.setdefault(key[:-1], [zero] * dim)[key[-1] - 1] = value
+    return vectors
+
+
+def _unvectors(form: GValuedForm):
+    """The inverse of _vectors, in index order."""
+    return {key + (k,): v for key in form.keys() for k, v in enumerate(form.comps[key], 1) if v}
 
 
 def parse_config_text(text: str) -> Config:
     entries, saw = _parse_entries(text)
-    n = _parse_int(entries, "base.n")
-    if not 0 <= n <= MAX_BASE_DIM:
-        raise ConfigError("need 0 <= n <= %d" % MAX_BASE_DIM, None, "base.n")
-    p = _parse_int(entries, "base.p")
-    if not 0 <= p <= n:
-        raise ConfigError("need 0 <= p <= n", None, "base.p")
-    patch = Patch(n, p)
-    m = _parse_int(entries, "fiber.dim")
-    if not 0 <= m <= MAX_FIBER_DIM:
-        raise ConfigError("need 0 <= fiber.dim <= %d" % MAX_FIBER_DIM, None, "fiber.dim")
+    n = _parse_dim(entries, "base.n", MAX_BASE_DIM)
+    p = _parse_dim(entries, "base.p", n)
+    m = _parse_dim(entries, "fiber.dim", MAX_FIBER_DIM)
 
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    g = [[Fraction(0)] * m for _ in range(m)]
-    gamma = [[[Poly.zero(n) for _ in range(m)] for _ in range(m)] for _ in range(p)]
-    curv_comps: Dict[Tuple[int, ...], List[Poly]] = {}
-    h_comps: Dict[Tuple[int, ...], Poly] = {}
-    fc_gamma = [[[Poly.zero(n) for _ in range(p)] for _ in range(p)] for _ in range(p)]
-    tau = None
-    phi_comps: Dict[Tuple[int, ...], List[Poly]] = {}
-    beta = None
-    hoist_comps: Dict[Tuple[int, ...], List[Poly]] = {}
-    omega_comps: Dict[Tuple[int, ...], Poly] = {}
-    cform_comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-
-    def want(idx: int, upper: int, key: str, lineno: int, what: str) -> None:
-        if not 1 <= idx <= upper:
-            raise ConfigError("%s index %d out of range 1..%d" % (what, idx, upper), lineno, key)
-
+    # the one accepted spelling of each index, so that no two keys that
+    # differ as text (say 1 and 01) name the same component
+    fiber_span = {str(t): t for t in range(1, m + 1)}
+    leaf_span = {str(t): t for t in range(1, p + 1)}
+    data: Dict[str, Dict[Tuple[int, ...], object]] = {family: {} for family in FAMILIES}
     for key, (value, lineno) in entries.items():
-        if key in ("base.n", "base.p", "fiber.dim"):
-            continue
-        if key.startswith("fiber.bracket."):
-            i, j, k = _key_parts(key, 3, lineno)
-            for t in (i, j, k):
-                want(t, m, key, lineno, "fiber")
-            c[i - 1][j - 1][k - 1] = _parse_rational_value(value, lineno, key)
-        elif key.startswith("fiber.metric."):
-            i, j = _key_parts(key, 2, lineno)
-            for t in (i, j):
-                want(t, m, key, lineno, "fiber")
-            g[i - 1][j - 1] = _parse_rational_value(value, lineno, key)
-        elif key.startswith("connection.gamma."):
-            a, i, j = _key_parts(key, 3, lineno)
-            want(a, p, key, lineno, "leaf")
-            want(i, m, key, lineno, "fiber")
-            want(j, m, key, lineno, "fiber")
-            gamma[a - 1][i - 1][j - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("curvature.R."):
-            a, b, k = _key_parts(key, 3, lineno)
-            want(a, p, key, lineno, "leaf")
-            want(b, p, key, lineno, "leaf")
-            want(k, m, key, lineno, "fiber")
-            if a >= b:
-                raise ConfigError(
-                    "curvature component requires a < b; diagonal or descending "
-                    "components must be absent (antisymmetry stores a < b only)",
-                    lineno,
-                    key,
-                )
-            vec = curv_comps.setdefault((a, b), [Poly.zero(n)] * m)
-            vec[k - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("hform.H."):
-            a, b, cc = _key_parts(key, 3, lineno)
-            for t in (a, b, cc):
-                want(t, p, key, lineno, "leaf")
-            if not a < b < cc:
-                raise ConfigError("component requires a < b < c", lineno, key)
-            h_comps[(a, b, cc)] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("nabla_f.gamma."):
-            a, b, cc = _key_parts(key, 3, lineno)
-            for t in (a, b, cc):
-                want(t, p, key, lineno, "leaf")
-            fc_gamma[a - 1][b - 1][cc - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("iso.tau."):
-            i, j = _key_parts(key, 2, lineno)
-            want(i, m, key, lineno, "fiber")
-            want(j, m, key, lineno, "fiber")
-            if tau is None:
-                tau = [[Poly.zero(n) for _ in range(m)] for _ in range(m)]
-            tau[i - 1][j - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("iso.phi."):
-            a, k = _key_parts(key, 2, lineno)
-            want(a, p, key, lineno, "leaf")
-            want(k, m, key, lineno, "fiber")
-            vec = phi_comps.setdefault((a,), [Poly.zero(n)] * m)
-            vec[k - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("iso.beta."):
-            a, b = _key_parts(key, 2, lineno)
-            want(a, p, key, lineno, "leaf")
-            want(b, p, key, lineno, "leaf")
-            if beta is None:
-                beta = [[Poly.zero(n) for _ in range(p)] for _ in range(p)]
-            # iso.beta.a.b is <beta(d_a)|d_b>, stored at row b, column a
-            beta[b - 1][a - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("hoist.J."):
-            a, k = _key_parts(key, 2, lineno)
-            want(a, p, key, lineno, "leaf")
-            want(k, m, key, lineno, "fiber")
-            vec = hoist_comps.setdefault((a,), [Poly.zero(n)] * m)
-            vec[k - 1] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("omega.w."):
-            a, b = _key_parts(key, 2, lineno)
-            want(a, p, key, lineno, "leaf")
-            want(b, p, key, lineno, "leaf")
-            if not a < b:
-                raise ConfigError("component requires a < b", lineno, key)
-            omega_comps[(a, b)] = _parse_poly_value(value, n, lineno, key)
-        elif key.startswith("cform."):
-            kind = key.split(".")[1]
-            if kind == "ggg":
-                i, j, k = _key_parts(key, 3, lineno)
-                for t in (i, j, k):
-                    want(t, m, key, lineno, "fiber")
-                if not i < j < k:
-                    raise ConfigError("component requires i < j < k", lineno, key)
-                cform_comps[((i, j, k), ())] = _parse_poly_value(value, n, lineno, key)
-            elif kind == "ggf":
-                i, j, a = _key_parts(key, 3, lineno)
-                want(i, m, key, lineno, "fiber")
-                want(j, m, key, lineno, "fiber")
-                want(a, p, key, lineno, "leaf")
-                if not i < j:
-                    raise ConfigError("component requires i < j", lineno, key)
-                cform_comps[((i, j), (a,))] = _parse_poly_value(value, n, lineno, key)
-            elif kind == "gff":
-                i, a, b = _key_parts(key, 3, lineno)
-                want(i, m, key, lineno, "fiber")
-                want(a, p, key, lineno, "leaf")
-                want(b, p, key, lineno, "leaf")
-                if not a < b:
-                    raise ConfigError("component requires a < b", lineno, key)
-                cform_comps[((i,), (a, b))] = _parse_poly_value(value, n, lineno, key)
-            elif kind == "fff":
-                a, b, cc = _key_parts(key, 3, lineno)
-                for t in (a, b, cc):
-                    want(t, p, key, lineno, "leaf")
-                if not a < b < cc:
-                    raise ConfigError("component requires a < b < c", lineno, key)
-                cform_comps[((), (a, b, cc))] = _parse_poly_value(value, n, lineno, key)
-            else:
-                raise ConfigError("unknown cform component group %r" % kind, lineno, key)
-        else:
+        parts = key.split(".")
+        family = parts[0] + "." + parts[1]  # every key starts with its section and a dot
+        if family not in FAMILIES:
+            if key in SHAPE_KEYS:
+                continue
             raise ConfigError("unknown key", lineno, key)
+        names, increasing = FAMILIES[family]
+        if len(parts) != 2 + len(names):
+            raise ConfigError("expected the %d indices of %s.%s" % (len(names), family, ".".join(names)), lineno, key)
+        indices = []
+        for name, part in zip(names, parts[2:]):
+            span = fiber_span if name in FIBER_INDICES else leaf_span
+            if part not in span:
+                kind = "fiber" if span is fiber_span else "leaf"
+                message = "%s index %r is not a plain decimal in 1..%d" % (kind, part, len(span))
+                raise ConfigError(message, lineno, key)
+            indices.append(span[part])
+        for s, t in zip(increasing, increasing[1:]):
+            if indices[s] >= indices[t]:
+                raise ConfigError("component requires " + " < ".join(names[s] for s in increasing), lineno, key)
+        rational = parts[0] == "fiber"
+        try:
+            poly = parse_poly(value, 0 if rational else n)
+        except PolyParseError as exc:
+            raise ConfigError("bad polynomial %r: %s" % (value, exc), lineno, key)
+        data[family][tuple(indices)] = poly.constant_value() if rational else poly
+    return _build(Patch(n, p), m, data, saw)
 
-    fiber = QuadLieAlgebra(m, c, g)
-    conn = GConnection(patch, m, gamma)
-    curv = GValuedForm(patch, m, 2, curv_comps)
-    hform = FForm(patch, 3, h_comps)
-    cfg = Config(patch, fiber, conn, curv, hform)
+
+def _build(patch: Patch, m: int, data, saw: Set[str]) -> Config:
+    """The records of the components ``data`` that parse_config_text collects."""
+    n, p = patch.n, patch.p
+    zero = Poly.zero(n)
+    cfg = Config(
+        patch,
+        QuadLieAlgebra(m, _dense(data["fiber.bracket"], (m, m, m), 0), _dense(data["fiber.metric"], (m, m), 0)),
+        GConnection(patch, m, _dense(data["connection.gamma"], (p, m, m), zero)),
+        GValuedForm(patch, m, 2, _vectors(data["curvature.R"], m, zero)),
+        FForm(patch, 3, data["hform.H"]),
+    )
     if "nabla_f" in saw:
-        cfg.nabla_f = FConnection(patch, fc_gamma)
+        cfg.nabla_f = FConnection(patch, _dense(data["nabla_f.gamma"], (p, p, p), zero))
     if "iso" in saw:
-        if tau is None:
-            tau = [
-                [Poly.const(n, 1 if i == j else 0) for j in range(m)] for i in range(m)
-            ]
-        if beta is None:
-            beta = [[Poly.zero(n) for _ in range(p)] for _ in range(p)]
-        cfg.iso = IsoData(tau, GValuedForm(patch, m, 1, phi_comps), beta)
+        tau = data["iso.tau"] or {(i, i): Poly.const(n, 1) for i in range(1, m + 1)}
+        # iso.beta.a.b is <beta(d_a)|d_b>, stored at row b, column a
+        beta = {(b, a): v for (a, b), v in data["iso.beta"].items()}
+        phi = GValuedForm(patch, m, 1, _vectors(data["iso.phi"], m, zero))
+        cfg.iso = IsoData(_dense(tau, (m, m), zero), phi, _dense(beta, (p, p), zero))
     if "hoist" in saw:
-        cfg.hoist = Hoist(GValuedForm(patch, m, 1, hoist_comps))
+        cfg.hoist = Hoist(GValuedForm(patch, m, 1, _vectors(data["hoist.J"], m, zero)))
     if "omega" in saw:
-        cfg.omega = FForm(patch, 2, omega_comps)
+        cfg.omega = FForm(patch, 2, data["omega.w"])
     if "cform" in saw:
-        cfg.cform = AForm(patch, m, 3, cform_comps)
+        cforms = [family for family in FAMILIES if family.startswith("cform.")]
+        comps = {_bigrade(FAMILIES[f][0], idx): v for f in cforms for idx, v in data[f].items()}
+        cfg.cform = AForm(patch, m, 3, comps)
     return cfg
+
+
+def _components(cfg: Config):
+    """Family -> {indices: value} of the nonzero components of ``cfg`` in
+    index order, the inverse of _build; absent blocks have no families."""
+    data = {
+        "fiber.bracket": _sparse(cfg.fiber.c),
+        "fiber.metric": _sparse(cfg.fiber.g),
+        "connection.gamma": _sparse(cfg.conn.gamma),
+        "curvature.R": _unvectors(cfg.curv),
+        "hform.H": {key: cfg.hform.comps[key] for key in cfg.hform.keys()},
+    }
+    if cfg.nabla_f is not None:
+        data["nabla_f.gamma"] = _sparse(cfg.nabla_f.christoffel)
+    if cfg.iso is not None:
+        data["iso.tau"] = _sparse(cfg.iso.tau)
+        data["iso.phi"] = _unvectors(cfg.iso.phi)
+        data["iso.beta"] = dict(sorted(((a, b), v) for (b, a), v in _sparse(cfg.iso.beta).items()))
+    if cfg.hoist is not None:
+        data["hoist.J"] = _unvectors(cfg.hoist.j)
+    if cfg.omega is not None:
+        data["omega.w"] = {key: cfg.omega.comps[key] for key in cfg.omega.keys()}
+    if cfg.cform is not None:
+        for gidx, fidx in cfg.cform.keys():
+            family = "cform." + "g" * len(gidx) + "f" * len(fidx)
+            data.setdefault(family, {})[gidx + fidx] = cfg.cform.comps[(gidx, fidx)]
+    return data
 
 
 def parse_config(path: str) -> Config:
@@ -375,90 +348,27 @@ def parse_config(path: str) -> Config:
 
 def config_to_text(cfg: Config) -> str:
     """Canonical config serialization; parse(config_to_text(c)) == c."""
-    n, p, m = cfg.patch.n, cfg.patch.p, cfg.fiber.dim
-    out = ["[base]", "base.n = %d" % n, "base.p = %d" % p, "", "[fiber]", "fiber.dim = %d" % m]
-
-    def rat(v) -> str:
-        f = Fraction(v)
-        return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
-
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if cfg.fiber.c[i][j][k]:
-                    out.append(
-                        'fiber.bracket.%d.%d.%d = "%s"' % (i + 1, j + 1, k + 1, rat(cfg.fiber.c[i][j][k]))
-                    )
-    for i in range(m):
-        for j in range(m):
-            if cfg.fiber.g[i][j]:
-                out.append('fiber.metric.%d.%d = "%s"' % (i + 1, j + 1, rat(cfg.fiber.g[i][j])))
-    rows = []
-    for a in range(p):
-        for i in range(m):
-            for j in range(m):
-                if cfg.conn.gamma[a][i][j]:
-                    rows.append('connection.gamma.%d.%d.%d = "%s"' % (a + 1, i + 1, j + 1, cfg.conn.gamma[a][i][j]))
-    if rows:
-        out += ["", "[connection]"] + rows
-    rows = []
-    for key in cfg.curv.keys():
-        vec = cfg.curv.comps[key]
-        for k in range(m):
-            if vec[k]:
-                rows.append('curvature.R.%d.%d.%d = "%s"' % (key[0], key[1], k + 1, vec[k]))
-    if rows:
-        out += ["", "[curvature]"] + rows
-    rows = []
-    for key in cfg.hform.keys():
-        rows.append('hform.H.%d.%d.%d = "%s"' % (key[0], key[1], key[2], cfg.hform.comps[key]))
-    if rows:
-        out += ["", "[hform]"] + rows
-    if cfg.nabla_f is not None:
-        rows = []
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    if cfg.nabla_f.christoffel[a][b][c]:
-                        rows.append('nabla_f.gamma.%d.%d.%d = "%s"' % (a + 1, b + 1, c + 1, cfg.nabla_f.christoffel[a][b][c]))
-        out += ["", "[nabla_f]"] + rows
-    if cfg.iso is not None:
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                if cfg.iso.tau[i][j]:
-                    rows.append('iso.tau.%d.%d = "%s"' % (i + 1, j + 1, cfg.iso.tau[i][j]))
-        for a in range(1, p + 1):
-            col = cfg.iso.phi_col(a)
-            for k in range(m):
-                if col[k]:
-                    rows.append('iso.phi.%d.%d = "%s"' % (a, k + 1, col[k]))
-        for a in range(1, p + 1):
-            for b in range(1, p + 1):
-                if cfg.iso.beta[b - 1][a - 1]:
-                    rows.append('iso.beta.%d.%d = "%s"' % (a, b, cfg.iso.beta[b - 1][a - 1]))
-        out += ["", "[iso]"] + rows
-    if cfg.hoist is not None:
-        rows = []
-        for a in range(1, p + 1):
-            col = cfg.hoist.column(a)
-            for k in range(m):
-                if col[k]:
-                    rows.append('hoist.J.%d.%d = "%s"' % (a, k + 1, col[k]))
-        out += ["", "[hoist]"] + rows
-    if cfg.omega is not None:
-        rows = []
-        for key in cfg.omega.keys():
-            rows.append('omega.w.%d.%d = "%s"' % (key[0], key[1], cfg.omega.comps[key]))
-        out += ["", "[omega]"] + rows
-    if cfg.cform is not None:
-        rows = []
-        for gidx, fidx in cfg.cform.keys():
-            kind = "g" * len(gidx) + "f" * len(fidx)
-            idx = ".".join(str(t) for t in gidx + fidx)
-            rows.append('cform.%s.%s = "%s"' % (kind, idx, cfg.cform.comps[(gidx, fidx)]))
-        out += ["", "[cform]"] + rows
-    return "\n".join(out) + "\n"
+    data = _components(cfg)
+    shape = {"base": ["base.n = %d" % cfg.patch.n, "base.p = %d" % cfg.patch.p],
+             "fiber": ["fiber.dim = %d" % cfg.fiber.dim]}
+    out = []
+    for section in SECTIONS:
+        rows = [
+            (names, family, indices, value)
+            for family, (names, _) in FAMILIES.items()
+            if family.startswith(section + ".")
+            for indices, value in data.get(family, {}).items()
+        ]
+        if section == "cform":
+            # AForm.keys() order, which interleaves the bigrades
+            rows.sort(key=lambda row: _bigrade(row[0], row[2]))
+        lines = shape.get(section, []) + [
+            '%s.%s = "%s"' % (family, ".".join(map(str, indices)), Fraction(value) if section == "fiber" else value)
+            for _, family, indices, value in rows
+        ]
+        if lines or section in OPTIONAL and getattr(cfg, section) is not None:
+            out += ["", "[%s]" % section] + lines
+    return "\n".join(out[1:]) + "\n"
 
 
 # -- commands ----------------------------------------------------------------
@@ -497,13 +407,8 @@ def _linear_symmetric_fconnection(patch: Patch) -> FConnection:
     return FConnection(patch, gamma)
 
 
-def run_command(cmd: str, cfg: Config, degree: int = 2, seed: int = 0, kind: str = "") -> Report:
-    """Execute one verification command; deterministic for fixed inputs.
-
-    ``seed`` is accepted for interface stability; the shipped commands
-    are fully deterministic and do not sample.
-    """
-    del seed
+def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Report:
+    """Execute one verification command; deterministic for fixed inputs."""
     q = cfg.quintuple()
     report = Report()
 
@@ -644,7 +549,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--degree", type=int, default=2)
     parser.add_argument("--kind", choices=("hoist", "omega", "central"), help="shift only, required there")
     args = parser.parse_args(argv)
@@ -654,13 +558,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--kind applies to shift only")
     try:
         cfg = parse_config(args.config)
-        report = run_command(
-            args.command,
-            cfg,
-            degree=args.degree,
-            seed=args.seed,
-            kind=args.kind or "",
-        )
+        report = run_command(args.command, cfg, degree=args.degree, kind=args.kind or "")
     except ConfigError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,11 +1,14 @@
 import json
 import os
+import re
 
 import pytest
 
 from courant.cli import (
+    FAMILIES,
     MAX_BASE_DIM,
     MAX_FIBER_DIM,
+    SHAPE_KEYS,
     ConfigError,
     config_to_text,
     emit_report,
@@ -15,6 +18,8 @@ from courant.cli import (
     run_command,
 )
 from courant.dorfman import MAX_DEGREE_CAP
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 FIXTURE_D_TEXT = """
 [base]
@@ -264,7 +269,7 @@ cform.gff.3.1.2 = "1"
 
 
 def test_cli_demos_configs_exist_and_pass():
-    root = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+    root = os.path.join(ROOT, "demos", "configs")
     for name in ("fixture_c.cfg", "fixture_d.cfg"):
         cfg = parse_config(os.path.join(root, name))
         assert run_command("check", cfg, degree=1).ok
@@ -323,3 +328,62 @@ def test_kind_is_required_by_shift_and_refused_elsewhere(tmp_path, capsys, argv)
     assert exit_info.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "--kind" in out.err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        'fiber.metric.7.1.1 = "5"',  # an extra index part
+        'fiber.metric.1 = "5"',  # a missing one
+        'fiber.metric.01.1 = "0"',  # the same component spelled differently
+        'fiber.metric.+1.1 = "0"',
+        'fiber.metric.1. 1 = "0"',
+        'fiber.metric.1_0.1 = "0"',
+        'fiber.metric.\u0661.1 = "0"',  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    ],
+)
+def test_index_parts_must_be_exact_and_canonical(tmp_path, capsys, line):
+    # each of these used to parse: the extra part and the respelled index
+    # overwrote fiber.metric.1.1 = "1" past the duplicate-key check
+    path = write(tmp_path, FIXTURE_C_TEXT.replace('fiber.metric.1.1 = "1"', 'fiber.metric.1.1 = "1"\n' + line))
+    assert main(["check", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "key %s" % line.split(" = ")[0] in out.err
+
+
+def test_seed_is_not_an_option(tmp_path, capsys):
+    path = write(tmp_path, FIXTURE_D_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", path, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_writer_reproduces_every_pool_config():
+    # bench/pool files are config_to_text output after a one-line header;
+    # the bad_* members are malformed on purpose
+    pool = os.path.join(ROOT, "bench", "pool")
+    names = sorted(name for name in os.listdir(pool) if name.endswith(".cfg"))
+    written = 0
+    for name in names:
+        path = os.path.join(pool, name)
+        if name.startswith("bad_"):
+            with pytest.raises(ConfigError):
+                parse_config(path)
+            continue
+        with open(path, encoding="utf-8") as handle:
+            header, _, body = handle.read().partition("\n")
+        assert header.startswith("#"), name
+        assert config_to_text(parse_config(path)) == body, name
+        written += 1
+    assert written >= 100
+
+
+def test_readme_names_exactly_the_key_families():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    block = readme.split("### Config format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    keys = re.findall(r"^([\w.]+) =", block, re.MULTILINE)
+    assert len(keys) == len(set(keys))
+    table = {family + "." + ".".join(names) for family, (names, _) in FAMILIES.items()}
+    assert set(keys) == table | set(SHAPE_KEYS)
