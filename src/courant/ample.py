@@ -125,12 +125,7 @@ class QuadAlgebroid:
 
     def nabla_along(self, x: Sequence[Poly], r: Sequence[Poly]) -> List[Poly]:
         """nabla_x r for a leafwise vector field x."""
-        out = [self._zero] * self.fiber.dim
-        for a in range(1, self.patch.p + 1):
-            if x[a - 1]:
-                da = self.nabla(a, r)
-                out = [acc + x[a - 1] * v if v else acc for acc, v in zip(out, da)]
-        return out
+        return self.conn.along(x, r)
 
     def vf_bracket(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
         p = self.patch.p
@@ -192,30 +187,6 @@ class QuadAlgebroid:
             r_out = [a - b for a, b in zip(r_out, self.nabla_along(v.x, u.r))]
         return ASection(r_out, x_out)
 
-    def frame_bracket(self, u: Tuple[str, int], v: Tuple[str, int]) -> ASection:
-        """Bracket of two frame symbols ("g", i) or ("f", a)."""
-        m = self.fiber.dim
-        out = self.zero_section()
-        if u[0] == "g" and v[0] == "g":
-            i, j = u[1] - 1, v[1] - 1
-            for k in range(m):
-                c = self.fiber.c[i][j][k]
-                if c:
-                    out.r[k] = Poly.const(self.patch.n, c)
-        elif u[0] == "g" and v[0] == "f":
-            col = self._conn_column(v[1], u[1])
-            out.r = [-t for t in col]
-        elif u[0] == "f" and v[0] == "g":
-            out.r = self._conn_column(u[1], v[1])
-        else:
-            out.r = self.curv.get((u[1], v[1]))
-        return out
-
-    def _conn_column(self, a: int, i: int) -> List[Poly]:
-        """nabla_a e_i = column i of Gamma_a."""
-        mat = self.conn.gamma[a - 1]
-        return [mat[k][i - 1] for k in range(self.fiber.dim)]
-
 
 FrameSym = Tuple[str, int]
 
@@ -252,10 +223,6 @@ class AForm:
             if value:
                 clean[(gidx, fidx)] = value
         self.comps = clean
-
-    @staticmethod
-    def zero(patch: Patch, dim: int, degree: int) -> "AForm":
-        return AForm(patch, dim, degree)
 
     def keys(self):
         return sorted(self.comps)
@@ -353,49 +320,51 @@ def aform_keys(patch: Patch, dim: int, degree: int):
     return sorted(keys)
 
 
-def frame_syms_of_key(key) -> List[FrameSym]:
-    gidx, fidx = key
-    return [("g", i) for i in gidx] + [("f", a) for a in fidx]
-
-
 def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
-    """Lie algebroid differential of a form on A, computed on the frame."""
+    """Lie algebroid differential of a form on A, computed on the frame.
+
+    The anchor terms come from ``anchor_apply`` and the bracket terms
+    from ``bracket`` on the frame sections e_1..e_m, d/dx_1..d/dx_p, so
+    the differential uses the same A-structure as the Dorfman bracket.
+    """
     if w.patch != alg.patch or w.dim != alg.fiber.dim:
         raise ValueError("form does not live on this algebroid")
-    degree = w.degree
+    degree, m, p = w.degree, alg.fiber.dim, alg.patch.p
+    syms = [("g", i) for i in range(1, m + 1)] + [("f", a) for a in range(1, p + 1)]
+    frames = [alg.fiber_elem(i) for i in range(1, m + 1)] + [alg.coord(a) for a in range(1, p + 1)]
+    # component keys list their frame indices in increasing order, so
+    # only the brackets of increasing frame pairs are needed
+    brackets = {}
+    for s, t in combinations(range(m + p), 2):
+        br = alg.bracket(frames[s], frames[t])
+        terms = [(coeff, sym) for coeff, sym in zip(br.r + br.x, syms) if coeff]
+        if terms:
+            brackets[(s, t)] = terms
     comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-    for key in aform_keys(alg.patch, alg.fiber.dim, degree + 1):
-        args = frame_syms_of_key(key)
+    for key in aform_keys(alg.patch, m, degree + 1):
+        gidx, fidx = key
+        idx = [i - 1 for i in gidx] + [m + a - 1 for a in fidx]
+        args = [syms[k] for k in idx]
         total = alg.patch.zero()
-        for pos, arg in enumerate(args):
-            if arg[0] != "f":
-                continue
-            rest = args[:pos] + args[pos + 1:]
-            value = w.eval_frame(rest).diff(arg[1])
+        for pos, k in enumerate(idx):
+            value = alg.anchor_apply(frames[k], w.eval_frame(args[:pos] + args[pos + 1:]))
             if value:
                 total = total + value if pos % 2 == 0 else total - value
-        for i in range(degree + 1):
-            for j in range(i + 1, degree + 1):
-                br = alg.frame_bracket(args[i], args[j])
-                if br.is_zero():
-                    continue
-                rest = [args[k] for k in range(degree + 1) if k != i and k != j]
-                acc = alg.patch.zero()
-                for l, coeff in enumerate(br.r, start=1):
-                    if coeff:
-                        sub = w.eval_frame([("g", l)] + rest)
-                        if sub:
-                            acc = acc + coeff * sub
-                for a, coeff in enumerate(br.x, start=1):
-                    if coeff:
-                        sub = w.eval_frame([("f", a)] + rest)
-                        if sub:
-                            acc = acc + coeff * sub
-                if acc:
-                    total = total + acc if (i + j) % 2 == 0 else total - acc
+        for i, j in combinations(range(degree + 1), 2):
+            terms = brackets.get((idx[i], idx[j]))
+            if terms is None:
+                continue
+            rest = [args[k] for k in range(degree + 1) if k != i and k != j]
+            acc = alg.patch.zero()
+            for coeff, sym in terms:
+                sub = w.eval_frame([sym] + rest)
+                if sub:
+                    acc = acc + coeff * sub
+            if acc:
+                total = total + acc if (i + j) % 2 == 0 else total - acc
         if total:
             comps[key] = total
-    return AForm(alg.patch, alg.fiber.dim, degree + 1, comps)
+    return AForm(alg.patch, m, degree + 1, comps)
 
 
 def is_horizontal(w: AForm) -> bool:

@@ -76,11 +76,10 @@ def standard_three_form(q: Quintuple) -> AForm:
         if value:
             comps[(gidx, ())] = Poly.const(patch.n, value)
     for k in range(1, m + 1):
+        ek = q.fiber_elem(k).r
         for fidx in combinations(range(1, p + 1), 2):
             a, b = fidx
-            value = fiber.pairing(q.curv.get((a, b)), [
-                Poly.const(patch.n, 1 if l == k else 0) for l in range(1, m + 1)
-            ])
+            value = fiber.pairing(q.curv.get((a, b)), ek)
             if value:
                 comps[((k,), fidx)] = value
     for fidx in combinations(range(1, p + 1), 3):
@@ -93,28 +92,14 @@ def standard_three_form(q: Quintuple) -> AForm:
 def _e_connection(q: Quintuple, fc: FConnection, e1: Section, e2: Section) -> Section:
     """Metric covariant derivative along e1 of e2 built from the quintuple
     and a torsion-free leaf connection."""
-    p, m = q.patch.p, q.fiber.dim
-    out = q.zero_section()
     # F* part: dual leaf derivative minus one third of the H contraction
-    xi = [q.zero_poly()] * p
-    for a in range(1, p + 1):
-        if e1.x[a - 1]:
-            da = fc.apply_covector(a, e2.xi)
-            xi = [acc + e1.x[a - 1] * t if t else acc for acc, t in zip(xi, da)]
     h = q.h_contract(e1.x, e2.x)
-    out.xi = [u - v.scale(THIRD) for u, v in zip(xi, h)]
+    xi = [u - v.scale(THIRD) for u, v in zip(fc.on_covectors.along(e1.x, e2.xi), h)]
     # G part
-    r = q.nabla_along(e1.x, e2.r)
     br = q.fiber.bracket(e1.r, e2.r)
-    out.r = [u + v.scale(Fraction(2, 3)) for u, v in zip(r, br)]
+    r = [u + v.scale(Fraction(2, 3)) for u, v in zip(q.nabla_along(e1.x, e2.r), br)]
     # F part: leaf connection derivative
-    x = [q.zero_poly()] * p
-    for a in range(1, p + 1):
-        if e1.x[a - 1]:
-            da = fc.apply_vector(a, e2.x)
-            x = [acc + e1.x[a - 1] * t if t else acc for acc, t in zip(x, da)]
-    out.x = x
-    return out
+    return Section(xi, r, fc.on_vectors.along(e1.x, e2.x))
 
 
 def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
@@ -223,11 +208,11 @@ def _hoist_conditions(alg: QuadAlgebroid, c: AForm, h: Hoist) -> Tuple[Check, Ch
     _, curv_k = hoist_data(alg, h)
     curvature = Check("coherent_curvature", "C(r,kappa x,kappa y) - <r,R^kappa(x,y)>")
     for k in range(1, m + 1):
-        ek = [Poly.const(patch.n, 1 if l == k else 0) for l in range(1, m + 1)]
+        ek = alg.fiber_elem(k)
         for a in range(1, p + 1):
             for b in range(a + 1, p + 1):
-                lhs = c.eval_sections([alg.fiber_elem(k), kappa[a - 1], kappa[b - 1]])
-                rhs = fiber.pairing(ek, curv_k.get((a, b)))
+                lhs = c.eval_sections([ek, kappa[a - 1], kappa[b - 1]])
+                rhs = fiber.pairing(ek.r, curv_k.get((a, b)))
                 curvature.add((k, a, b), lhs - rhs)
     return mixed, curvature
 

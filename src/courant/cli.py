@@ -559,9 +559,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = parse_config(args.config)
         report = run_command(args.command, cfg, degree=args.degree, kind=args.kind or "")
-    except ConfigError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -20,9 +20,6 @@ from .linalg import nullspace, rational_det
 from .poly import Poly
 from .report import Check, Report, Witness
 
-Rat = Fraction  # entries may also be plain ints
-
-
 class QuadLieAlgebra:
     """Structure constants plus an ad-invariant metric on a fixed basis."""
 

@@ -273,6 +273,15 @@ class GConnection:
             out.append(acc)
         return out
 
+    def along(self, x: Sequence[Poly], r: Sequence[Poly]) -> List[Poly]:
+        """nabla_x r = sum_a x^a nabla_a r for a leafwise vector field x."""
+        out = [self.patch.zero()] * self.dim
+        for a, xa in enumerate(x, start=1):
+            if xa:
+                da = self.apply(a, r)
+                out = [acc + xa * v if v else acc for acc, v in zip(out, da)]
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GConnection):
             return NotImplemented
@@ -350,6 +359,10 @@ class FConnection:
 
     christoffel[a][b][c] is the dx_c-component of nabla_{d/dx_a} d/dx_b;
     torsion-freeness on the coordinate frame means symmetry in (a, b).
+    The connection acts through two rank-p ``GConnection``s:
+    ``on_vectors`` on leafwise vector fields (Gamma_a[c][b] =
+    christoffel[a][b][c]) and ``on_covectors``, its dual on F*
+    (Gamma_a = -christoffel[a]).
     """
 
     def __init__(self, patch: Patch, christoffel: Sequence[Sequence[Sequence[Poly]]]):
@@ -362,6 +375,12 @@ class FConnection:
         self.christoffel = [
             [[entry for entry in col] for col in row] for row in christoffel
         ]
+        self.on_vectors = GConnection(
+            patch, p, [[list(row) for row in zip(*mat)] for mat in self.christoffel]
+        )
+        self.on_covectors = GConnection(
+            patch, p, [[[-entry for entry in row] for row in mat] for mat in self.christoffel]
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FConnection):
@@ -382,29 +401,3 @@ class FConnection:
             for b in range(p)
             for c in range(p)
         )
-
-    def apply_vector(self, a: int, y: Sequence[Poly]) -> List[Poly]:
-        """nabla^F_{d/dx_a} y for a leafwise vector field (1-based a)."""
-        p = self.patch.p
-        out = []
-        for c in range(p):
-            acc = y[c].diff(a)
-            for b in range(p):
-                gamma = self.christoffel[a - 1][b][c]
-                if gamma and y[b]:
-                    acc = acc + gamma * y[b]
-            out.append(acc)
-        return out
-
-    def apply_covector(self, a: int, eta: Sequence[Poly]) -> List[Poly]:
-        """Dual connection on F*: d_a eta_b - gamma[a][b][c] eta_c."""
-        p = self.patch.p
-        out = []
-        for b in range(p):
-            acc = eta[b].diff(a)
-            for c in range(p):
-                gamma = self.christoffel[a - 1][b][c]
-                if gamma and eta[c]:
-                    acc = acc - gamma * eta[c]
-            out.append(acc)
-        return out

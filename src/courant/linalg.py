@@ -14,7 +14,7 @@ determinant is a nonzero constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import Poly
@@ -25,18 +25,18 @@ Mat = List[List[Fraction]]
 
 def _clear_denominators(row: Sequence) -> List[int]:
     fracs = [Fraction(v) for v in row]
-    lcm = 1
-    for v in fracs:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    return [int(v * lcm) for v in fracs]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [int(v * scale) for v in fracs]
 
 
-def _bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free row echelon form; returns (rows, pivot column list)."""
+def _bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free row echelon form; returns (rows, pivot column list,
+    sign of the row permutation)."""
     m = [row[:] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: List[int] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -45,6 +45,7 @@ def _bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
@@ -54,41 +55,25 @@ def _bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return m, pivots, sign
 
 
 def rational_det(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant; the empty 0x0 matrix has determinant 1."""
+    """Exact determinant; the empty 0x0 matrix has determinant 1.
+
+    The last Bareiss pivot of the cleared integer matrix is its
+    determinant up to the row-swap sign; dividing by the row lcms undoes
+    the clearing."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
-    rows = []
-    for row in matrix:
-        fracs = [Fraction(v) for v in row]
-        lcm = 1
-        for v in fracs:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        scale /= lcm
-        rows.append([int(v * lcm) for v in fracs])
-    # fraction-free elimination tracking row swaps
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[c][c] * rows[i][j] - rows[i][c] * rows[c][j]) // prev
-            rows[i][c] = 0
-        prev = rows[c][c]
-    return scale * sign * rows[n - 1][n - 1]
+    ech, pivots, sign = _bareiss_echelon([_clear_denominators(row) for row in matrix])
+    if len(pivots) < n:
+        return Fraction(0)
+    scale = prod(lcm(*(Fraction(v).denominator for v in row)) for row in matrix)
+    return Fraction(sign * ech[-1][-1], scale)
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int) -> List[Vec]:
@@ -100,7 +85,7 @@ def nullspace(matrix: Sequence[Sequence], ncols: int) -> List[Vec]:
             [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
             for i in range(ncols)
         ]
-    ech, pivots = _bareiss_echelon(rows)
+    ech, pivots, _ = _bareiss_echelon(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis: List[Vec] = []
     for free in free_cols:
@@ -132,7 +117,7 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
     aug = [_clear_denominators(list(row) + [b]) for row, b in zip(matrix, rhs)]
     if not aug:
         return [Fraction(0)] * ncols
-    ech, pivots = _bareiss_echelon(aug)
+    ech, pivots, _ = _bareiss_echelon(aug)
     if ncols in pivots:
         return None  # pivot in the augmented column
     x = [Fraction(0)] * ncols

@@ -293,18 +293,17 @@ def phi_form(patch: Patch, dim: int, j: GValuedForm, fiber: QuadLieAlgebra) -> A
 def phi_form_differential(alg: QuadAlgebroid, j: GValuedForm) -> AForm:
     """Closed-form differential of Phi_J on the coordinate frame."""
     patch, fiber = alg.patch, alg.fiber
-    m, p, n = fiber.dim, patch.p, patch.n
+    m, p = fiber.dim, patch.p
     comps = {}
-    unit = lambda k: [Poly.const(n, 1 if l == k else 0) for l in range(1, m + 1)]
     for gidx in combinations(range(1, m + 1), 2):
         i, jj = gidx
-        bracket = fiber.bracket(unit(i), unit(jj))
+        bracket = fiber.bracket(alg.fiber_elem(i).r, alg.fiber_elem(jj).r)
         for a in range(1, p + 1):
             value = -fiber.pairing(bracket, j.get((a,)))
             if value:
                 comps[(gidx, (a,))] = value
     for k in range(1, m + 1):
-        ek = unit(k)
+        ek = alg.fiber_elem(k).r
         for fidx in combinations(range(1, p + 1), 2):
             a, b = fidx
             vec = [

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from courant import (
+    FConnection,
     FForm,
     GConnection,
     GValuedForm,
@@ -119,6 +120,33 @@ def test_connection_apply_index_range():
         conn.apply(3, [patch.one()])
     with pytest.raises(ValueError):
         conn.apply(0, [patch.one()])
+
+
+def test_leaf_connection_on_covectors_is_dual_to_on_vectors():
+    # d_a <eta, y> = <nabla*_a eta, y> + <eta, nabla_a y>, exactly, for
+    # Christoffel data that need not be symmetric
+    rng = random.Random(9)
+    patch = Patch(4, 3)
+    n, p = patch.n, patch.p
+
+    def pair(eta, y):
+        return sum((u * v for u, v in zip(eta, y)), patch.zero())
+
+    for _ in range(5):
+        fc = FConnection(
+            patch, [[[rand_poly(rng, n, 1) for _ in range(p)] for _ in range(p)] for _ in range(p)]
+        )
+        y = [rand_poly(rng, n, 2) for _ in range(p)]
+        eta = [rand_poly(rng, n, 2) for _ in range(p)]
+        for a in range(1, p + 1):
+            lhs = pair(eta, y).diff(a)
+            rhs = pair(fc.on_covectors.apply(a, eta), y) + pair(eta, fc.on_vectors.apply(a, y))
+            assert lhs == rhs
+        # christoffel[a][b] holds the components of nabla_{d/dx_a} d/dx_b
+        for a in range(1, p + 1):
+            for b in range(1, p + 1):
+                unit = [patch.one() if c == b else patch.zero() for c in range(1, p + 1)]
+                assert fc.on_vectors.apply(a, unit) == fc.christoffel[a - 1][b - 1]
 
 
 def test_validate_connection():

@@ -10,12 +10,16 @@ are pinned, so a change to the checker that moves a witness shows up
 here.  An empty list is a knockout the fixture cannot see: fixture A has
 no fiber, and on a rank-2 leaf (A and D) every 3-form vanishes, so the
 H-contraction is invisible there; fixture C (rank 4) catches it.
+
+On the cochain path, closedness of the canonical 3-form and
+``naive_matches_ce`` must between them flag every knockout of the ample
+bracket that either can see.
 """
 
 import pytest
 
-from courant import Quintuple
-from fixtures import fixture_a, fixture_c, fixture_d
+from courant import Quintuple, ce_differential, naive_matches_ce, standard_three_form, transport
+from fixtures import fixture_a, fixture_c, fixture_d, seeded_iso_fixture_d, su2_patch
 
 
 def _lie_covector_without_transport(self, x, xi):
@@ -215,3 +219,36 @@ def test_leibniz_failure_recomputes_only_replaced_records(monkeypatch):
         ("leibniz_left_rule", (1, 6, 5), "1"),
     ]
     assert len(calls) <= 4000
+
+
+def _transported_fixture_d():
+    q = fixture_d()
+    return transport(q, seeded_iso_fixture_d(0, q))
+
+
+COCHAIN_FIXTURES = {
+    "D": fixture_d,
+    "D_transported": _transported_fixture_d,
+    "C": fixture_c,
+    "su2(4,3)": lambda: su2_patch(4, 3),
+}
+
+# Whether dC_s != 0 and whether naive_matches_ce fails, for the canonical
+# 3-form C_s.  ce_differential takes its frame brackets from the
+# algebroid, so a broken R-contraction breaks dC_s = 0: C_s(r, x, y) =
+# <r, R(x, y)> no longer matches the bracket.  naive_matches_ce reads
+# only the G + F part of the skew bracket, which is the same ample
+# bracket, so it passes under every knockout; the other knockouts leave
+# dC_s = 0 on these fixtures.
+CLOSEDNESS_CAUGHT = {"curv_contract=0", "curv_contract*-1"}
+
+
+@pytest.mark.parametrize("knockout", sorted(KNOCKOUTS))
+@pytest.mark.parametrize("fixture", sorted(COCHAIN_FIXTURES))
+def test_knockouts_on_the_cochain_path(monkeypatch, knockout, fixture):
+    q = COCHAIN_FIXTURES[fixture]()
+    c = standard_three_form(q)
+    monkeypatch.setattr(Quintuple, *KNOCKOUTS[knockout])
+    not_closed = bool(ce_differential(q, c))
+    naive_fails = not naive_matches_ce(q, c).ok
+    assert (not_closed, naive_fails) == (knockout in CLOSEDNESS_CAUGHT, False)
