@@ -21,7 +21,6 @@ from courant import (
     transport,
     validate_iso,
 )
-from courant.linalg import poly_mat_from_rational
 
 model = importlib.import_module("01_standard_model")
 q = model.q
@@ -49,7 +48,7 @@ for i in range(3):
         inv[i][j] /= det
 rotation = [[sum(minus[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)]
-tau = poly_mat_from_rational(patch.n, rotation)
+tau = [[Poly.const(patch.n, v) for v in row] for row in rotation]
 
 # a polynomial phi, with beta solved from the pairing condition plus a skew part
 phi = GValuedForm(patch, 3, 1, {

@@ -250,6 +250,7 @@ class GConnection:
         for mat in self.gamma:
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError("Gamma matrices must be %dx%d" % (dim, dim))
+        self._memo: Dict[Tuple[int, Tuple[Poly, ...]], List[Poly]] = {}
 
     @staticmethod
     def flat(patch: Patch, dim: int) -> "GConnection":
@@ -259,19 +260,31 @@ class GConnection:
         )
 
     def apply(self, a: int, r: Sequence[Poly]) -> List[Poly]:
-        """nabla_{d/dx_a} r for an m-vector of polynomials (1-based a)."""
+        """nabla_{d/dx_a} r for an m-vector of polynomials (1-based a).
+
+        Results are memoized per connection, keyed by ``(a, tuple(r))``:
+        the bracket and the transport checks ask for nabla_a r of the
+        same vector many times over.  The memo is exact because ``Poly``
+        is immutable and hashes and compares by value, and the Gamma
+        matrices are not changed after construction; each call returns
+        a fresh list, so a caller may mutate it.
+        """
         if not 1 <= a <= self.patch.p:
             raise ValueError("leaf index %d out of range 1..%d" % (a, self.patch.p))
-        mat = self.gamma[a - 1]
-        out = []
-        for k in range(self.dim):
-            acc = r[k].diff(a)
-            row = mat[k]
-            for j in range(self.dim):
-                if row[j] and r[j]:
-                    acc = acc + row[j] * r[j]
-            out.append(acc)
-        return out
+        key = (a, tuple(r))
+        out = self._memo.get(key)
+        if out is None:
+            mat = self.gamma[a - 1]
+            out = []
+            for k in range(self.dim):
+                acc = r[k].diff(a)
+                row = mat[k]
+                for j in range(self.dim):
+                    if row[j] and r[j]:
+                        acc = acc + row[j] * r[j]
+                out.append(acc)
+            self._memo[key] = out
+        return list(out)
 
     def along(self, x: Sequence[Poly], r: Sequence[Poly]) -> List[Poly]:
         """nabla_x r = sum_a x^a nabla_a r for a leafwise vector field x."""

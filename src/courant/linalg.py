@@ -145,10 +145,6 @@ def poly_mat_identity(nvars: int, n: int) -> List[List[Poly]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def poly_mat_from_rational(nvars: int, matrix: Sequence[Sequence]) -> List[List[Poly]]:
-    return [[Poly.const(nvars, v) for v in row] for row in matrix]
-
-
 def poly_mat_mul(a, b):
     nrows, inner, ncols = len(a), len(b), len(b[0]) if b else 0
     if a and len(a[0]) != inner:

@@ -281,10 +281,12 @@ def intertwining_report(q1: Quintuple, q2: Quintuple, iso: IsoData, degree_cap: 
 def phi_form(patch: Patch, dim: int, j: GValuedForm, fiber: QuadLieAlgebra) -> AForm:
     """Phi_J(r+x, s+y) = <r, J y> - <s, J x>."""
     comps = {}
+    cols = [j.get((a,)) for a in range(1, patch.p + 1)]
     for i in range(1, dim + 1):
-        ei = [Poly.const(patch.n, 1 if l == i else 0) for l in range(1, dim + 1)]
-        for a in range(1, patch.p + 1):
-            value = fiber.pairing(ei, j.get((a,)))
+        row = fiber.g[i - 1]
+        for a, ja in enumerate(cols, start=1):
+            # <e_i, J_a> = sum_l g_il J_a^l, from row i of the metric
+            value = sum((v.scale(g) for g, v in zip(row, ja) if g and v), Poly.zero(patch.n))
             if value:
                 comps[((i,), (a,))] = value
     return AForm(patch, dim, 2, comps)

@@ -2,9 +2,8 @@
 
 A polynomial in variables x1..xn is stored as integer numerators over
 one common denominator, the layout of FLINT's ``fmpq_mpoly``:
-``num`` maps exponent tuples (one nonnegative int per variable) to
-nonzero ints and ``den`` is a positive int.  The value is
-sum(num[e] * x^e) / den, kept canonical:
+``num`` maps packed monomials to nonzero ints and ``den`` is a positive
+int.  The value is sum(num[e] * x^e) / den, kept canonical:
 
 - ``den >= 1`` and ``gcd(den, *num.values()) == 1``;
 - ``num`` holds no zero numerators;
@@ -16,20 +15,74 @@ polynomials are equal iff they have the same variable count,
 denominator and numerators, which makes every identity in this package
 a decidable exact equality.
 
-``terms`` is a read-only view of the coefficients themselves: ints
-when a coefficient's reduced denominator is 1, ``fractions.Fraction``
-otherwise.
+A monomial x1^e1 ... xn^en is packed into one int, the packed exponent
+vectors of Monagan and Pearce (CASC 2007): each variable owns a
+``FIELD_BITS`` = 64-bit field, x1 the most significant and xn the least,
+so the key is sum(e_i << 64 (n - i)).  Numeric order of keys is then
+exactly lexicographic order of exponent tuples, the product of two
+monomials is the sum of their keys, and d/dx_i subtracts 1 << 64 (n - i)
+after reading the factor e_i from its field.  ``Poly(nvars, terms)``
+accepts only exponents that fit a field (ints in 0..2^64 - 1).
+
+A sum of keys is the key of the product only while no field carries
+into its neighbour, that is while every exponent of the product stays
+below 2^64.  The package's input polynomials come from the parser,
+which refuses any intermediate result of degree above ``MAX_DEGREE`` =
+2^32 - 1 in some variable (without that ceiling, nested powers such as
+``((x1^16)^16)^16`` grow the degree exponentially in the input length,
+16^100 at the nesting limit).  Every polynomial computed from parsed
+data is a sum of products of boundedly many input coefficients and
+their derivatives (a Dorfman bracket multiplies a handful, a
+determinant of a fiber matrix at most ``cli.MAX_FIBER_DIM`` = 16, and
+the checks nest these a few times), while reaching 2^64 takes more
+than 2^32 factors of degree below 2^32; so no product overflows a
+field.
+
+``terms``, ``coefficient_vectors``, ``evaluate``, ``is_constant``,
+``constant_value`` and ``str`` unpack keys at the boundary: the public
+view is exponent tuples.  ``terms`` is a read-only view of the
+coefficients themselves: ints when a coefficient's reduced denominator
+is 1, ``fractions.Fraction`` otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from struct import Struct
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Coeff = Union[int, Fraction]
+
+FIELD_BITS = 64
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def _pack(exp: Exponent, nvars: int) -> int:
+    """The key of an exponent tuple; ValueError unless it has ``nvars``
+    entries, each an int that fits a field."""
+    if len(exp) != nvars:
+        raise ValueError("exponent %r has length %d, expected %d" % (exp, len(exp), nvars))
+    key = 0
+    for e in exp:
+        if type(e) is not int or not 0 <= e <= _FIELD_MASK:
+            raise ValueError("exponent %r: entries must be ints in 0..2^%d-1" % (exp, FIELD_BITS))
+        key = key << FIELD_BITS | e
+    return key
+
+
+@lru_cache(maxsize=None)
+def _fields(nvars: int) -> Struct:
+    # nvars big-endian unsigned 64-bit fields, x1 first
+    return Struct(">%dQ" % nvars)
+
+
+def _unpack(key: int, nvars: int) -> Exponent:
+    """The exponent tuple of a key."""
+    return _fields(nvars).unpack(key.to_bytes(nvars * FIELD_BITS // 8, "big"))
 
 
 def _coeff(num: int, den: int) -> Coeff:
@@ -38,7 +91,7 @@ def _coeff(num: int, den: int) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def _make(nvars: int, num: Dict[Exponent, int], den: int) -> "Poly":
+def _make(nvars: int, num: Dict[int, int], den: int) -> "Poly":
     """A Poly from zero-free numerators over a positive denominator,
     reduced to canonical form."""
     if den != 1:
@@ -63,14 +116,11 @@ class Poly:
     __slots__ = ("nvars", "num", "den", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Coeff] = ()):
-        coeffs: Dict[Exponent, Fraction] = {}
+        coeffs: Dict[int, Fraction] = {}
         for exp, c in dict(terms).items():
+            key = _pack(exp, nvars)
             if c:
-                if len(exp) != nvars:
-                    raise ValueError(
-                        "exponent %r has length %d, expected %d" % (exp, len(exp), nvars)
-                    )
-                coeffs[tuple(exp)] = Fraction(c)
+                coeffs[key] = Fraction(c)
         # the lcm of reduced denominators is coprime to the numerators
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.nvars = nvars
@@ -89,27 +139,25 @@ class Poly:
         value = Fraction(value)
         if not value:
             return _make(nvars, {}, 1)
-        return _make(nvars, {(0,) * nvars: value.numerator}, value.denominator)
+        return _make(nvars, {0: value.numerator}, value.denominator)
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         """The polynomial x_index, with 1-based index."""
         if not 1 <= index <= nvars:
             raise ValueError("variable index %d out of range 1..%d" % (index, nvars))
-        exp = [0] * nvars
-        exp[index - 1] = 1
-        return _make(nvars, {tuple(exp): 1}, 1)
+        return _make(nvars, {1 << FIELD_BITS * (nvars - index): 1}, 1)
 
     # -- coefficients --------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponent, Coeff]:
         """Read-only map from exponent to nonzero coefficient."""
-        den = self.den
+        nvars, den = self.nvars, self.den
         if den == 1:
-            return MappingProxyType(self.num)
+            return MappingProxyType({_unpack(key, nvars): c for key, c in self.num.items()})
         return MappingProxyType(
-            {exp: _coeff(c, den) for exp, c in self.num.items()}
+            {_unpack(key, nvars): _coeff(c, den) for key, c in self.num.items()}
         )
 
     # -- ring structure ------------------------------------------------
@@ -174,11 +222,11 @@ class Poly:
         a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        num: Dict[Exponent, int] = {}
+        num: Dict[int, int] = {}
         get = num.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(map(int.__add__, ea, eb))
+                exp = ea + eb
                 num[exp] = get(exp, 0) + ca * cb
         if 0 in num.values():
             num = {exp: c for exp, c in num.items() if c}
@@ -235,12 +283,13 @@ class Poly:
             raise ValueError("variable index %d out of range 1..%d" % (index, self.nvars))
         if not self.num:
             return self
-        i = index - 1
-        # exp -> exp - e_i is injective, so no two terms collide
+        shift = FIELD_BITS * (self.nvars - index)
+        one = 1 << shift
+        # key -> key - one is injective, so no two terms collide
         num = {
-            exp[:i] + (exp[i] - 1,) + exp[index:]: c * exp[i]
-            for exp, c in self.num.items()
-            if exp[i]
+            key - one: c * e
+            for key, c in self.num.items()
+            if (e := key >> shift & _FIELD_MASK)
         }
         return _make(self.nvars, num, self.den)
 
@@ -250,22 +299,22 @@ class Poly:
         if len(pt) != self.nvars:
             raise ValueError("point has wrong dimension")
         total = Fraction(0)
-        for exp, c in self.num.items():
+        for key, c in self.num.items():
             v = Fraction(c)
-            for x, e in zip(pt, exp):
+            for x, e in zip(pt, _unpack(key, self.nvars)):
                 if e:
                     v *= x ** e
             total += v
         return total / self.den
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.num)
+        return not any(self.num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
-        return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     # -- canonical printing --------------------------------------------
 
@@ -315,8 +364,11 @@ class Poly:
 def coefficient_vectors(polys: Sequence[Poly]) -> List[Tuple[Exponent, List[Fraction]]]:
     """Each monomial of ``polys`` in sorted order, with its coefficient
     in every polynomial (0 where absent), as Fractions."""
-    monos = sorted({exp for poly in polys for exp in poly.num})
-    return [(exp, [Fraction(poly.num.get(exp, 0), poly.den) for poly in polys]) for exp in monos]
+    monos = sorted({key for poly in polys for key in poly.num})
+    return [
+        (_unpack(key, polys[0].nvars), [Fraction(poly.num.get(key, 0), poly.den) for poly in polys])
+        for key in monos
+    ]
 
 
 class PolyParseError(ValueError):
@@ -338,11 +390,14 @@ MAX_NESTING = 100
 # memory or time: the exponent of a power; the terms of every
 # intermediate result, where a product (each step of a power included)
 # is refused before it is computed when its factors' term counts
-# multiply to more; and the bits of every numerator and denominator,
-# since nested powers of a constant grow them exponentially.
+# multiply to more; the bits of every numerator and denominator, since
+# nested powers of a constant grow them exponentially; and, for the same
+# reason, the degree in each variable, which keeps every product the
+# package computes inside the 64-bit exponent fields (module docstring).
 MAX_EXPONENT = 16
 MAX_TERMS = 1000
 MAX_COEFF_BITS = 4096
+MAX_DEGREE = 2 ** 32 - 1
 
 
 class _Parser:
@@ -358,6 +413,10 @@ class _Parser:
         self.nvars = nvars
         self.pos = 0
         self.depth = 0
+        # the bits of every exponent field above MAX_DEGREE, a power of 2 minus 1
+        self.degree_mask = sum(
+            (_FIELD_MASK ^ MAX_DEGREE) << FIELD_BITS * i for i in range(nvars)
+        )
 
     def skip_ws(self) -> None:
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -429,9 +488,15 @@ class _Parser:
         return value
 
     def product(self, a: Poly, b: Poly, offset: int) -> Poly:
+        """``a * b``, unless it exceeds a ceiling.  Only products raise a
+        degree, and factors of degree <= MAX_DEGREE < 2^32 give exponents
+        below 2^33, so the product's fields hold them without carries."""
         if len(a.num) * len(b.num) > MAX_TERMS:
             raise PolyParseError("product could have more than %d terms" % MAX_TERMS, offset)
-        return self.bounded(a * b, offset)
+        value = self.bounded(a * b, offset)
+        if any(key & self.degree_mask for key in value.num):
+            raise PolyParseError("degree above %d in a variable" % MAX_DEGREE, offset)
+        return value
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()

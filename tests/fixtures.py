@@ -20,8 +20,12 @@ from courant import (
     direct_sum,
     su2,
 )
-from courant.linalg import poly_mat_from_rational
 from courant.geometry import FConnection
+
+
+def poly_mat_from_rational(nvars: int, matrix) -> list:
+    """A matrix of rationals as a matrix of constant polynomials."""
+    return [[Poly.const(nvars, v) for v in row] for row in matrix]
 
 
 def fixture_a() -> Quintuple:

@@ -122,6 +122,51 @@ def test_connection_apply_index_range():
         conn.apply(0, [patch.one()])
 
 
+def random_connection(rng, patch, dim):
+    return GConnection(
+        patch,
+        dim,
+        [[[rand_poly(rng, patch.n, 1) for _ in range(dim)] for _ in range(dim)] for _ in range(patch.p)],
+    )
+
+
+def uncached_apply(conn, a, r):
+    # nabla_a r = d_a r + Gamma_a r, from the definition
+    gamma = conn.gamma[a - 1]
+    return [
+        sum((g * v for g, v in zip(row, r)), r[k].diff(a)) for k, row in enumerate(gamma)
+    ]
+
+
+def test_connection_apply_memo_is_keyed_by_value():
+    rng = random.Random(11)
+    patch = Patch(3, 2)
+    conn = random_connection(rng, patch, 3)
+    for _ in range(5):
+        r = [rand_poly(rng, 3, 2) for _ in range(3)]
+        for a in (1, 2):
+            assert conn.apply(a, r) == uncached_apply(conn, a, r)
+            # equal polynomials built as distinct objects hit the same entry
+            twin = [Poly(3, dict(v.terms)) for v in r]
+            assert all(u == v and u is not v for u, v in zip(twin, r))
+            size = len(conn._memo)
+            assert conn.apply(a, twin) == uncached_apply(conn, a, twin)
+            assert len(conn._memo) == size
+
+
+def test_connection_apply_returns_a_fresh_list():
+    rng = random.Random(12)
+    patch = Patch(2, 2)
+    conn = random_connection(rng, patch, 2)
+    r = [rand_poly(rng, 2, 2) for _ in range(2)]
+    expected = uncached_apply(conn, 1, r)
+    first = conn.apply(1, r)
+    first[0] = patch.var(2)
+    first.append(patch.one())
+    assert conn.apply(1, r) == expected
+    assert conn.apply(1, r) is not conn.apply(1, r)
+
+
 def test_leaf_connection_on_covectors_is_dual_to_on_vectors():
     # d_a <eta, y> = <nabla*_a eta, y> + <eta, nabla_a y>, exactly, for
     # Christoffel data that need not be symmetric
@@ -138,10 +183,12 @@ def test_leaf_connection_on_covectors_is_dual_to_on_vectors():
         )
         y = [rand_poly(rng, n, 2) for _ in range(p)]
         eta = [rand_poly(rng, n, 2) for _ in range(p)]
-        for a in range(1, p + 1):
-            lhs = pair(eta, y).diff(a)
-            rhs = pair(fc.on_covectors.apply(a, eta), y) + pair(eta, fc.on_vectors.apply(a, y))
-            assert lhs == rhs
+        # the second pass reads every nabla_a from the memo of ``apply``
+        for _ in range(2):
+            for a in range(1, p + 1):
+                lhs = pair(eta, y).diff(a)
+                rhs = pair(fc.on_covectors.apply(a, eta), y) + pair(eta, fc.on_vectors.apply(a, y))
+                assert lhs == rhs
         # christoffel[a][b] holds the components of nabla_{d/dx_a} d/dx_b
         for a in range(1, p + 1):
             for b in range(1, p + 1):

@@ -35,7 +35,6 @@ from courant import (
 )
 from courant.cli import parse_config
 from courant.dorfman import MAX_DEGREE_CAP
-from courant.linalg import poly_mat_from_rational
 from courant.morphism import IsoData
 from courant.report import Check, Report
 from fixtures import (
@@ -44,6 +43,7 @@ from fixtures import (
     fixture_d,
     fixture_d_extended,
     fixture_exact,
+    poly_mat_from_rational,
     rand_poly,
     seeded_ample_automorphism,
     seeded_endomorphism_field,

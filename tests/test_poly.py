@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courant import Poly, PolyParseError, parse_poly
-from courant.poly import MAX_COEFF_BITS, MAX_EXPONENT, MAX_TERMS
+from courant.cli import MAX_BASE_DIM
+from courant.poly import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, coefficient_vectors
 
 
 def rational(rng):
@@ -277,7 +278,7 @@ def model_str(a):
     return out
 
 
-def assert_matches(p, model, nvars=2):
+def assert_matches(p, model, nvars):
     assert_canonical(p)
     assert dict(p.terms) == model
     for c in p.terms.values():
@@ -290,11 +291,11 @@ def assert_matches(p, model, nvars=2):
 
 
 @st.composite
-def models(draw, nvars=2):
+def models(draw, nvars):
     # denominators with common factors, so sums and products need reduction
     model = {}
     for _ in range(draw(st.integers(0, 4))):
-        exp = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
+        exp = tuple(draw(st.integers(0, 20)) for _ in range(nvars))
         c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3, 4, 6])))
         model[exp] = model.get(exp, 0) + c
     return {exp: c for exp, c in model.items() if c}
@@ -303,38 +304,106 @@ def models(draw, nvars=2):
 scalars = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(models(), models(), scalars, st.integers(0, 3))
-def test_poly_matches_fraction_model(ma, mb, c, k):
-    a, b = Poly(2, ma), Poly(2, mb)
-    assert_matches(a, ma)
+@st.composite
+def model_pairs(draw):
+    # every base dimension a config may have, exponents far past the
+    # shipped configs', so that products and derivatives cross fields
+    nvars = draw(st.integers(0, MAX_BASE_DIM))
+    return nvars, draw(models(nvars)), draw(models(nvars))
+
+
+def model_coefficient_vectors(models):
+    # monomials in lexicographic order of exponent tuples
+    monos = sorted({exp for model in models for exp in model})
+    return [(exp, [Fraction(model.get(exp, 0)) for model in models]) for exp in monos]
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_pairs(), scalars, st.integers(0, 3))
+def test_poly_matches_fraction_model(pair, c, k):
+    nvars, ma, mb = pair
+    a, b = Poly(nvars, ma), Poly(nvars, mb)
+    assert_matches(a, ma, nvars)
     assert (a == b) == (ma == mb)
-    assert_matches(a + b, model_add(ma, mb))
-    assert_matches(a - b, model_add(ma, mb, -1))
-    assert_matches(a - a, {})
-    assert_matches(-a, model_add({}, ma, -1))
-    assert_matches(a * b, model_mul(ma, mb))
-    power = {(0, 0): Fraction(1)}
+    assert_matches(a + b, model_add(ma, mb), nvars)
+    assert_matches(a - b, model_add(ma, mb, -1), nvars)
+    assert_matches(a - a, {}, nvars)
+    assert_matches(-a, model_add({}, ma, -1), nvars)
+    product = model_mul(ma, mb)
+    assert_matches(a * b, product, nvars)
+    power = {(0,) * nvars: Fraction(1)}
     for _ in range(k):
         power = model_mul(power, ma)
-    assert_matches(a ** k, power)
+    assert_matches(a ** k, power, nvars)
     scaled = {exp: v * c for exp, v in ma.items() if v * c}
     for p in (a.scale(c), a * c, c * a):
-        assert_matches(p, scaled)
+        assert_matches(p, scaled, nvars)
     if c.denominator == 1:
-        assert_matches(a.scale(c.numerator), scaled)
-    for index in (1, 2):
-        assert_matches(a.diff(index), model_diff(ma, index))
+        assert_matches(a.scale(c.numerator), scaled, nvars)
+    for index in range(1, nvars + 1):
+        assert_matches(a.diff(index), model_diff(ma, index), nvars)
+    polys = [a, b, a * b]
+    assert coefficient_vectors(polys) == model_coefficient_vectors([ma, mb, product])
 
 
 def test_reduction_to_canonical_form():
+    # in one variable the packed key of x1^e is e itself
     half = Poly(1, {(1,): Fraction(1, 2), (0,): Fraction(1, 2)})
-    assert (half.num, half.den) == ({(1,): 1, (0,): 1}, 2)
+    assert (half.num, half.den) == ({1: 1, 0: 1}, 2)
     doubled = half * 2
-    assert (doubled.num, doubled.den) == ({(1,): 1, (0,): 1}, 1)
+    assert (doubled.num, doubled.den) == ({1: 1, 0: 1}, 1)
     assert doubled == parse_poly("x1 + 1", 1)
     assert dict(doubled.terms) == {(1,): 1, (0,): 1}
     assert (half - half).den == 1 and not (half - half).num
     third = Poly(1, {(1,): Fraction(1, 6)}) + Poly(1, {(1,): Fraction(1, 6)})
-    assert (third.num, third.den) == ({(1,): 1}, 3)
+    assert (third.num, third.den) == ({1: 1}, 3)
     assert third.terms[(1,)] == Fraction(1, 3)
+
+
+def test_packed_monomial_layout():
+    # one 64-bit field per variable, x1 most significant
+    p = Poly(3, {(1, 2, 3): 5, (0, 0, 7): Fraction(1, 2), (0, 0, 0): 1})
+    assert (p.num, p.den) == ({1 << 128 | 2 << 64 | 3: 10, 7: 1, 0: 2}, 2)
+    assert Poly.variable(3, 1).num == {1 << 128: 1}
+    assert Poly.variable(3, 3).num == {1: 1}
+    # numeric order of keys is lexicographic order of exponent tuples
+    exps = [(0, 0, 2 ** 64 - 1), (0, 1, 0), (1, 0, 0), (2, 0, 0), (2, 2 ** 64 - 1, 3)]
+    keys = [next(iter(Poly(3, {e: 1}).num)) for e in exps]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    # a product adds keys; diff reads the factor from the field
+    q = p * Poly.variable(3, 2)
+    assert q.num == {1 << 128 | 3 << 64 | 3: 10, 1 << 64 | 7: 1, 1 << 64: 2}
+    assert p.diff(3).num == {1 << 128 | 2 << 64 | 2: 30, 6: 7}
+    assert dict(p.diff(3).terms) == {(1, 2, 2): 15, (0, 0, 6): Fraction(7, 2)}
+
+
+def test_exponents_must_fit_a_field():
+    top = 2 ** 64 - 1
+    assert Poly(2, {(top, 0): 1}).terms == {(top, 0): 1}
+    assert str(Poly(2, {(0, top): 1}).diff(2)) == "%d*x2^%d" % (top, top - 1)
+    for nvars, exp in [
+        (1, (-1,)),
+        (2, (1.5, 0)),
+        (2, (0, 2 ** 64)),
+        (2, (Fraction(1), 0)),
+        (2, (1,)),
+    ]:
+        with pytest.raises(ValueError):
+            Poly(nvars, {exp: 1})
+
+
+def test_parse_degree_ceiling():
+    # nested powers grow the degree exponentially in the input length, so
+    # the parser bounds the degree in each variable of every result
+    assert MAX_DEGREE == 2 ** 32 - 1
+    nested = "x2"
+    for _ in range(8):
+        nested = "(%s)^16" % nested
+    # the highest power of x2: 2^32 - 1 = sum over k < 8 of 15 * 16^k
+    top = "*".join("(%sx2%s)^15" % ("(" * k, ")^16" * k) for k in range(8))
+    assert parse_poly(top, 2).terms == {(0, 2 ** 32 - 1): 1}
+    assert parse_poly(top + "*x1^7", 2).terms == {(7, 2 ** 32 - 1): 1}
+    for src in (nested, top + "*x2", "x1*" + top + "*x2", "(%s)^2" % top):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(src, 2)
+        assert "degree above 4294967295 in a variable" in str(err.value)
