@@ -8,17 +8,29 @@ connection, curvature and leafwise 3-form, so fiber validity reduces to
 finitely many rational tensor identities checked here exactly.
 
 The metric may be indefinite; no positivity is assumed anywhere.
+
+The pairing, bracket and adjoint matrix are contractions with these
+constant tensors.  ``QuadLieAlgebra`` lists the nonzero entries once
+(``g_terms``: (g_ij, i, j); ``c_terms[k]``: (c_ij^k, i, j); ints where
+the entry is an integer), and each output entry is one
+``poly.sum_products`` call over such a list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .linalg import nullspace, rational_det
-from .poly import Poly
+from .poly import Poly, sum_products
 from .report import Check, Report, Witness
+
+
+def _exact(v: Fraction):
+    """v as an int when its denominator is 1."""
+    return v.numerator if v.denominator == 1 else v
+
 
 class QuadLieAlgebra:
     """Structure constants plus an ad-invariant metric on a fixed basis."""
@@ -40,6 +52,14 @@ class QuadLieAlgebra:
                 for j in range(dim)
             ]
             for i in range(dim)
+        ]
+        self.g_terms = [
+            (_exact(v), i, j) for i, row in enumerate(self.g) for j, v in enumerate(row) if v
+        ]
+        pairs = list(product(range(dim), repeat=2))
+        self.c_terms = [
+            [(_exact(self.c[i][j][k]), i, j) for i, j in pairs if self.c[i][j][k]]
+            for k in range(dim)
         ]
 
     def __eq__(self, other) -> bool:
@@ -103,49 +123,39 @@ class QuadLieAlgebra:
         m = self.dim
         if len(r) != m or len(s) != m:
             raise ValueError("fiber vector length mismatch")
-        nvars = r[0].nvars if m else 0
-        out = []
-        for k in range(m):
-            acc = Poly.zero(nvars)
-            for i in range(m):
-                if not r[i]:
-                    continue
-                for j in range(m):
-                    coeff = self.c[i][j][k]
-                    if coeff and s[j]:
-                        acc = acc + (r[i] * s[j]).scale(coeff)
-            out.append(acc)
-        return out
+        if not m:
+            return []
+        nvars = r[0].nvars
+        return [
+            sum_products(nvars, [(c, r[i], s[j]) for c, i, j in terms])
+            for terms in self.c_terms
+        ]
 
-    def pairing(self, r: Sequence[Poly], s: Sequence[Poly]) -> Poly:
-        """<r, s> for m-vectors of polynomials."""
+    def pairing(self, r: Sequence[Poly], s: Sequence[Poly], nvars: Optional[int] = None) -> Poly:
+        """<r, s> for m-vectors of polynomials in ``nvars`` variables.
+
+        ``nvars`` defaults to the variable count of the entries; a fiber
+        of dimension 0 has no entries, so callers that can see one pass
+        it, and get the zero of their own ring."""
         m = self.dim
         if len(r) != m or len(s) != m:
             raise ValueError("fiber vector length mismatch")
-        nvars = r[0].nvars if m else 0
-        acc = Poly.zero(nvars)
-        for i in range(m):
-            if not r[i]:
-                continue
-            for j in range(m):
-                if self.g[i][j] and s[j]:
-                    acc = acc + (r[i] * s[j]).scale(self.g[i][j])
-        return acc
+        if nvars is None:
+            nvars = r[0].nvars if m else 0
+        return sum_products(nvars, [(g, r[i], s[j]) for g, i, j in self.g_terms])
 
     def ad_matrix(self, v: Sequence[Poly]) -> List[List[Poly]]:
-        """Matrix of ad(v): column j holds [v, e_j]."""
+        """Matrix of ad(v): column j holds [v, e_j], entry k sum_i c_ij^k v_i."""
         m = self.dim
-        nvars = v[0].nvars if m else 0
-        out = [[Poly.zero(nvars) for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            if not v[i]:
-                continue
-            for j in range(m):
-                for k in range(m):
-                    coeff = self.c[i][j][k]
-                    if coeff:
-                        out[k][j] = out[k][j] + v[i].scale(coeff)
-        return out
+        if not m:
+            return []
+        nvars = v[0].nvars
+        one = Poly.const(nvars, 1)
+        out = [[[] for _ in range(m)] for _ in range(m)]
+        for k, terms in enumerate(self.c_terms):
+            for c, i, j in terms:
+                out[k][j].append((c, v[i], one))
+        return [[sum_products(nvars, entry) for entry in row] for row in out]
 
     def cartan_three_form(self) -> List[List[List[Fraction]]]:
         """The totally antisymmetric array -<[e_i, e_j], e_k>."""
@@ -186,21 +196,3 @@ def abelian(dim: int, g: Sequence = None) -> QuadLieAlgebra:
     if g is None:
         g = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     return QuadLieAlgebra(dim, c, g)
-
-
-def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
-    """Orthogonal direct sum of two quadratic Lie algebras."""
-    m = a.dim + b.dim
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    g = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            g[i][j] = a.g[i][j]
-            for k in range(a.dim):
-                c[i][j][k] = a.c[i][j][k]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            g[a.dim + i][a.dim + j] = b.g[i][j]
-            for k in range(b.dim):
-                c[a.dim + i][a.dim + j][a.dim + k] = b.c[i][j][k]
-    return QuadLieAlgebra(m, c, g)

@@ -358,9 +358,9 @@ def pontryagin_form(curv: GValuedForm, fiber: QuadLieAlgebra) -> FForm:
     for key in combinations(range(1, patch.p + 1), 4):
         a, b, c, d = key
         value = (
-            fiber.pairing(curv.get((a, b)), curv.get((c, d)))
-            - fiber.pairing(curv.get((a, c)), curv.get((b, d)))
-            + fiber.pairing(curv.get((a, d)), curv.get((b, c)))
+            fiber.pairing(curv.get((a, b)), curv.get((c, d)), patch.n)
+            - fiber.pairing(curv.get((a, c)), curv.get((b, d)), patch.n)
+            + fiber.pairing(curv.get((a, d)), curv.get((b, c)), patch.n)
         ).scale(2)
         if value:
             out[key] = value

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import Poly
+from .poly import Poly, sum_products
 
 Vec = List[Fraction]
 Mat = List[List[Fraction]]
@@ -146,41 +146,24 @@ def poly_mat_identity(nvars: int, n: int) -> List[List[Poly]]:
 
 
 def poly_mat_mul(a, b):
-    nrows, inner, ncols = len(a), len(b), len(b[0]) if b else 0
+    """a @ b, one ``sum_products`` call per entry."""
+    inner, ncols = len(b), len(b[0]) if b else 0
     if a and len(a[0]) != inner:
         raise ValueError("matrix shape mismatch")
-    out = []
-    for i in range(nrows):
-        row = []
-        for j in range(ncols):
-            acc = None
-            for k in range(inner):
-                if a[i][k] and b[k][j]:
-                    term = a[i][k] * b[k][j]
-                    acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else _zero_like(a, b))
-        out.append(row)
-    return out
-
-
-def _zero_like(a, b):
-    if a and a[0]:
-        return Poly.zero(a[0][0].nvars)
-    if b and b[0]:
-        return Poly.zero(b[0][0].nvars)
-    raise ValueError("cannot infer variable count for empty product")
+    if not ncols:
+        return [[] for _ in a]
+    nvars = b[0][0].nvars
+    cols = list(zip(*b))
+    return [
+        [sum_products(nvars, [(1, x, y) for x, y in zip(row, col)]) for col in cols]
+        for row in a
+    ]
 
 
 def poly_mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x and y:
-                term = x * y
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else (row[0].__class__.zero(row[0].nvars) if row else None))
-    return out
+    """a @ v, one ``sum_products`` call per entry."""
+    nvars = v[0].nvars if v else 0
+    return [sum_products(nvars, [(1, x, y) for x, y in zip(row, v)]) for row in a]
 
 
 def poly_mat_diff(a, index: int):
@@ -201,16 +184,13 @@ def poly_mat_det(a) -> Poly:
     def minor_det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Poly:
         if len(rows) == 1:
             return a[rows[0]][cols[0]]
-        total = Poly.zero(nvars)
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            entry = a[r][c]
-            if not entry:
-                continue
-            sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        return total
+        r, rest = rows[0], rows[1:]
+        terms = [
+            (-1 if pos % 2 else 1, a[r][c], minor_det(rest, cols[:pos] + cols[pos + 1:]))
+            for pos, c in enumerate(cols)
+            if a[r][c]
+        ]
+        return sum_products(nvars, terms)
 
     return minor_det(tuple(range(n)), tuple(range(n)))
 

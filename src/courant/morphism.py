@@ -21,7 +21,7 @@ to <= 1, assuming the bracket has total order <= 1 (see
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Tuple
 
 from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
@@ -38,7 +38,7 @@ from .linalg import (
     poly_mat_vec,
     rank,
 )
-from .poly import Poly, coefficient_vectors
+from .poly import Poly, coefficient_vectors, sum_products
 from .report import Check, Record, Report, Witness
 
 HALF = Fraction(1, 2)
@@ -79,35 +79,25 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
     for a in range(1, p + 1):
         for b in range(a, p + 1):
             residual = (beta[b - 1][a - 1] + beta[a - 1][b - 1]).scale(HALF) + fiber.pairing(
-                iso.phi_col(a), iso.phi_col(b)
+                iso.phi_col(a), iso.phi_col(b), n
             )
             pairing.add((a, b), residual)
     report.add(pairing.record())
 
+    one = Poly.const(n, 1)
     bracket = Check("tau_bracket_automorphism", "tau[e_i,e_j] - [tau e_i, tau e_j]")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                acc = Poly.zero(n)
-                for l in range(m):
-                    if fiber.c[i][j][l] and tau[k][l]:
-                        acc = acc + tau[k][l].scale(fiber.c[i][j][l])
-                for l in range(m):
-                    for s in range(m):
-                        if fiber.c[l][s][k] and tau[l][i] and tau[s][j]:
-                            acc = acc - (tau[l][i] * tau[s][j]).scale(fiber.c[l][s][k])
-                bracket.add((i + 1, j + 1, k + 1), acc)
+    for i, j, k in product(range(m), repeat=3):
+        cij = fiber.c[i][j]
+        terms = [(cij[l], tau[k][l], one) for l in range(m) if cij[l]]
+        terms += [(-c, tau[l][i], tau[s][j]) for c, l, s in fiber.c_terms[k]]
+        bracket.add((i + 1, j + 1, k + 1), sum_products(n, terms))
     report.add(bracket.record())
 
     metric = Check("tau_metric_automorphism", "tau^T g tau - g")
-    for i in range(m):
-        for j in range(m):
-            acc = Poly.const(n, -fiber.g[i][j])
-            for l in range(m):
-                for s in range(m):
-                    if fiber.g[l][s] and tau[l][i] and tau[s][j]:
-                        acc = acc + (tau[l][i] * tau[s][j]).scale(fiber.g[l][s])
-            metric.add((i + 1, j + 1), acc)
+    for i, j in product(range(m), repeat=2):
+        terms = [(g, tau[l][i], tau[s][j]) for g, l, s in fiber.g_terms]
+        terms.append((-fiber.g[i][j], one, one))
+        metric.add((i + 1, j + 1), sum_products(n, terms))
     report.add(metric.record())
 
     if m:
@@ -123,44 +113,39 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
 
 def apply_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData, e: Section) -> Section:
     """Image of a section; preserves the pseudo-metric exactly."""
-    m, p = fiber.dim, patch.p
-    tau_r = poly_mat_vec(iso.tau, e.r) if m else []
-    phi_x = [Poly.zero(patch.n)] * m
-    for a in range(1, p + 1):
-        if e.x[a - 1]:
-            col = iso.phi_col(a)
-            phi_x = [acc + e.x[a - 1] * v if v else acc for acc, v in zip(phi_x, col)]
-    beta_x = [Poly.zero(patch.n)] * p
-    for a in range(1, p + 1):
-        if e.x[a - 1]:
-            col = iso.beta_col(a)
-            beta_x = [acc + e.x[a - 1] * v if v else acc for acc, v in zip(beta_x, col)]
-    # (phi^* s)_a = <s, phi(d_a)>
-    phi_star = [fiber.pairing(tau_r, iso.phi_col(a)) for a in range(1, p + 1)]
-    xi = [
-        e.xi[a] + beta_x[a] - phi_star[a].scale(2) for a in range(p)
+    p, n = patch.p, patch.n
+    phi = [iso.phi_col(a) for a in range(1, p + 1)]
+    live = [(x, phi[a], iso.beta_col(a + 1)) for a, x in enumerate(e.x) if x]
+    tau_r = poly_mat_vec(iso.tau, e.r)
+    r = [
+        u + sum_products(n, [(1, x, col[k]) for x, col, _ in live])
+        for k, u in enumerate(tau_r)
     ]
-    r = [u + v for u, v in zip(tau_r, phi_x)]
+    # xi + beta(x) - 2 phi^* tau(r), with (phi^* s)_a = <s, phi(d_a)>
+    xi = [
+        e.xi[a]
+        + sum_products(n, [(1, x, col[a]) for x, _, col in live])
+        - fiber.pairing(tau_r, phi[a], n).scale(2)
+        for a in range(p)
+    ]
     return Section(xi, r, list(e.x))
 
 
 def compose_iso(patch: Patch, fiber: QuadLieAlgebra, second: IsoData, first: IsoData) -> IsoData:
     """The isomorphism acting as 'second after first'."""
     m, p, n = fiber.dim, patch.p, patch.n
-    tau = poly_mat_mul(second.tau, first.tau) if m else []
+    tau = poly_mat_mul(second.tau, first.tau)
+    # tau_2 phi_1(d_a), read by both the new phi and the beta correction
+    moved = [poly_mat_vec(second.tau, first.phi_col(a)) for a in range(1, p + 1)]
     phi_comps = {}
     for a in range(1, p + 1):
-        col1 = first.phi_col(a)
-        vec = poly_mat_vec(second.tau, col1) if m else []
-        col2 = second.phi_col(a)
-        col = [u + v for u, v in zip(vec, col2)]
+        col = [u + v for u, v in zip(moved[a - 1], second.phi_col(a))]
         if any(col):
             phi_comps[(a,)] = col
     beta = [[Poly.zero(n)] * p for _ in range(p)]
     for a in range(1, p + 1):
-        t1 = poly_mat_vec(second.tau, first.phi_col(a)) if m else []
         for b in range(1, p + 1):
-            corr = fiber.pairing(t1, second.phi_col(b)) if m else Poly.zero(n)
+            corr = fiber.pairing(moved[a - 1], second.phi_col(b), n)
             beta[b - 1][a - 1] = (
                 first.beta[b - 1][a - 1]
                 + second.beta[b - 1][a - 1]
@@ -176,59 +161,39 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
 
     tau = iso.tau
     tau_inv = poly_mat_inverse_constant_det(tau) if m else []
+    phi = [iso.phi_col(a) for a in range(1, p + 1)]
+    jcols = [poly_mat_vec(tau_inv, col) for col in phi]  # tau^-1 phi(d_a)
 
     gamma2 = []
     for a in range(1, p + 1):
-        if m:
-            d_inv = poly_mat_diff(tau_inv, a)
-            mat = poly_mat_mul(tau, d_inv)
-            conj = poly_mat_mul(tau, poly_mat_mul(q1.conn.gamma[a - 1], tau_inv))
-            ad_phi = fiber.ad_matrix(iso.phi_col(a))
-            gamma2.append(
-                [
-                    [mat[i][j] + conj[i][j] - ad_phi[i][j] for j in range(m)]
-                    for i in range(m)
-                ]
-            )
-        else:
-            gamma2.append([])
+        mat = poly_mat_mul(tau, poly_mat_diff(tau_inv, a))
+        conj = poly_mat_mul(tau, poly_mat_mul(q1.conn.gamma[a - 1], tau_inv))
+        ad_phi = fiber.ad_matrix(phi[a - 1])
+        gamma2.append([[u + v - w for u, v, w in zip(*rows)] for rows in zip(mat, conj, ad_phi)])
     conn2 = GConnection(patch, m, gamma2)
 
     curv_comps = {}
-    for a in range(1, p + 1):
-        for b in range(a + 1, p + 1):
-            if not m:
-                continue
-            vec = poly_mat_vec(tau, q1.curv.get((a, b)))
-            tia = poly_mat_vec(tau_inv, iso.phi_col(a))
-            tib = poly_mat_vec(tau_inv, iso.phi_col(b))
-            inner = [
-                u - v
-                for u, v in zip(q1.conn.apply(b, tia), q1.conn.apply(a, tib))
-            ]
-            vec = [u + v for u, v in zip(vec, poly_mat_vec(tau, inner))]
-            br = fiber.bracket(iso.phi_col(a), iso.phi_col(b))
-            vec = [u + v for u, v in zip(vec, br)]
-            if any(vec):
-                curv_comps[(a, b)] = vec
+    for a, b in combinations(range(1, p + 1), 2):
+        inner = [
+            r + u - v
+            for r, u, v in zip(
+                q1.curv.get((a, b)), q1.conn.apply(b, jcols[a - 1]), q1.conn.apply(a, jcols[b - 1])
+            )
+        ]
+        br = fiber.bracket(phi[a - 1], phi[b - 1])
+        vec = [u + v for u, v in zip(poly_mat_vec(tau, inner), br)]
+        if any(vec):
+            curv_comps[(a, b)] = vec
     curv2 = GValuedForm(patch, m, 2, curv_comps)
 
     h_comps = {}
     for key in combinations(range(1, p + 1), 3):
         a, b, c = key
-        value = q1.hform.get(key)
-        if m:
-            phi_a = iso.phi_col(a)
-            phi_b = iso.phi_col(b)
-            phi_c = iso.phi_col(c)
-            value = value - fiber.pairing(phi_a, fiber.bracket(phi_b, phi_c)).scale(2)
+        br = fiber.bracket(phi[b - 1], phi[c - 1])
+        value = q1.hform.get(key) - fiber.pairing(phi[a - 1], br, n).scale(2)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if m:
-                px = iso.phi_col(x)
-                tz = poly_mat_vec(tau_inv, iso.phi_col(z))
-                inner = poly_mat_vec(tau, q1.conn.apply(y, tz))
-                ryz = poly_mat_vec(tau, q1.curv.get((y, z)))
-                value = value + fiber.pairing(px, [u - v for u, v in zip(inner, ryz)]).scale(2)
+            inner = [u - v for u, v in zip(q1.conn.apply(y, jcols[z - 1]), q1.curv.get((y, z)))]
+            value = value + fiber.pairing(phi[x - 1], poly_mat_vec(tau, inner), n).scale(2)
             value = value + iso.beta[y - 1][z - 1].diff(x)
         if value:
             h_comps[key] = value
@@ -250,10 +215,19 @@ def intertwining_report(q1: Quintuple, q2: Quintuple, iso: IsoData, degree_cap: 
         D(f u, g v) = f g D(u,v) + g sum_a (d_a f) S'_a(u,v) + f sum_a (d_a g) S_a(u,v)
 
     with D(u,v), S'_a = D(x_a u, v) - x_a D(u,v) and S_a = D(u, x_a v) -
-    x_a D(u,v) tensorial; the pairing defect is tensorial.  So a failing
-    pair with deg f + deg g >= 2 implies a failing pair among (u, v),
-    (x_a u, v), (u, x_a v), which comes earlier in family order: the
-    witness is that of the literal all-pairs loop.
+    x_a D(u,v) tensorial.  So a failing pair with deg f + deg g >= 2
+    implies a failing pair among (u, v), (x_a u, v), (u, x_a v), which
+    comes earlier in family order: the witness is that of the literal
+    all-pairs loop.
+
+    ``pairing_preserved`` runs on frame pairs only.  Its defect
+    P(e1, e2) = <e1,e2>_1 - <Theta e1, Theta e2>_2 is function-bilinear,
+    since both pairings are and ``apply_iso`` is linear over functions:
+    P(f u, g v) = f g P(u, v).  So a failing pair (f u, g v) implies that
+    the frame pair (u, v) fails, and (u, v) comes no later in family order
+    (the frames are the family members with f = 1, and the index of f u
+    is at least that of u); the first failing pair of the literal loop is
+    a frame pair, with the same residual.
     """
     check_degree_cap(degree_cap, "intertwining")
     family, _ = q1.axiom_family(min(degree_cap, 1))
@@ -262,12 +236,14 @@ def intertwining_report(q1: Quintuple, q2: Quintuple, iso: IsoData, degree_cap: 
     pairing = Check("pairing_preserved", "<e1,e2> - <Theta e1, Theta e2>")
     bracket = Check("dorfman_intertwined", "Theta[[e1,e2]]_1 - [[Theta e1,Theta e2]]_2")
     images = [apply_iso(patch, fiber, iso, e) for e in family]
+    for i, j in product(range(nu), repeat=2):
+        if pairing.failed:
+            break
+        pairing.add((i + 1, j + 1), q1.pairing(family[i], family[j]) - q2.pairing(images[i], images[j]))
     for i, e1 in enumerate(family):
         for j, e2 in enumerate(family):
             if i >= nu and j >= nu:
                 continue  # deg f + deg g = 2: certified by the pairs above
-            if not pairing.failed:
-                pairing.add((i + 1, j + 1), q1.pairing(e1, e2) - q2.pairing(images[i], images[j]))
             if not bracket.failed:
                 lhs = apply_iso(patch, fiber, iso, q1.dorfman(e1, e2))
                 rhs = q2.dorfman(images[i], images[j])
@@ -320,9 +296,9 @@ def phi_form_differential(alg: QuadAlgebroid, j: GValuedForm) -> AForm:
     for fidx in combinations(range(1, p + 1), 3):
         a, b, c = fidx
         value = -(
-            fiber.pairing(j.get((a,)), alg.curv.get((b, c)))
-            + fiber.pairing(j.get((b,)), alg.curv.get((c, a)))
-            + fiber.pairing(j.get((c,)), alg.curv.get((a, b)))
+            fiber.pairing(j.get((a,)), alg.curv.get((b, c)), patch.n)
+            + fiber.pairing(j.get((b,)), alg.curv.get((c, a)), patch.n)
+            + fiber.pairing(j.get((c,)), alg.curv.get((a, b)), patch.n)
         )
         if value:
             comps[((), fidx)] = value
@@ -366,7 +342,7 @@ def hoist_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
     patch, fiber = q.patch, q.fiber
     m, p, n = fiber.dim, patch.p, patch.n
     cols = [j.get((a,)) for a in range(1, p + 1)]
-    beta = [[-fiber.pairing(ja, jb) for ja in cols] for jb in cols]
+    beta = [[-fiber.pairing(ja, jb, n) for ja in cols] for jb in cols]
     iso = IsoData(poly_mat_identity(n, m), j, beta)
 
     gamma2 = []
@@ -398,7 +374,7 @@ def hoist_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
         a, b, c = key
         value = q.hform.get(key)
         value = value - fiber.pairing(
-            j.get((a,)), fiber.bracket(j.get((b,)), j.get((c,)))
+            j.get((a,)), fiber.bracket(j.get((b,)), j.get((c,))), n
         ).scale(2)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             vec = [
@@ -409,7 +385,7 @@ def hoist_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
                     q.curv.get((y, z)),
                 )
             ]
-            value = value + fiber.pairing(j.get((x,)), vec)
+            value = value + fiber.pairing(j.get((x,)), vec, n)
         if value:
             h_comps[key] = value
     hform2 = FForm(patch, 3, h_comps)
@@ -464,7 +440,7 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
         if any(col):
             half_j_comps[(a,)] = col
     cols = [j.get((a,)) for a in range(1, p + 1)]
-    beta = [[fiber.pairing(ja, jb).scale(Fraction(-1, 4)) for ja in cols] for jb in cols]
+    beta = [[fiber.pairing(ja, jb, n).scale(Fraction(-1, 4)) for ja in cols] for jb in cols]
     iso = IsoData(
         poly_mat_identity(n, m), GValuedForm(patch, m, 1, half_j_comps), beta
     )
@@ -472,9 +448,9 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
     for key in combinations(range(1, p + 1), 3):
         a, b, c = key
         value = q.hform.get(key) - (
-            fiber.pairing(j.get((a,)), q.curv.get((b, c)))
-            + fiber.pairing(j.get((b,)), q.curv.get((c, a)))
-            + fiber.pairing(j.get((c,)), q.curv.get((a, b)))
+            fiber.pairing(j.get((a,)), q.curv.get((b, c)), n)
+            + fiber.pairing(j.get((b,)), q.curv.get((c, a)), n)
+            + fiber.pairing(j.get((c,)), q.curv.get((a, b)), n)
         )
         if value:
             h_comps[key] = value
@@ -560,7 +536,7 @@ def coboundary_identity_check(q1: Quintuple, iso: IsoData) -> Report:
     tau_inv = poly_mat_inverse_constant_det(iso.tau) if m else []
     j_comps = {}
     for a in range(1, patch.p + 1):
-        col = poly_mat_vec(tau_inv, iso.phi_col(a)) if m else []
+        col = poly_mat_vec(tau_inv, iso.phi_col(a))
         if any(col):
             j_comps[(a,)] = col
     jform = GValuedForm(patch, m, 1, j_comps)

@@ -43,6 +43,12 @@ field.
 view is exponent tuples.  ``terms`` is a read-only view of the
 coefficients themselves: ints when a coefficient's reduced denominator
 is 1, ``fractions.Fraction`` otherwise.
+
+``sum_products`` is the contraction kernel: sum(c * a * b) over (c, a,
+b) triples goes into one numerator dict over one common denominator and
+is reduced once, not rebuilt one ``acc + (a*b).scale(c)`` at a time.
+The fiber pairing, bracket and adjoint matrix run it over the nonzero
+tensor entries, and ``linalg``'s matrix products once per entry.
 """
 
 from __future__ import annotations
@@ -131,14 +137,17 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(nvars: int) -> "Poly":
-        return _make(nvars, {}, 1)
+        """The zero polynomial, one shared object per variable count: exact,
+        since a Poly is never mutated."""
+        return Poly(nvars)
 
     @staticmethod
     def const(nvars: int, value: Coeff) -> "Poly":
         value = Fraction(value)
         if not value:
-            return _make(nvars, {}, 1)
+            return Poly.zero(nvars)
         return _make(nvars, {0: value.numerator}, value.denominator)
 
     @staticmethod
@@ -250,7 +259,7 @@ class Poly:
         if c == 1:
             return self
         if not c:
-            return _make(self.nvars, {}, 1)
+            return Poly.zero(self.nvars)
         return _make(self.nvars, {exp: v * c for exp, v in self.num.items()}, self.den)
 
     def __pow__(self, k: int) -> "Poly":
@@ -359,6 +368,42 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%d, %s)" % (self.nvars, str(self))
+
+
+def sum_products(nvars: int, triples: Iterable[Tuple[Coeff, Poly, Poly]]) -> Poly:
+    """sum(c * a * b for c, a, b in triples) for int or Fraction c, in the
+    caller's ``nvars`` variables: one numerator dict over the lcm of the
+    pieces' denominators (rescaled when a piece raises it), reduced by one
+    ``_make``.  Pieces with a zero factor are skipped."""
+    num: Dict[int, int] = {}
+    get = num.get
+    den = 1
+    for c, a, b in triples:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError("variable-count mismatch: %d, %d vs %d" % (a.nvars, b.nvars, nvars))
+        an, bn = a.num, b.num
+        if not (an and bn):
+            continue
+        d = a.den * b.den
+        if type(c) is not int:
+            d *= c.denominator
+            c = c.numerator
+        if den % d:
+            up = lcm(den, d) // den
+            for exp in num:
+                num[exp] *= up
+            den *= up
+        c *= den // d
+        if len(an) > len(bn):
+            an, bn = bn, an
+        for ea, ca in an.items():
+            ca *= c
+            for eb, cb in bn.items():
+                exp = ea + eb
+                num[exp] = get(exp, 0) + ca * cb
+    if 0 in num.values():
+        num = {exp: v for exp, v in num.items() if v}
+    return _make(nvars, num, den) if num else Poly.zero(nvars)
 
 
 def coefficient_vectors(polys: Sequence[Poly]) -> List[Tuple[Exponent, List[Fraction]]]:

@@ -17,10 +17,27 @@ from courant import (
     QuadLieAlgebra,
     Quintuple,
     abelian,
-    direct_sum,
     su2,
 )
 from courant.geometry import FConnection
+
+
+def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
+    """Orthogonal direct sum of two quadratic Lie algebras."""
+    m = a.dim + b.dim
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            g[i][j] = a.g[i][j]
+            for k in range(a.dim):
+                c[i][j][k] = a.c[i][j][k]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            g[a.dim + i][a.dim + j] = b.g[i][j]
+            for k in range(b.dim):
+                c[a.dim + i][a.dim + j][a.dim + k] = b.c[i][j][k]
+    return QuadLieAlgebra(m, c, g)
 
 
 def poly_mat_from_rational(nvars: int, matrix) -> list:

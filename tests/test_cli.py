@@ -251,6 +251,35 @@ iso.beta.2.1 = "-1*x1"
     assert "FAIL shift_hypotheses" in out
 
 
+EXACT_TEXT = """
+[base]
+base.n = 3
+base.p = 3
+
+[fiber]
+fiber.dim = 0
+
+[hform]
+hform.H.1.2.3 = "1 + x1"
+
+[iso]
+iso.beta.1.2 = "x3"
+iso.beta.2.1 = "-1*x3"
+
+[hoist]
+"""
+
+
+@pytest.mark.parametrize("argv", [["transport"], ["shift", "--kind", "hoist"], ["shift", "--kind", "central"]])
+def test_exact_algebroid_transport_and_shift(tmp_path, capsys, argv):
+    # fiber.dim = 0 (an exact Courant algebroid): the fiber pairing must
+    # land among polynomials in the base variables
+    path = write(tmp_path, EXACT_TEXT)
+    assert main(argv[:1] + [path] + argv[1:]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+
+
 def test_main_coherent_and_build(tmp_path, capsys):
     cform_text = FIXTURE_D_TEXT + """
 [cform]

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from courant import Patch, Poly, QuadLieAlgebra, abelian, direct_sum, su2
+import pytest
+
+from courant import Patch, Poly, QuadLieAlgebra, abelian, parse_poly, su2
+from courant import poly
 from courant.ample import AForm, QuadAlgebroid, ce_differential
 from courant.geometry import FForm, GConnection, GValuedForm
 from courant.dorfman import Quintuple
+from fixtures import direct_sum, rand_poly
 
 
 def sl2() -> QuadLieAlgebra:
@@ -152,8 +156,6 @@ def test_centers():
 
 
 def test_bracket_length_mismatch():
-    import pytest
-
     fib = su2()
     one = Poly.const(0, 1)
     with pytest.raises(ValueError):
@@ -183,3 +185,101 @@ def test_cartan_form_closed_point_base():
                         comps[((i, j, k), ())] = Poly.const(0, value)
         form = AForm(patch, fib.dim, 3, comps)
         assert not ce_differential(QuadAlgebroid.of(q), form)
+
+
+# -- the contractions against dense index loops ---------------------------------
+
+
+def rational_fiber() -> QuadLieAlgebra:
+    """sl(2) with its metric scaled by -1/3, plus a line with metric 5/2:
+    rational entries, indefinite, with a center."""
+    s = sl2()
+    scaled = QuadLieAlgebra(3, s.c, [[v * Fraction(-1, 3) for v in row] for row in s.g])
+    return direct_sum(scaled, abelian(1, [[Fraction(5, 2)]]))
+
+
+CONTRACTION_FIBERS = {
+    "su2": su2,
+    "sl2": sl2,
+    "su2+line": lambda: direct_sum(su2(), abelian(1)),
+    "rational": rational_fiber,
+}
+
+
+def dense_pairing(fib, r, s):
+    acc = Poly.zero(r[0].nvars)
+    for i, j in product(range(fib.dim), repeat=2):
+        acc = acc + (r[i] * s[j]).scale(fib.g[i][j])
+    return acc
+
+
+def dense_bracket(fib, r, s):
+    out = []
+    for k in range(fib.dim):
+        acc = Poly.zero(r[0].nvars)
+        for i, j in product(range(fib.dim), repeat=2):
+            acc = acc + (r[i] * s[j]).scale(fib.c[i][j][k])
+        out.append(acc)
+    return out
+
+
+def dense_ad_matrix(fib, v):
+    m = fib.dim
+    zero = Poly.zero(v[0].nvars)
+    return [
+        [sum((v[i].scale(fib.c[i][j][k]) for i in range(m)), zero) for j in range(m)]
+        for k in range(m)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_FIBERS))
+def test_contractions_match_dense_loops(name):
+    fib = CONTRACTION_FIBERS[name]()
+    assert fib.validate().ok
+    rng = random.Random(name)
+    for _ in range(12):
+        # rational entries, about a quarter of them zero
+        r, s = (
+            [rand_poly(rng, 2, 2) if rng.random() < 0.75 else Poly.zero(2) for _ in range(fib.dim)]
+            for _ in range(2)
+        )
+        assert fib.pairing(r, s) == dense_pairing(fib, r, s)
+        assert fib.bracket(r, s) == dense_bracket(fib, r, s)
+        assert fib.ad_matrix(r) == dense_ad_matrix(fib, r)
+
+
+def test_sparse_structure_lists():
+    fib = rational_fiber()
+    third = Fraction(1, 3)
+    assert fib.g_terms == [(-8 * third, 0, 0), (-4 * third, 1, 2), (-4 * third, 2, 1), (Fraction(5, 2), 3, 3)]
+    # [h, e] = 2e and [e, h] = -2e; integer entries are stored as ints
+    assert fib.c_terms[1] == [(2, 0, 1), (-2, 1, 0)]
+    assert fib.c_terms[3] == []
+    assert all(type(c) is int for terms in fib.c_terms for c, _, _ in terms)
+    assert all(type(g) is int for g, _, _ in su2().g_terms)
+    # a fiber of dimension 0 pairs into the caller's ring
+    assert abelian(0).pairing([], [], 3) is Poly.zero(3)
+
+
+def count_makes(monkeypatch) -> list:
+    """From now on, one entry per Poly built through ``poly._make``."""
+    calls = []
+    make = poly._make
+
+    def counted(*args):
+        calls.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(poly, "_make", counted)
+    return calls
+
+
+def test_pairing_builds_one_poly(monkeypatch):
+    # the whole sum goes into one accumulator, not one Poly per term
+    r = [parse_poly(t, 2) for t in ("x1 + 1/2", "x2", "3")]
+    s = [parse_poly(t, 2) for t in ("x1", "1/3", "x2 - 1")]
+    fib = su2()
+    calls = count_makes(monkeypatch)
+    value = fib.pairing(r, s)
+    assert len(calls) == 1
+    assert value == parse_poly("x1^2 + 1/2*x1 + 10/3*x2 - 3", 2)

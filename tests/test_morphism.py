@@ -51,6 +51,7 @@ from fixtures import (
     seeded_iso_fixture_d,
 )
 from test_dorfman import rand_section
+from test_fiber import count_makes
 from test_knockouts import KNOCKOUTS
 
 FIXTURE_C_SHIFT = os.path.join(
@@ -516,6 +517,53 @@ def test_intertwining_certificate_matches_literal_loop_under_knockouts(monkeypat
     # in the broken-data test
     qc, iso = fixture_c_shift()
     assert_matches_literal(qc, transport(qc, iso), iso, caps=(1,))
+
+
+_pairing = Quintuple.pairing
+
+
+def _pairing_without_half(self, e1, e2):
+    # <xi|y> + <eta|x> + <r, s>: the 1/2 of the dual part dropped
+    return _pairing(self, e1, e2).scale(2) - self.fiber.pairing(e1.r, e2.r, self.patch.n)
+
+
+def _pairing_fiber_flipped(self, e1, e2):
+    return _pairing(self, e1, e2) - self.fiber.pairing(e1.r, e2.r, self.patch.n).scale(2)
+
+
+PAIRING_KNOCKOUTS = {"pairing-half": _pairing_without_half, "pairing-fiber*-1": _pairing_fiber_flipped}
+
+
+@pytest.mark.parametrize("knockout", sorted(PAIRING_KNOCKOUTS))
+def test_intertwining_pairing_knockouts_match_literal_loop(monkeypatch, knockout):
+    # pairing_preserved runs on frame pairs only; under a broken pairing it
+    # fails, with the witness of the literal all-pairs loop
+    monkeypatch.setattr(Quintuple, "pairing", PAIRING_KNOCKOUTS[knockout])
+    q = fixture_d()
+    iso = seeded_iso_fixture_d(0, q)
+    moved = transport(q, iso)
+    assert_matches_literal(q, moved, iso)
+    record = intertwining_report(q, moved, iso, 1)["pairing_preserved"]
+    assert not record.ok
+    assert max(record.witness.indices) <= len(q.frame_sections())
+    qc, iso = fixture_c_shift()
+    assert_matches_literal(qc, transport(qc, iso), iso, caps=(1,))
+
+
+# Poly objects built by intertwining_report(q, transport(q, iso), iso, 1)
+# on fixture D with seeded_iso_fixture_d(0)
+INTERTWINING_POLYS = 5490
+
+
+def test_intertwining_poly_count(monkeypatch):
+    # each contraction builds one Poly per output entry; per-term
+    # accumulation would raise this count
+    q = fixture_d()
+    iso = seeded_iso_fixture_d(0, q)
+    moved = transport(q, iso)
+    calls = count_makes(monkeypatch)
+    assert intertwining_report(q, moved, iso, 1).ok
+    assert len(calls) == INTERTWINING_POLYS
 
 
 def test_lie_covector_dx_knockout_fails_off_the_frame(monkeypatch):

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from courant import Poly, PolyParseError, parse_poly
 from courant.cli import MAX_BASE_DIM
-from courant.poly import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, coefficient_vectors
+from courant.poly import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    coefficient_vectors,
+    sum_products,
+)
 
 
 def rational(rng):
@@ -407,3 +414,52 @@ def test_parse_degree_ceiling():
         with pytest.raises(PolyParseError) as err:
             parse_poly(src, 2)
         assert "degree above 4294967295 in a variable" in str(err.value)
+
+
+# -- the fused sum-of-products kernel -------------------------------------------
+
+
+@st.composite
+def product_sums(draw):
+    # int and Fraction coefficients (0 among them), zero factors, and
+    # denominators with common factors across the pieces
+    nvars = draw(st.integers(0, MAX_BASE_DIM))
+    coeffs = st.one_of(st.integers(-6, 6), scalars)
+    triples = draw(st.lists(st.tuples(coeffs, models(nvars), models(nvars)), max_size=5))
+    return nvars, [(c, Poly(nvars, ma), Poly(nvars, mb)) for c, ma, mb in triples]
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_sums(), st.booleans())
+def test_sum_products_matches_accumulate_loop(case, cancel):
+    nvars, triples = case
+    if cancel:
+        # every piece again, negated and with its factors swapped
+        triples = triples + [(-c, b, a) for c, a, b in triples]
+    expected = Poly.zero(nvars)
+    for c, a, b in triples:
+        expected = expected + (a * b).scale(c)
+    got = sum_products(nvars, triples)
+    assert_canonical(got)
+    assert got == expected
+    if cancel:
+        assert not got.num and got.den == 1
+
+
+def test_sum_products_variable_count():
+    # the caller's variable count, also for an empty sum
+    assert sum_products(3, []) is Poly.zero(3)
+    one = Poly.const(2, 1)
+    assert sum_products(2, [(Fraction(1, 2), one, one), (-1, one, one)]) == Poly.const(2, Fraction(-1, 2))
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        sum_products(3, [(1, one, one)])
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        sum_products(2, [(1, one, Poly.zero(3))])
+
+
+def test_zero_is_shared_per_variable_count():
+    assert Poly.zero(4) is Poly.zero(4)
+    assert Poly.zero(4) is not Poly.zero(3)
+    assert Poly.const(4, 0) is Poly.zero(4)
+    assert parse_poly("x1", 4).scale(0) is Poly.zero(4)
+    assert_canonical(Poly.zero(0))
