@@ -79,5 +79,5 @@ for record in intertwining_report(q, moved, iso, degree_cap=1):
 
 print()
 print("== coboundary identity for the canonical 3-forms ==")
-for record in coboundary_identity_check(q, iso):
+for record in coboundary_identity_check(q, moved, iso):
     print(" ", record.status.upper(), record.name)

@@ -21,10 +21,8 @@ from .ample import (
     AForm,
     ASection,
     QuadAlgebroid,
-    aform_from_fform,
     aform_to_str,
     ce_differential,
-    is_horizontal,
 )
 from .dorfman import Quintuple, Section, monomials, naive_differential, naive_matches_ce
 from .charform import (
@@ -81,7 +79,6 @@ __all__ = [
     "Section",
     "Witness",
     "abelian",
-    "aform_from_fform",
     "aform_to_str",
     "apply_iso",
     "build_from_pair",
@@ -99,7 +96,6 @@ __all__ = [
     "intertwining_report",
     "intrinsic_form",
     "is_ample_automorphism",
-    "is_horizontal",
     "leafwise_d",
     "monomials",
     "naive_differential",

@@ -27,9 +27,27 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
-from .geometry import FForm, GConnection, GValuedForm, Patch, sort_with_sign
+from .geometry import GConnection, GValuedForm, Patch, sort_with_sign
 from .poly import Poly
 from .report import Record
+
+
+def live(u: Sequence[Poly]) -> bool:
+    """True iff some component of ``u`` is nonzero."""
+    for a in u:
+        if a.num:
+            return True
+    return False
+
+
+def add_live(u: Sequence[Poly], v: Sequence[Poly]) -> List[Poly]:
+    """u + v componentwise; a zero entry of v leaves u's entry as it is."""
+    return [a + b if b.num else a for a, b in zip(u, v)]
+
+
+def sub_live(u: Sequence[Poly], v: Sequence[Poly]) -> List[Poly]:
+    """u - v componentwise; a zero entry of v leaves u's entry as it is."""
+    return [a - b if b.num else a for a, b in zip(u, v)]
 
 
 class ASection(Record):
@@ -42,7 +60,7 @@ class ASection(Record):
         self.x = x
 
     def is_zero(self) -> bool:
-        return not (any(self.r) or any(self.x))
+        return not (live(self.r) or live(self.x))
 
 
 class QuadAlgebroid:
@@ -68,6 +86,8 @@ class QuadAlgebroid:
         self._r = [
             [curv.get((a, b)) for b in range(1, p + 1)] for a in range(1, p + 1)
         ]
+        # the nonzero entries (k, R_ab^k) of each R_ab
+        self._r_terms = [[[(k, v) for k, v in enumerate(vec) if v] for vec in row] for row in self._r]
         self._zero = Poly.zero(patch.n)
 
     @staticmethod
@@ -115,9 +135,13 @@ class QuadAlgebroid:
     def anchor_apply(self, u, f: Poly) -> Poly:
         """rho(u) f = sum_a x^a d_a f."""
         acc = self._zero
+        if not f.num:
+            return acc
         for a, xa in enumerate(u.x, start=1):
-            if xa:
-                acc = acc + xa * f.diff(a)
+            if xa.num:
+                d = f.diff(a)
+                if d.num:
+                    acc = acc + xa * d
         return acc
 
     def nabla(self, a: int, r: Sequence[Poly]) -> List[Poly]:
@@ -128,32 +152,33 @@ class QuadAlgebroid:
         return self.conn.along(x, r)
 
     def vf_bracket(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
-        p = self.patch.p
+        """[x1, x2]^b = sum_a x1^a d_a x2^b - x2^a d_a x1^b."""
         out = []
-        for b in range(p):
+        for f1, f2 in zip(x1, x2):
             acc = self._zero
-            for a in range(1, p + 1):
-                if x1[a - 1]:
-                    acc = acc + x1[a - 1] * x2[b].diff(a)
-                if x2[a - 1]:
-                    acc = acc - x2[a - 1] * x1[b].diff(a)
+            for a, (g1, g2) in enumerate(zip(x1, x2), start=1):
+                if g1.num and f2.num:
+                    d = f2.diff(a)
+                    if d.num:
+                        acc = acc + g1 * d
+                if g2.num and f1.num:
+                    d = f1.diff(a)
+                    if d.num:
+                        acc = acc - g2 * d
             out.append(acc)
         return out
 
     def curv_contract(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
         """R(x1, x2) as an m-vector."""
-        p = self.patch.p
         out = [self._zero] * self.fiber.dim
-        for a in range(p):
-            if not x1[a]:
+        for f1, row in zip(x1, self._r_terms):
+            if not f1.num:
                 continue
-            for b in range(p):
-                if not x2[b]:
-                    continue
-                vec = self._r[a][b]
-                if any(vec):
-                    coeff = x1[a] * x2[b]
-                    out = [acc + coeff * v if v else acc for acc, v in zip(out, vec)]
+            for f2, terms in zip(x2, row):
+                if f2.num and terms:
+                    coeff = f1 * f2
+                    for k, v in terms:
+                        out[k] = out[k] + coeff * v
         return out
 
     # -- bracket -----------------------------------------------------------
@@ -161,7 +186,7 @@ class QuadAlgebroid:
     def bracket(self, u, v) -> ASection:
         """[r1 + x1, r2 + x2] = [r1,r2] + R(x1,x2) + nabla_{x1} r2 - nabla_{x2} r1
         on the fiber side and the vector field bracket on the leaf side."""
-        return self._bracket(u, v, any(u.x), any(v.x), any(u.r), any(v.r))
+        return self._bracket(u, v, live(u.x), live(v.x), live(u.r), live(v.r))
 
     def _bracket(self, u, v, x1_live, x2_live, r1_live, r2_live) -> ASection:
         """The bracket, given which of x1, x2, r1, r2 are nonzero.
@@ -180,11 +205,11 @@ class QuadAlgebroid:
         else:
             r_out = [zero] * self.fiber.dim
         if x1_live and x2_live:
-            r_out = [a + b for a, b in zip(r_out, self.curv_contract(u.x, v.x))]
+            r_out = add_live(r_out, self.curv_contract(u.x, v.x))
         if x1_live and r2_live:
-            r_out = [a + b for a, b in zip(r_out, self.nabla_along(u.x, v.r))]
+            r_out = add_live(r_out, self.nabla_along(u.x, v.r))
         if x2_live and r1_live:
-            r_out = [a - b for a, b in zip(r_out, self.nabla_along(v.x, u.r))]
+            r_out = sub_live(r_out, self.nabla_along(v.x, u.r))
         return ASection(r_out, x_out)
 
 
@@ -365,17 +390,6 @@ def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
         if total:
             comps[key] = total
     return AForm(alg.patch, m, degree + 1, comps)
-
-
-def is_horizontal(w: AForm) -> bool:
-    """True iff the pure-fiber bigraded component vanishes."""
-    return not any(len(key[0]) == w.degree for key in w.comps)
-
-
-def aform_from_fform(patch: Patch, dim: int, w: FForm) -> AForm:
-    """Pull a leafwise form back through the anchor."""
-    comps = {((), key): value for key, value in w.comps.items()}
-    return AForm(patch, dim, w.degree, comps)
 
 
 def aform_to_str(w: AForm) -> str:

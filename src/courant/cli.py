@@ -493,7 +493,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         moved = transport(q, iso)
         report.extend(moved.validate().renamed("target_%s"))
         report.extend(intertwining_report(q, moved, iso, degree_cap=degree))
-        report.extend(coboundary_identity_check(q, iso))
+        report.extend(coboundary_identity_check(q, moved, iso))
     elif cmd == "shift":
         if kind == "hoist":
             hoist = _require(cfg.hoist, "hoist")

@@ -13,18 +13,18 @@ The pairing, bracket and adjoint matrix are contractions with these
 constant tensors.  ``QuadLieAlgebra`` lists the nonzero entries once
 (``g_terms``: (g_ij, i, j); ``c_terms[k]``: (c_ij^k, i, j); ints where
 the entry is an integer), and each output entry is one
-``poly.sum_products`` call over such a list.
+``poly.sum_products`` call over such a list.  ``validate`` builds the
+residual tensor of each identity from the nonzero entries too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .linalg import nullspace, rational_det
 from .poly import Poly, sum_products
-from .report import Check, Report, Witness
+from .report import Check, CheckRecord, Report, Witness
 
 
 def _exact(v: Fraction):
@@ -42,25 +42,24 @@ class QuadLieAlgebra:
             for i in range(dim)
         ]
         self.g = [[Fraction(g[i][j]) for j in range(dim)] for i in range(dim)]
-        # B[i][j][k] = <[e_i, e_j], e_k>; ad-invariance makes it totally antisymmetric
-        self.b = [
-            [
-                [
-                    sum((self.c[i][j][l] * self.g[l][k] for l in range(dim)), Fraction(0))
-                    for k in range(dim)
-                ]
-                for j in range(dim)
-            ]
-            for i in range(dim)
+        # the nonzero structure constants (i, j, k, c_ij^k), lexicographic
+        self._c_nonzero = [
+            (i, j, k, v) for i, row in enumerate(self.c) for j, col in enumerate(row)
+            for k, v in enumerate(col) if v
         ]
+        # B[i][j][k] = <[e_i, e_j], e_k> = sum_l c_ij^l g_lk; ad-invariance
+        # makes it totally antisymmetric
+        self.b = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for i, j, l, v in self._c_nonzero:
+            for k, w in enumerate(self.g[l]):
+                if w:
+                    self.b[i][j][k] += v * w
         self.g_terms = [
             (_exact(v), i, j) for i, row in enumerate(self.g) for j, v in enumerate(row) if v
         ]
-        pairs = list(product(range(dim), repeat=2))
-        self.c_terms = [
-            [(_exact(self.c[i][j][k]), i, j) for i, j in pairs if self.c[i][j][k]]
-            for k in range(dim)
-        ]
+        self.c_terms = [[] for _ in range(dim)]
+        for i, j, k, v in self._c_nonzero:
+            self.c_terms[k].append((_exact(v), i, j))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadLieAlgebra):
@@ -70,50 +69,52 @@ class QuadLieAlgebra:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> Report:
+        """The fiber identities, each with the first witness of the dense
+        loop over all index tuples in lexicographic order.  A residual is
+        a sum of (products of) tensor entries, so adding each nonzero one
+        into the residuals it appears in builds all nonzero residuals."""
         report = Report()
-        m = self.dim
-        c, g, b = self.c, self.g, self.b
+        g, b = self.g, self.b
+        nonzero = self._c_nonzero
 
-        skew = Check("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]")
-        for i, j, k in product(range(m), repeat=3):
-            skew.add((i + 1, j + 1, k + 1), c[i][j][k] + c[j][i][k])
-        report.add(skew.record())
+        skew: Dict[tuple, Fraction] = {}
+        for i, j, k, v in nonzero:
+            for key in ((i, j, k), (j, i, k)):
+                skew[key] = skew.get(key, 0) + v
+        report.add(_first_witness("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]", skew))
 
-        jacobi = Check("fiber_jacobi", "jacobiator")
-        for i, j, k, s in product(range(m), repeat=4):
-            jacobi.add(
-                (i + 1, j + 1, k + 1, s + 1),
-                sum(
-                    (
-                        c[i][j][l] * c[l][k][s]
-                        + c[j][k][l] * c[l][i][s]
-                        + c[k][i][l] * c[l][j][s]
-                        for l in range(m)
-                    ),
-                    Fraction(0),
-                ),
-            )
-        report.add(jacobi.record())
+        # the jacobiator is the cyclic sum over (i, j, k) of
+        # T[i, j, k, s] = sum_l c_ij^l c_lk^s
+        starting: List[list] = [[] for _ in range(self.dim)]
+        for l, k, s, w in nonzero:
+            starting[l].append((k, s, w))
+        jacobi: Dict[tuple, Fraction] = {}
+        for i, j, l, v in nonzero:
+            for k, s, w in starting[l]:
+                for key in ((i, j, k, s), (k, i, j, s), (j, k, i, s)):
+                    jacobi[key] = jacobi.get(key, 0) + v * w
+        report.add(_first_witness("fiber_jacobi", "jacobiator", jacobi))
 
-        sym = Check("fiber_metric_symmetric", "g[i][j] - g[j][i]")
-        for i, j in product(range(m), repeat=2):
-            sym.add((i + 1, j + 1), g[i][j] - g[j][i])
-        report.add(sym.record())
+        sym: Dict[tuple, Fraction] = {}
+        for v, i, j in self.g_terms:
+            sym[i, j] = sym.get((i, j), 0) + v
+            sym[j, i] = sym.get((j, i), 0) - v
+        report.add(_first_witness("fiber_metric_symmetric", "g[i][j] - g[j][i]", sym))
 
-        det = rational_det(self.g)
-        if det:
+        if rational_det(g):
             report.add_pass("fiber_metric_nondegenerate")
         else:
-            report.add_fail(
-                "fiber_metric_nondegenerate", Witness("det(g)", (), "0")
-            )
+            report.add_fail("fiber_metric_nondegenerate", Witness("det(g)", (), "0"))
 
         # total antisymmetry of B (skew in (i,j) is implied by the bracket
         # skew check; the new content is antisymmetry in the last two slots)
-        adinv = Check("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]")
-        for i, j, k in product(range(m), repeat=3):
-            adinv.add((i + 1, j + 1, k + 1), b[i][j][k] + b[i][k][j])
-        report.add(adinv.record())
+        adinv: Dict[tuple, Fraction] = {}
+        for i, j in {(i, j) for i, j, _, _ in nonzero}:
+            for k, v in enumerate(b[i][j]):
+                if v:
+                    for key in ((i, j, k), (i, k, j)):
+                        adinv[key] = adinv.get(key, 0) + v
+        report.add(_first_witness("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]", adinv))
         return report
 
     # -- operations --------------------------------------------------------
@@ -179,6 +180,17 @@ class QuadLieAlgebra:
         if not rows:
             return []
         return nullspace(rows, m)
+
+
+def _first_witness(name: str, identity: str, residuals: Dict[tuple, Fraction]) -> CheckRecord:
+    """The record of ``identity`` fed the residuals at their 0-based index
+    tuples in lexicographic order, up to its first witness."""
+    check = Check(name, identity)
+    for key in sorted(residuals):
+        check.add(tuple(t + 1 for t in key), residuals[key])
+        if check.failed:
+            break
+    return check.record()
 
 
 def su2() -> QuadLieAlgebra:

@@ -290,9 +290,9 @@ class GConnection:
         """nabla_x r = sum_a x^a nabla_a r for a leafwise vector field x."""
         out = [self.patch.zero()] * self.dim
         for a, xa in enumerate(x, start=1):
-            if xa:
+            if xa.num:
                 da = self.apply(a, r)
-                out = [acc + xa * v if v else acc for acc, v in zip(out, da)]
+                out = [acc + xa * v if v.num else acc for acc, v in zip(out, da)]
         return out
 
     def __eq__(self, other) -> bool:

@@ -524,11 +524,11 @@ def intrinsic_form(
     return pulled - c
 
 
-def coboundary_identity_check(q1: Quintuple, iso: IsoData) -> Report:
-    """Pulled-back canonical forms differ by d(Psi_beta/2 + Phi_{tau^-1 phi})."""
+def coboundary_identity_check(q1: Quintuple, q2: Quintuple, iso: IsoData) -> Report:
+    """Pulled-back canonical forms differ by d(Psi_beta/2 + Phi_{tau^-1 phi}),
+    for the quintuple q2 = transport(q1, iso)."""
     patch, fiber = q1.patch, q1.fiber
     m = fiber.dim
-    q2 = transport(q1, iso)
     c1 = standard_three_form(q1)
     c2 = standard_three_form(q2)
     lhs = pullback_aform(patch, fiber, c2, iso.tau, iso.phi) - c1

@@ -8,6 +8,7 @@ from itertools import combinations
 from typing import Tuple
 
 from courant import (
+    AForm,
     FForm,
     GConnection,
     GValuedForm,
@@ -43,6 +44,17 @@ def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
 def poly_mat_from_rational(nvars: int, matrix) -> list:
     """A matrix of rationals as a matrix of constant polynomials."""
     return [[Poly.const(nvars, v) for v in row] for row in matrix]
+
+
+def is_horizontal(w: AForm) -> bool:
+    """True iff the pure-fiber bigraded component vanishes."""
+    return not any(len(key[0]) == w.degree for key in w.comps)
+
+
+def aform_from_fform(patch: Patch, dim: int, w: FForm) -> AForm:
+    """Pull a leafwise form back through the anchor."""
+    comps = {((), key): value for key, value in w.comps.items()}
+    return AForm(patch, dim, w.degree, comps)
 
 
 def fixture_a() -> Quintuple:

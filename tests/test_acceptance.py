@@ -26,7 +26,6 @@ from courant import (
     hoist_shift_iso,
     intertwining_report,
     intrinsic_form,
-    is_horizontal,
     leafwise_d,
     omega_shift_iso,
     phi_form,
@@ -44,6 +43,7 @@ from fixtures import (
     fixture_d,
     fixture_d_extended,
     fixture_exact,
+    is_horizontal,
     mutate_fixture_d,
     seeded_ample_automorphism,
     seeded_endomorphism_field,
@@ -190,7 +190,7 @@ def test_criterion_08_coboundary_identity():
     q = fixture_d()
     for seed in range(20):
         iso = seeded_iso_fixture_d(seed, q)
-        report = coboundary_identity_check(q, iso)
+        report = coboundary_identity_check(q, transport(q, iso), iso)
         assert report.ok, seed
     _finish(8, "pulled-back canonical forms differ by the explicit primitive", t0, 120)
 

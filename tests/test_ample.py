@@ -9,9 +9,7 @@ from courant import (
     FForm,
     QuadAlgebroid,
     Quintuple,
-    aform_from_fform,
     ce_differential,
-    is_horizontal,
     naive_differential,
     naive_matches_ce,
     phi_form,
@@ -20,8 +18,10 @@ from courant import (
 )
 from courant.ample import aform_keys
 from fixtures import (
+    aform_from_fform,
     fixture_c,
     fixture_d,
+    is_horizontal,
     rand_poly,
     seeded_endomorphism_field,
     seeded_gvalued_one_form,

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courant import Poly, Quintuple, Section, monomials
 from fixtures import (
@@ -12,7 +13,9 @@ from fixtures import (
     fixture_d,
     mutate_fixture_d,
     rand_poly,
+    su2_patch,
 )
+from test_poly import polys
 from courant.dorfman import MAX_DEGREE_CAP
 from courant.geometry import FForm
 
@@ -334,3 +337,58 @@ def test_check_axioms_rejects_degree_above_ceiling():
     for method in ("reduced", "direct"):
         with pytest.raises(ValueError, match="must be <= %d" % MAX_DEGREE_CAP):
             q.check_axioms(MAX_DEGREE_CAP + 1, method=method)
+
+
+# -- zero components -----------------------------------------------------------
+
+
+@st.composite
+def sections(draw, nvars=2):
+    """Sections of shape (2, 3, 2), each component zero half the time."""
+
+    def component():
+        return Poly.zero(nvars) if draw(st.booleans()) else draw(polys(nvars))
+
+    return Section(*([component() for _ in range(k)] for k in (2, 3, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sections(), sections(), polys(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_section_algebra_is_componentwise(s, t, f, c):
+    pairs = list(zip(s.components(), t.components()))
+    assert (s + t).components() == [a + b for a, b in pairs]
+    assert (s - t).components() == [a - b for a, b in pairs]
+    assert s.mul(f).components() == [f * a for a in s.components()]
+    assert s.scale(c).components() == [a.scale(c) for a in s.components()]
+    assert s.is_zero() == (not any(s.components()))
+
+
+def test_section_mul_checks_the_ring():
+    # f * 0 is skipped, but not its variable-count check
+    q = fixture_d()
+    for s in (q.zero_section(), q.coord(1)):
+        for f in (Poly.zero(q.patch.n + 1), Poly.variable(q.patch.n + 1, 1)):
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                s.mul(f)
+
+
+# Poly.__mul__ calls of check_axioms(2), all from the bracket's nonzero
+# components; multiplying every component, zeros included, made 21,993
+# on fixture C and 19,009 on su2_patch(4, 3)
+AXIOM_PRODUCTS = {"C": (fixture_c, 1688), "su2(4,3)": (lambda: su2_patch(4, 3), 1930)}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_PRODUCTS))
+def test_axiom_check_product_count(monkeypatch, name):
+    build, expected = AXIOM_PRODUCTS[name]
+    q = build()
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert q.check_axioms(2).ok
+    assert len(calls) == expected

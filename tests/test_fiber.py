@@ -3,12 +3,15 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courant import Patch, Poly, QuadLieAlgebra, abelian, parse_poly, su2
 from courant import poly
 from courant.ample import AForm, QuadAlgebroid, ce_differential
 from courant.geometry import FForm, GConnection, GValuedForm
 from courant.dorfman import Quintuple
+from courant.linalg import rational_det
+from courant.report import Check, Report, Witness
 from fixtures import direct_sum, rand_poly
 
 
@@ -283,3 +286,105 @@ def test_pairing_builds_one_poly(monkeypatch):
     value = fib.pairing(r, s)
     assert len(calls) == 1
     assert value == parse_poly("x1^2 + 1/2*x1 + 10/3*x2 - 3", 2)
+
+
+# -- sparse validation against the dense loops ----------------------------------
+
+
+def dense_validate(fib) -> Report:
+    """The fiber identities by the literal loops over every index tuple,
+    with B built densely from c and g: the oracle of the sparse
+    ``QuadLieAlgebra.validate``."""
+    report = Report()
+    m = fib.dim
+    c, g = fib.c, fib.g
+    b = [
+        [[sum((c[i][j][l] * g[l][k] for l in range(m)), Fraction(0)) for k in range(m)] for j in range(m)]
+        for i in range(m)
+    ]
+
+    skew = Check("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]")
+    for i, j, k in product(range(m), repeat=3):
+        skew.add((i + 1, j + 1, k + 1), c[i][j][k] + c[j][i][k])
+    report.add(skew.record())
+
+    jacobi = Check("fiber_jacobi", "jacobiator")
+    for i, j, k, s in product(range(m), repeat=4):
+        jacobi.add(
+            (i + 1, j + 1, k + 1, s + 1),
+            sum(
+                (
+                    c[i][j][l] * c[l][k][s] + c[j][k][l] * c[l][i][s] + c[k][i][l] * c[l][j][s]
+                    for l in range(m)
+                ),
+                Fraction(0),
+            ),
+        )
+    report.add(jacobi.record())
+
+    sym = Check("fiber_metric_symmetric", "g[i][j] - g[j][i]")
+    for i, j in product(range(m), repeat=2):
+        sym.add((i + 1, j + 1), g[i][j] - g[j][i])
+    report.add(sym.record())
+
+    if rational_det(g):
+        report.add_pass("fiber_metric_nondegenerate")
+    else:
+        report.add_fail("fiber_metric_nondegenerate", Witness("det(g)", (), "0"))
+
+    adinv = Check("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]")
+    for i, j, k in product(range(m), repeat=3):
+        adinv.add((i + 1, j + 1, k + 1), b[i][j][k] + b[i][k][j])
+    report.add(adinv.record())
+    return report
+
+
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def relabelled_valid_fibers(draw):
+    """A valid fiber in the basis e'_i = s_i e_pi(i): a permutation and
+    nonzero rational scalings keep it a quadratic Lie algebra."""
+    fib = draw(st.sampled_from(VALID_FIBERS))
+    m = fib.dim
+    pi = draw(st.permutations(range(m)))
+    s = [draw(small_fractions.filter(bool)) for _ in range(m)]
+    c = [
+        [[s[i] * s[j] * fib.c[pi[i]][pi[j]][pi[k]] / s[k] for k in range(m)] for j in range(m)]
+        for i in range(m)
+    ]
+    g = [[s[i] * s[j] * fib.g[pi[i]][pi[j]] for j in range(m)] for i in range(m)]
+    return c, g
+
+
+@st.composite
+def broken_fibers(draw):
+    """A valid fiber with a few entries of c or g changed."""
+    c, g = draw(relabelled_valid_fibers())
+    m = len(g)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        if draw(st.booleans()):
+            c[i][j][k] += draw(small_fractions)
+        else:
+            g[i][j] += draw(small_fractions)
+    return c, g
+
+
+@st.composite
+def random_fibers(draw):
+    """Sparse random structure constants and metric of dimension <= 4."""
+    m = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-2, 2).map(Fraction), small_fractions)
+    c = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    g = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    return c, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(relabelled_valid_fibers(), broken_fibers(), random_fibers()))
+def test_sparse_validate_matches_dense_loops(data):
+    c, g = data
+    fib = QuadLieAlgebra(len(g), c, g)
+    assert fib.validate().records == dense_validate(fib).records

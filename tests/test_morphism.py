@@ -21,7 +21,6 @@ from courant import (
     intertwining_report,
     intrinsic_form,
     is_ample_automorphism,
-    is_horizontal,
     leafwise_d,
     omega_shift_iso,
     phi_form,
@@ -43,6 +42,7 @@ from fixtures import (
     fixture_d,
     fixture_d_extended,
     fixture_exact,
+    is_horizontal,
     poly_mat_from_rational,
     rand_poly,
     seeded_ample_automorphism,
@@ -210,21 +210,22 @@ def test_exact_case_beta_shift_adds_exact_form():
 
 def test_coboundary_identity_identity_iso():
     q = fixture_d()
-    assert coboundary_identity_check(q, identity_iso(q.patch, 3)).ok
+    iso = identity_iso(q.patch, 3)
+    assert coboundary_identity_check(q, transport(q, iso), iso).ok
 
 
 def test_coboundary_identity_seeded():
     q = fixture_d()
     for seed in range(6):
         iso = seeded_iso_fixture_d(seed, q)
-        assert coboundary_identity_check(q, iso).ok, seed
+        assert coboundary_identity_check(q, transport(q, iso), iso).ok, seed
 
 
 def test_coboundary_identity_exact_case():
     q = fixture_exact()
     omega = FForm(q.patch, 2, {(2, 3): q.patch.var(1) * q.patch.var(2)})
     iso, _ = omega_shift_iso(q, omega)
-    assert coboundary_identity_check(q, iso).ok
+    assert coboundary_identity_check(q, transport(q, iso), iso).ok
 
 
 def test_composition_matches_iterated_transport():
@@ -407,7 +408,7 @@ def test_transport_on_fiber_with_center():
     moved = transport(q, iso)
     assert moved.validate().ok
     assert intertwining_report(q, moved, iso, degree_cap=1).ok
-    assert coboundary_identity_check(q, iso).ok
+    assert coboundary_identity_check(q, moved, iso).ok
 
 
 def test_intertwining_rejects_negative_degree():
