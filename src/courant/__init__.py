@@ -41,17 +41,13 @@ from .morphism import (
     apply_iso,
     central_shift_iso,
     coboundary_identity_check,
-    compose_iso,
     hoist_shift_iso,
-    identity_iso,
     intertwining_report,
     intrinsic_form,
     is_ample_automorphism,
     omega_shift_iso,
     phi_form,
-    phi_form_differential,
     psi_form,
-    psi_form_differential,
     pullback_aform,
     transport,
     validate_iso,
@@ -87,12 +83,10 @@ __all__ = [
     "characteristic_pair_of",
     "check_coherent",
     "coboundary_identity_check",
-    "compose_iso",
     "e_connection_form",
     "find_hoist",
     "hoist_data",
     "hoist_shift_iso",
-    "identity_iso",
     "intertwining_report",
     "intrinsic_form",
     "is_ample_automorphism",
@@ -103,10 +97,8 @@ __all__ = [
     "omega_shift_iso",
     "parse_poly",
     "phi_form",
-    "phi_form_differential",
     "pontryagin_form",
     "psi_form",
-    "psi_form_differential",
     "pullback_aform",
     "standard_three_form",
     "su2",

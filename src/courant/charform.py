@@ -107,23 +107,33 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
 
     Computed on all frame triples of the split bundle and reassembled
     as a form on the ample algebroid; equals ``standard_three_form`` for
-    every torsion-free leaf connection.
+    every torsion-free leaf connection.  The value on a frame triple is
+    a cyclic sum over its ordered pairs (u, v) of <[u, v], w>/3 -
+    <nabla_u v - nabla_v u, w>/2, so the skew bracket (from a
+    ``FrameBrackets`` table) and the antisymmetrised E-connection are
+    computed once per ordered frame pair, not once per triple.  Triples
+    that hold a dual-frame covector are checked first, in wedge order,
+    and the first nonzero one raises ValueError.
     """
     if fc.patch != q.patch:
         raise ValueError("leaf connection lives on a different patch")
     if not fc.is_torsion_free():
         raise ValueError("leaf connection must be torsion-free")
-    frames = q.frame_sections()
+    table = q.frame_brackets()
+    frames = table.frames
     p, m = q.patch.p, q.fiber.dim
+    asyms: Dict[Tuple[int, int], Section] = {}
 
-    def value_on(triple: Tuple[Section, Section, Section]) -> Poly:
+    def value_on(wedge: Tuple[int, int, int]) -> Poly:
         total = q.zero_poly()
-        order = (0, 1, 2), (1, 2, 0), (2, 0, 1)
-        for i, j, k in order:
-            e1, e2, e3 = triple[i], triple[j], triple[k]
-            cb = q.courant(e1, e2)
-            total = total + q.pairing(cb, e3).scale(THIRD)
-            asym = _e_connection(q, fc, e1, e2) - _e_connection(q, fc, e2, e1)
+        for i, j, k in (0, 1, 2), (1, 2, 0), (2, 0, 1):
+            s, t = wedge[i], wedge[j]
+            e3 = frames[wedge[k]]
+            total = total + q.pairing(table.courant(s, t), e3).scale(THIRD)
+            asym = asyms.get((s, t))
+            if asym is None:
+                e1, e2 = frames[s], frames[t]
+                asym = asyms[(s, t)] = _e_connection(q, fc, e1, e2) - _e_connection(q, fc, e2, e1)
             total = total - q.pairing(asym, e3).scale(HALF)
         return total
 
@@ -132,7 +142,7 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
     for wedge in combinations(range(len(frames)), 3):
         if all(t >= p for t in wedge):
             continue
-        value = value_on(tuple(frames[t] for t in wedge))
+        value = value_on(wedge)
         if value:
             raise ValueError(
                 "connection 3-form does not descend: nonzero on frame wedge %r" % (wedge,)
@@ -141,10 +151,7 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
     comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
     for key in aform_keys(q.patch, m, 3):
         gidx, fidx = key
-        triple = tuple(
-            [frames[p + i - 1] for i in gidx] + [frames[p + m + a - 1] for a in fidx]
-        )
-        value = value_on(triple)
+        value = value_on(tuple([p + i - 1 for i in gidx] + [p + m + a - 1 for a in fidx]))
         if value:
             comps[key] = value
     return AForm(q.patch, m, 3, comps)

@@ -431,11 +431,13 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
             if not cfg.nabla_f.is_torsion_free():
                 raise ConfigError("nabla_f must be torsion-free", None, "nabla_f.gamma")
             plans.append(("nabla_f", cfg.nabla_f))
+        forms = {}
         for label, fc in plans:
+            forms[label] = e_connection_form(q, fc)
             match = Check("chernweil_matches_standard_%s" % label, "C_nablaE - C_s")
-            match.add_form(e_connection_form(q, fc) - target)
+            match.add_form(forms[label] - target)
             report.add(match.record())
-        _emit_aform(report, "C_nablaE", e_connection_form(q, FConnection.flat(cfg.patch)))
+        _emit_aform(report, "C_nablaE", forms["gamma_zero"])
     elif cmd == "pontryagin":
         rr, check = q.pontryagin_identity()
         report.add(check.record())

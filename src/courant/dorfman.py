@@ -37,6 +37,10 @@ a zero operand, factor or derivative.  That is exact: a + 0, a - 0 and
 0 * f already return a canonical Poly equal to the one kept, so every
 report is the same and only the work changes.
 
+``FrameBrackets`` brackets each ordered pair of frame sections at most
+once per call of the axiom check, the naive differential and the
+Chern-Weil form, which all read frame brackets many times over.
+
 The naive differential, the degenerate-pairing differential tabulated
 on wedges of the Courant frame, lives here too: on every wedge it
 agrees with the ample ``ce_differential`` under the projection E -> A,
@@ -230,7 +234,8 @@ class Quintuple(QuadAlgebroid):
         """F*-components of P(r1, r2): <P(r1,r2)|y> = 2<r2, nabla_y r1>."""
         out = []
         for b in range(1, self.patch.p + 1):
-            out.append(self.fiber.pairing(r2, self.nabla(b, r1)).scale(2))
+            nabla = self.nabla(b, r1)
+            out.append(self.fiber.pairing(r2, nabla).scale(2) if live(nabla) else self._zero)
         return out
 
     def q_form(self, x: Sequence[Poly], r: Sequence[Poly]) -> List[Poly]:
@@ -316,6 +321,10 @@ class Quintuple(QuadAlgebroid):
     def courant(self, e1: Section, e2: Section) -> Section:
         """Skew bracket: Dorfman minus d of the pairing."""
         return self.dorfman(e1, e2) - self.d_operator(self.pairing(e1, e2))
+
+    def frame_brackets(self) -> "FrameBrackets":
+        """A table of the brackets of the frame sections, for one call."""
+        return FrameBrackets(self)
 
     # -- data validation -------------------------------------------------------
 
@@ -540,12 +549,14 @@ class Quintuple(QuadAlgebroid):
         cross-checks this certificate against the literal enumeration
         ``method="direct"``, on valid and on mutated data.
         """
-        frames = self.frame_sections()
+        br = self.frame_brackets()
+        frames = br.frames
         nu = len(frames)
         linear = list(enumerate(monomials(self.patch.n, 1)))[1:]
         pairs = list(product(enumerate(frames), repeat=2))
-        br = {(i, j): self.dorfman(u, v) for (i, u), (j, v) in pairs}
         pair = {(i, j): self.pairing(u, v) for (i, u), (j, v) in pairs}
+        # f u for every frame u and coefficient x_a, read by both Leibniz stages
+        times = {(i, fi): u.mul(f) for i, u in enumerate(frames) for fi, f in linear}
 
         ax = {k: Check("axiom_%d" % k, text) for k, text in AXIOM_IDENTITIES.items()}
         ax[3] = Check("axiom_3", "[[e1, f u]] - f[[e1,u]] - (rho(e1)f) u")
@@ -563,14 +574,14 @@ class Quintuple(QuadAlgebroid):
             rf = self.anchor_apply(u, f)
             if rf:
                 rhs = rhs + v.mul(rf)
-            ax[3].add_section((i + 1, j + 1, fi + 1), self.dorfman(u, v.mul(f)) - rhs)
+            ax[3].add_section((i + 1, j + 1, fi + 1), self.dorfman(u, times[(j, fi)]) - rhs)
             if ax[3].failed:
                 break
         for ((i, u), (j, v)), (fi, f) in product(pairs, linear):
             rhs = br[(i, j)].mul(f) - u.mul(self.anchor_apply(v, f))
             if pair[(i, j)]:
                 rhs = rhs + self.d_operator(f).mul(pair[(i, j)].scale(2))
-            left.add_section((i + 1, j + 1, fi + 1), self.dorfman(u.mul(f), v) - rhs)
+            left.add_section((i + 1, j + 1, fi + 1), self.dorfman(times[(i, fi)], v) - rhs)
             if left.failed:
                 break
 
@@ -624,6 +635,38 @@ class Quintuple(QuadAlgebroid):
         return Report(records + [left.record()])
 
 
+class FrameBrackets(dict):
+    """The Dorfman brackets [[u_i, u_j]] of the frame sections u =
+    ``frame_sections()``, keyed by (i, j) and bracketed on first lookup.
+
+    Exact: the frames are fixed and the bracket is deterministic, so a
+    lookup returns what ``q.dorfman(u_i, u_j)`` would.  A table serves
+    one call of its caller and is never kept, so a patched bracket
+    method is seen by the next table.
+    """
+
+    def __init__(self, q: Quintuple):
+        super().__init__()
+        self.q = q
+        self.frames = q.frame_sections()
+        self._courant: Dict[Tuple[int, int], Section] = {}
+
+    def __missing__(self, key: Tuple[int, int]) -> Section:
+        i, j = key
+        value = self[key] = self.q.dorfman(self.frames[i], self.frames[j])
+        return value
+
+    def courant(self, i: int, j: int) -> Section:
+        """The skew bracket of u_i and u_j by ``Quintuple.courant``'s
+        formula, [[u_i, u_j]] - D<u_i, u_j>, once per (i, j)."""
+        key = (i, j)
+        value = self._courant.get(key)
+        if value is None:
+            q, u, v = self.q, self.frames[i], self.frames[j]
+            value = self._courant[key] = self[key] - q.d_operator(q.pairing(u, v))
+        return value
+
+
 def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Poly]]:
     """Tabulate the degenerate-pairing differential of a naive cochain.
 
@@ -632,11 +675,15 @@ def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Po
     images in the ample algebroid, which are their r and x parts.  The
     table lists, for every strictly increasing (k+1)-wedge of the
     Courant frame, the alternating-sum value built from anchored
-    derivatives and the skew bracket.
+    derivatives and the skew bracket.  Every frame pair in a wedge is
+    increasing, and its skew bracket comes from one ``FrameBrackets``
+    table, so each increasing pair is bracketed once, not once per
+    wedge that holds it.
     """
-    frames = q.frame_sections()
+    table = q.frame_brackets()
+    frames = table.frames
     k = s.degree
-    table: List[Tuple[Tuple[int, ...], Poly]] = []
+    out: List[Tuple[Tuple[int, ...], Poly]] = []
     for wedge in combinations(range(len(frames)), k + 1):
         secs = [frames[t] for t in wedge]
         total = q.zero_poly()
@@ -648,13 +695,13 @@ def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Po
                     total = total + term if pos % 2 == 0 else total - term
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
-                cb = q.courant(secs[i], secs[j])
+                cb = table.courant(wedge[i], wedge[j])
                 rest = [secs[t] for t in range(k + 1) if t != i and t != j]
                 value = s.eval_sections([cb] + rest)
                 if value:
                     total = total + value if (i + j) % 2 == 0 else total - value
-        table.append((wedge, total))
-    return table
+        out.append((wedge, total))
+    return out
 
 
 def naive_matches_ce(q: Quintuple, s: AForm) -> Report:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .linalg import nullspace, rational_det
 from .poly import Poly, sum_products
-from .report import Check, CheckRecord, Report, Witness
+from .report import Report, Witness, first_witness
 
 
 def _exact(v: Fraction):
@@ -81,7 +81,7 @@ class QuadLieAlgebra:
         for i, j, k, v in nonzero:
             for key in ((i, j, k), (j, i, k)):
                 skew[key] = skew.get(key, 0) + v
-        report.add(_first_witness("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]", skew))
+        report.add(first_witness("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]", skew))
 
         # the jacobiator is the cyclic sum over (i, j, k) of
         # T[i, j, k, s] = sum_l c_ij^l c_lk^s
@@ -93,13 +93,13 @@ class QuadLieAlgebra:
             for k, s, w in starting[l]:
                 for key in ((i, j, k, s), (k, i, j, s), (j, k, i, s)):
                     jacobi[key] = jacobi.get(key, 0) + v * w
-        report.add(_first_witness("fiber_jacobi", "jacobiator", jacobi))
+        report.add(first_witness("fiber_jacobi", "jacobiator", jacobi))
 
         sym: Dict[tuple, Fraction] = {}
         for v, i, j in self.g_terms:
             sym[i, j] = sym.get((i, j), 0) + v
             sym[j, i] = sym.get((j, i), 0) - v
-        report.add(_first_witness("fiber_metric_symmetric", "g[i][j] - g[j][i]", sym))
+        report.add(first_witness("fiber_metric_symmetric", "g[i][j] - g[j][i]", sym))
 
         if rational_det(g):
             report.add_pass("fiber_metric_nondegenerate")
@@ -114,7 +114,7 @@ class QuadLieAlgebra:
                 if v:
                     for key in ((i, j, k), (i, k, j)):
                         adinv[key] = adinv.get(key, 0) + v
-        report.add(_first_witness("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]", adinv))
+        report.add(first_witness("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]", adinv))
         return report
 
     # -- operations --------------------------------------------------------
@@ -180,17 +180,6 @@ class QuadLieAlgebra:
         if not rows:
             return []
         return nullspace(rows, m)
-
-
-def _first_witness(name: str, identity: str, residuals: Dict[tuple, Fraction]) -> CheckRecord:
-    """The record of ``identity`` fed the residuals at their 0-based index
-    tuples in lexicographic order, up to its first witness."""
-    check = Check(name, identity)
-    for key in sorted(residuals):
-        check.add(tuple(t + 1 for t in key), residuals[key])
-        if check.failed:
-            break
-    return check.record()
 
 
 def su2() -> QuadLieAlgebra:

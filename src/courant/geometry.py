@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .poly import Poly
-from .report import Check, FrozenRecord, Report
+from .report import FrozenRecord, Report, first_witness
 
 
 class Patch(FrozenRecord):
@@ -306,44 +306,60 @@ class GConnection:
 
 
 def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
-    """Metric skewness and bracket derivation property, exactly."""
-    report = Report()
-    patch, m = conn.patch, conn.dim
-    g = fiber.g
+    """Metric skewness and bracket derivation property, exactly.
 
-    skew = Check("conn_metric_skew", "g*Gamma_a + Gamma_a^T*g")
-    for a in range(patch.p):
-        mat = conn.gamma[a]
-        for i in range(m):
-            for j in range(m):
-                # (g Gamma + Gamma^T g)[i][j]
-                acc = Poly.zero(patch.n)
-                for l in range(m):
-                    if g[i][l] and mat[l][j]:
-                        acc = acc + mat[l][j].scale(g[i][l])
-                    if mat[l][i] and g[l][j]:
-                        acc = acc + mat[l][i].scale(g[l][j])
-                skew.add((a + 1, i + 1, j + 1), acc)
-    report.add(skew.record())
+    Each residual is a sum of terms, each one nonzero Gamma entry times a
+    metric entry or a structure constant, so adding each such term into
+    the residual it appears in builds every nonzero residual; each record
+    carries the first witness of the dense loop over all index tuples in
+    lexicographic order (``first_witness``).
+    """
+    m = conn.dim
+    g_rows: List[list] = [[] for _ in range(m)]  # g_rows[i]: (j, g_ij)
+    g_cols: List[list] = [[] for _ in range(m)]  # g_cols[j]: (i, g_ij)
+    for v, i, j in fiber.g_terms:
+        g_rows[i].append((j, v))
+        g_cols[j].append((i, v))
+    c_first: List[list] = [[] for _ in range(m)]  # c_first[i]: (j, k, c_ij^k)
+    c_second: List[list] = [[] for _ in range(m)]  # c_second[j]: (i, k, c_ij^k)
+    for k, terms in enumerate(fiber.c_terms):
+        for v, i, j in terms:
+            c_first[i].append((j, k, v))
+            c_second[j].append((i, k, v))
 
-    deriv = Check("conn_bracket_derivation", "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]")
-    for a in range(patch.p):
-        mat = conn.gamma[a]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    # Gamma_a [e_i, e_j] - [Gamma_a e_i, e_j] - [e_i, Gamma_a e_j]
-                    acc = Poly.zero(patch.n)
-                    for l in range(m):
-                        if fiber.c[i][j][l] and mat[k][l]:
-                            acc = acc + mat[k][l].scale(fiber.c[i][j][l])
-                        if mat[l][i] and fiber.c[l][j][k]:
-                            acc = acc - mat[l][i].scale(fiber.c[l][j][k])
-                        if mat[l][j] and fiber.c[i][l][k]:
-                            acc = acc - mat[l][j].scale(fiber.c[i][l][k])
-                    deriv.add((a + 1, i + 1, j + 1, k + 1), acc)
-    report.add(deriv.record())
-    return report
+    skew: Dict[tuple, Poly] = {}
+    deriv: Dict[tuple, Poly] = {}
+
+    def add(residuals: Dict[tuple, Poly], key: tuple, term: Poly) -> None:
+        residuals[key] = residuals[key] + term if key in residuals else term
+
+    for a, mat in enumerate(conn.gamma):
+        for r, row in enumerate(mat):
+            for s, gam in enumerate(row):
+                if not gam.num:
+                    continue
+                # (g Gamma_a + Gamma_a^T g)[i][j] = sum_l g_il Gamma_a^lj + Gamma_a^li g_lj
+                for i, v in g_cols[r]:
+                    add(skew, (a, i, s), gam.scale(v))
+                for j, v in g_rows[r]:
+                    add(skew, (a, s, j), gam.scale(v))
+                # Gamma_a[e_i, e_j] - [Gamma_a e_i, e_j] - [e_i, Gamma_a e_j] at e_k:
+                # sum_l c_ij^l Gamma_a^kl - Gamma_a^li c_lj^k - Gamma_a^lj c_il^k
+                for v, i, j in fiber.c_terms[s]:
+                    add(deriv, (a, i, j, r), gam.scale(v))
+                for j, k, v in c_first[r]:
+                    add(deriv, (a, s, j, k), gam.scale(-v))
+                for i, k, v in c_second[r]:
+                    add(deriv, (a, i, s, k), gam.scale(-v))
+
+    return Report([
+        first_witness("conn_metric_skew", "g*Gamma_a + Gamma_a^T*g", skew),
+        first_witness(
+            "conn_bracket_derivation",
+            "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]",
+            deriv,
+        ),
+    ])
 
 
 def pontryagin_form(curv: GValuedForm, fiber: QuadLieAlgebra) -> FForm:

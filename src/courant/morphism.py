@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Tuple
 
-from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
+from .ample import AForm, ASection, aform_keys, ce_differential
 from .charform import standard_three_form
 from .dorfman import Quintuple, Section, check_degree_cap
 from .fiber import QuadLieAlgebra
@@ -60,14 +60,6 @@ class IsoData(Record):
     def beta_col(self, a: int) -> List[Poly]:
         """Components of beta(d_a) in the dual frame."""
         return [row[a - 1] for row in self.beta]
-
-
-def identity_iso(patch: Patch, dim: int) -> IsoData:
-    return IsoData(
-        poly_mat_identity(patch.n, dim),
-        GValuedForm.zero(patch, dim, 1),
-        [[Poly.zero(patch.n)] * patch.p for _ in range(patch.p)],
-    )
 
 
 def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
@@ -129,29 +121,6 @@ def apply_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData, e: Section) -> 
         for a in range(p)
     ]
     return Section(xi, r, list(e.x))
-
-
-def compose_iso(patch: Patch, fiber: QuadLieAlgebra, second: IsoData, first: IsoData) -> IsoData:
-    """The isomorphism acting as 'second after first'."""
-    m, p, n = fiber.dim, patch.p, patch.n
-    tau = poly_mat_mul(second.tau, first.tau)
-    # tau_2 phi_1(d_a), read by both the new phi and the beta correction
-    moved = [poly_mat_vec(second.tau, first.phi_col(a)) for a in range(1, p + 1)]
-    phi_comps = {}
-    for a in range(1, p + 1):
-        col = [u + v for u, v in zip(moved[a - 1], second.phi_col(a))]
-        if any(col):
-            phi_comps[(a,)] = col
-    beta = [[Poly.zero(n)] * p for _ in range(p)]
-    for a in range(1, p + 1):
-        for b in range(1, p + 1):
-            corr = fiber.pairing(moved[a - 1], second.phi_col(b), n)
-            beta[b - 1][a - 1] = (
-                first.beta[b - 1][a - 1]
-                + second.beta[b - 1][a - 1]
-                - corr.scale(2)
-            )
-    return IsoData(tau, GValuedForm(patch, m, 1, phi_comps), beta)
 
 
 def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
@@ -268,43 +237,6 @@ def phi_form(patch: Patch, dim: int, j: GValuedForm, fiber: QuadLieAlgebra) -> A
     return AForm(patch, dim, 2, comps)
 
 
-def phi_form_differential(alg: QuadAlgebroid, j: GValuedForm) -> AForm:
-    """Closed-form differential of Phi_J on the coordinate frame."""
-    patch, fiber = alg.patch, alg.fiber
-    m, p = fiber.dim, patch.p
-    comps = {}
-    for gidx in combinations(range(1, m + 1), 2):
-        i, jj = gidx
-        bracket = fiber.bracket(alg.fiber_elem(i).r, alg.fiber_elem(jj).r)
-        for a in range(1, p + 1):
-            value = -fiber.pairing(bracket, j.get((a,)))
-            if value:
-                comps[(gidx, (a,))] = value
-    for k in range(1, m + 1):
-        ek = alg.fiber_elem(k).r
-        for fidx in combinations(range(1, p + 1), 2):
-            a, b = fidx
-            vec = [
-                u - v
-                for u, v in zip(
-                    alg.conn.apply(b, j.get((a,))), alg.conn.apply(a, j.get((b,)))
-                )
-            ]
-            value = fiber.pairing(ek, vec)
-            if value:
-                comps[((k,), fidx)] = value
-    for fidx in combinations(range(1, p + 1), 3):
-        a, b, c = fidx
-        value = -(
-            fiber.pairing(j.get((a,)), alg.curv.get((b, c)), patch.n)
-            + fiber.pairing(j.get((b,)), alg.curv.get((c, a)), patch.n)
-            + fiber.pairing(j.get((c,)), alg.curv.get((a, b)), patch.n)
-        )
-        if value:
-            comps[((), fidx)] = value
-    return AForm(patch, m, 3, comps)
-
-
 def psi_form(patch: Patch, dim: int, k: List[List[Poly]]) -> AForm:
     """Psi_K(r+x, s+y) = <x|K y> - <y|K x> with k[a][b] = <d_a|K d_b>."""
     comps = {}
@@ -314,24 +246,6 @@ def psi_form(patch: Patch, dim: int, k: List[List[Poly]]) -> AForm:
             if value:
                 comps[((), (a, b))] = value
     return AForm(patch, dim, 2, comps)
-
-
-def psi_form_differential(patch: Patch, dim: int, k: List[List[Poly]]) -> AForm:
-    """Closed-form differential of Psi_K on the coordinate frame."""
-    comps = {}
-    for fidx in combinations(range(1, patch.p + 1), 3):
-        a, b, c = fidx
-        value = (
-            k[a - 1][b - 1].diff(c)
-            - k[a - 1][c - 1].diff(b)
-            + k[b - 1][c - 1].diff(a)
-            - k[b - 1][a - 1].diff(c)
-            + k[c - 1][a - 1].diff(b)
-            - k[c - 1][b - 1].diff(a)
-        )
-        if value:
-            comps[((), fidx)] = value
-    return AForm(patch, dim, 3, comps)
 
 
 # -- canned isomorphisms ------------------------------------------------------

@@ -120,6 +120,19 @@ class Check:
         return CheckRecord(self.name, "fail" if self.failed else "pass", self.witness)
 
 
+def first_witness(name: str, identity: str, residuals: dict) -> CheckRecord:
+    """The record of ``identity`` fed the residuals at their 0-based index
+    tuples in lexicographic order, up to its first witness: the record of
+    the dense loop over all index tuples, when ``residuals`` holds every
+    nonzero residual of that loop."""
+    check = Check(name, identity)
+    for key in sorted(residuals):
+        check.add(tuple(t + 1 for t in key), residuals[key])
+        if check.failed:
+            break
+    return check.record()
+
+
 class Report(Record):
     _fields = ("records",)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Tuple
+from typing import List, Tuple
 
 from courant import (
     AForm,
@@ -15,12 +15,15 @@ from courant import (
     IsoData,
     Patch,
     Poly,
+    QuadAlgebroid,
     QuadLieAlgebra,
     Quintuple,
     abelian,
     su2,
+    transport,
 )
 from courant.geometry import FConnection
+from courant.linalg import poly_mat_identity, poly_mat_mul, poly_mat_vec
 
 
 def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
@@ -55,6 +58,98 @@ def aform_from_fform(patch: Patch, dim: int, w: FForm) -> AForm:
     """Pull a leafwise form back through the anchor."""
     comps = {((), key): value for key, value in w.comps.items()}
     return AForm(patch, dim, w.degree, comps)
+
+
+# -- isomorphisms and closed-form differentials -------------------------------
+
+
+def identity_iso(patch: Patch, dim: int) -> IsoData:
+    """The identity isomorphism (tau = 1, phi = 0, beta = 0)."""
+    return IsoData(
+        poly_mat_identity(patch.n, dim),
+        GValuedForm.zero(patch, dim, 1),
+        [[Poly.zero(patch.n)] * patch.p for _ in range(patch.p)],
+    )
+
+
+def compose_iso(patch: Patch, fiber: QuadLieAlgebra, second: IsoData, first: IsoData) -> IsoData:
+    """The isomorphism acting as 'second after first'."""
+    m, p, n = fiber.dim, patch.p, patch.n
+    tau = poly_mat_mul(second.tau, first.tau)
+    # tau_2 phi_1(d_a), read by both the new phi and the beta correction
+    moved = [poly_mat_vec(second.tau, first.phi_col(a)) for a in range(1, p + 1)]
+    phi_comps = {}
+    for a in range(1, p + 1):
+        col = [u + v for u, v in zip(moved[a - 1], second.phi_col(a))]
+        if any(col):
+            phi_comps[(a,)] = col
+    beta = [[Poly.zero(n)] * p for _ in range(p)]
+    for a in range(1, p + 1):
+        for b in range(1, p + 1):
+            corr = fiber.pairing(moved[a - 1], second.phi_col(b), n)
+            beta[b - 1][a - 1] = (
+                first.beta[b - 1][a - 1]
+                + second.beta[b - 1][a - 1]
+                - corr.scale(2)
+            )
+    return IsoData(tau, GValuedForm(patch, m, 1, phi_comps), beta)
+
+
+def phi_form_differential(alg: QuadAlgebroid, j: GValuedForm) -> AForm:
+    """Closed-form differential of Phi_J on the coordinate frame: an
+    oracle for ``ce_differential`` of ``morphism.phi_form``."""
+    patch, fiber = alg.patch, alg.fiber
+    m, p = fiber.dim, patch.p
+    comps = {}
+    for gidx in combinations(range(1, m + 1), 2):
+        i, jj = gidx
+        bracket = fiber.bracket(alg.fiber_elem(i).r, alg.fiber_elem(jj).r)
+        for a in range(1, p + 1):
+            value = -fiber.pairing(bracket, j.get((a,)))
+            if value:
+                comps[(gidx, (a,))] = value
+    for k in range(1, m + 1):
+        ek = alg.fiber_elem(k).r
+        for fidx in combinations(range(1, p + 1), 2):
+            a, b = fidx
+            vec = [
+                u - v
+                for u, v in zip(
+                    alg.conn.apply(b, j.get((a,))), alg.conn.apply(a, j.get((b,)))
+                )
+            ]
+            value = fiber.pairing(ek, vec)
+            if value:
+                comps[((k,), fidx)] = value
+    for fidx in combinations(range(1, p + 1), 3):
+        a, b, c = fidx
+        value = -(
+            fiber.pairing(j.get((a,)), alg.curv.get((b, c)), patch.n)
+            + fiber.pairing(j.get((b,)), alg.curv.get((c, a)), patch.n)
+            + fiber.pairing(j.get((c,)), alg.curv.get((a, b)), patch.n)
+        )
+        if value:
+            comps[((), fidx)] = value
+    return AForm(patch, m, 3, comps)
+
+
+def psi_form_differential(patch: Patch, dim: int, k: List[List[Poly]]) -> AForm:
+    """Closed-form differential of Psi_K on the coordinate frame: an
+    oracle for ``ce_differential`` of ``morphism.psi_form``."""
+    comps = {}
+    for fidx in combinations(range(1, patch.p + 1), 3):
+        a, b, c = fidx
+        value = (
+            k[a - 1][b - 1].diff(c)
+            - k[a - 1][c - 1].diff(b)
+            + k[b - 1][c - 1].diff(a)
+            - k[b - 1][a - 1].diff(c)
+            + k[c - 1][a - 1].diff(b)
+            - k[c - 1][b - 1].diff(a)
+        )
+        if value:
+            comps[((), fidx)] = value
+    return AForm(patch, dim, 3, comps)
 
 
 def fixture_a() -> Quintuple:
@@ -416,3 +511,18 @@ def rank_mutant(family: str, index: int) -> Tuple[Quintuple, str]:
     # bianchi: a non-closed perturbation of R_12 along the third leaf direction
     x3 = q.patch.var(3)
     return _add_to_curv(q, (1, 2), [v * x3 for v in _nonzero_vector(rng, n, 3)]), cls
+
+
+def transported_fixture_d() -> Quintuple:
+    q = fixture_d()
+    return transport(q, seeded_iso_fixture_d(0, q))
+
+
+# the quintuples on which the cochain path (ce_differential, the naive
+# differential, the characteristic forms) is checked
+COCHAIN_FIXTURES = {
+    "D": fixture_d,
+    "D_transported": transported_fixture_d,
+    "C": fixture_c,
+    "su2(4,3)": lambda: su2_patch(4, 3),
+}

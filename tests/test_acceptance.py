@@ -29,10 +29,8 @@ from courant import (
     leafwise_d,
     omega_shift_iso,
     phi_form,
-    phi_form_differential,
     pontryagin_form,
     psi_form,
-    psi_form_differential,
     standard_three_form,
     transport,
     validate_iso,
@@ -45,6 +43,8 @@ from fixtures import (
     fixture_exact,
     is_horizontal,
     mutate_fixture_d,
+    phi_form_differential,
+    psi_form_differential,
     seeded_ample_automorphism,
     seeded_endomorphism_field,
     seeded_gvalued_one_form,

@@ -374,8 +374,10 @@ def test_section_mul_checks_the_ring():
 
 # Poly.__mul__ calls of check_axioms(2), all from the bracket's nonzero
 # components; multiplying every component, zeros included, made 21,993
-# on fixture C and 19,009 on su2_patch(4, 3)
-AXIOM_PRODUCTS = {"C": (fixture_c, 1688), "su2(4,3)": (lambda: su2_patch(4, 3), 1930)}
+# on fixture C and 19,009 on su2_patch(4, 3), and building f u once per
+# (frame pair, f) in both Leibniz stages, not once per (frame, f), made
+# 1,688 and 1,930 (2 * 81 * 4 products against 9 * 4)
+AXIOM_PRODUCTS = {"C": (fixture_c, 1076), "su2(4,3)": (lambda: su2_patch(4, 3), 1318)}
 
 
 @pytest.mark.parametrize("name", sorted(AXIOM_PRODUCTS))

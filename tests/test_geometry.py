@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from courant import (
     FConnection,
@@ -11,12 +13,15 @@ from courant import (
     GValuedForm,
     Patch,
     Poly,
+    QuadLieAlgebra,
+    Report,
     abelian,
     leafwise_d,
     pontryagin_form,
     su2,
     validate_connection,
 )
+from courant.report import Check
 from fixtures import rand_poly, su2_adjoint_connection
 
 
@@ -207,6 +212,91 @@ def test_validate_connection():
     ]
     report = validate_connection(GConnection(patch, 3, identity), fiber)
     assert not report["conn_metric_skew"].ok
+
+
+def dense_validate_connection(conn, fiber) -> Report:
+    """Both connection identities by the literal loops over every index
+    tuple, p * m^2 and p * m^4 of them: the oracle of the sparse
+    ``validate_connection``."""
+    report = Report()
+    patch, m = conn.patch, conn.dim
+    g = fiber.g
+
+    skew = Check("conn_metric_skew", "g*Gamma_a + Gamma_a^T*g")
+    for a in range(patch.p):
+        mat = conn.gamma[a]
+        for i in range(m):
+            for j in range(m):
+                # (g Gamma + Gamma^T g)[i][j]
+                acc = Poly.zero(patch.n)
+                for l in range(m):
+                    if g[i][l] and mat[l][j]:
+                        acc = acc + mat[l][j].scale(g[i][l])
+                    if mat[l][i] and g[l][j]:
+                        acc = acc + mat[l][i].scale(g[l][j])
+                skew.add((a + 1, i + 1, j + 1), acc)
+    report.add(skew.record())
+
+    deriv = Check("conn_bracket_derivation", "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]")
+    for a in range(patch.p):
+        mat = conn.gamma[a]
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    # Gamma_a [e_i, e_j] - [Gamma_a e_i, e_j] - [e_i, Gamma_a e_j]
+                    acc = Poly.zero(patch.n)
+                    for l in range(m):
+                        if fiber.c[i][j][l] and mat[k][l]:
+                            acc = acc + mat[k][l].scale(fiber.c[i][j][l])
+                        if mat[l][i] and fiber.c[l][j][k]:
+                            acc = acc - mat[l][i].scale(fiber.c[l][j][k])
+                        if mat[l][j] and fiber.c[i][l][k]:
+                            acc = acc - mat[l][j].scale(fiber.c[i][l][k])
+                    deriv.add((a + 1, i + 1, j + 1, k + 1), acc)
+    report.add(deriv.record())
+    return report
+
+
+VALID_FIBERS = (su2(), abelian(2), abelian(2, [[0, 1], [1, 0]]))
+
+
+@st.composite
+def connections(draw):
+    """A connection and a fiber.  Either Gamma_a = ad(v_a) for random
+    fiber vectors v_a on a valid fiber, which satisfies both identities,
+    with up to two entries changed; or sparse random Gamma entries on
+    random structure constants and metric."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.integers(1, 3))
+    patch = Patch(p + draw(st.integers(0, 1)), p)
+    n = patch.n
+
+    def entry():
+        return rand_poly(rng, n, 1, terms=2) if rng.random() < 0.4 else patch.zero()
+
+    if draw(st.booleans()):
+        fiber = draw(st.sampled_from(VALID_FIBERS))
+        m = fiber.dim
+        gamma = [fiber.ad_matrix([entry() for _ in range(m)]) for _ in range(p)]
+        for _ in range(draw(st.integers(0, 2))):
+            row = gamma[rng.randrange(p)][rng.randrange(m)]
+            k = rng.randrange(m)
+            row[k] = row[k] + rand_poly(rng, n, 1)
+    else:
+        m = draw(st.integers(0, 3))
+        value = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+        c = [[[rng.choice(value) for _ in range(m)] for _ in range(m)] for _ in range(m)]
+        g = [[rng.choice(value) for _ in range(m)] for _ in range(m)]
+        fiber = QuadLieAlgebra(m, c, g)
+        gamma = [[[entry() for _ in range(m)] for _ in range(m)] for _ in range(p)]
+    return GConnection(patch, m, gamma), fiber
+
+
+@settings(max_examples=150, deadline=None)
+@given(connections())
+def test_sparse_validate_connection_matches_dense_loops(data):
+    conn, fiber = data
+    assert validate_connection(conn, fiber).records == dense_validate_connection(conn, fiber).records
 
 
 def pontryagin_s4_oracle(curv, fiber):

@@ -18,8 +18,8 @@ bracket that either can see.
 
 import pytest
 
-from courant import Quintuple, ce_differential, naive_matches_ce, standard_three_form, transport
-from fixtures import fixture_a, fixture_c, fixture_d, seeded_iso_fixture_d, su2_patch
+from courant import Quintuple, ce_differential, naive_matches_ce, standard_three_form
+from fixtures import COCHAIN_FIXTURES, fixture_a, fixture_c, fixture_d
 
 
 def _lie_covector_without_transport(self, x, xi):
@@ -220,18 +220,6 @@ def test_leibniz_failure_recomputes_only_replaced_records(monkeypatch):
     ]
     assert len(calls) <= 4000
 
-
-def _transported_fixture_d():
-    q = fixture_d()
-    return transport(q, seeded_iso_fixture_d(0, q))
-
-
-COCHAIN_FIXTURES = {
-    "D": fixture_d,
-    "D_transported": _transported_fixture_d,
-    "C": fixture_c,
-    "su2(4,3)": lambda: su2_patch(4, 3),
-}
 
 # Whether dC_s != 0 and whether naive_matches_ce fails, for the canonical
 # 3-form C_s.  ce_differential takes its frame brackets from the

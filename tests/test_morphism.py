@@ -15,18 +15,14 @@ from courant import (
     ce_differential,
     central_shift_iso,
     coboundary_identity_check,
-    compose_iso,
     hoist_shift_iso,
-    identity_iso,
     intertwining_report,
     intrinsic_form,
     is_ample_automorphism,
     leafwise_d,
     omega_shift_iso,
     phi_form,
-    phi_form_differential,
     psi_form,
-    psi_form_differential,
     pullback_aform,
     standard_three_form,
     transport,
@@ -38,12 +34,16 @@ from courant.morphism import IsoData
 from courant.report import Check, Report
 from fixtures import (
     cayley_so3,
+    compose_iso,
     fixture_c,
     fixture_d,
     fixture_d_extended,
     fixture_exact,
+    identity_iso,
     is_horizontal,
+    phi_form_differential,
     poly_mat_from_rational,
+    psi_form_differential,
     rand_poly,
     seeded_ample_automorphism,
     seeded_endomorphism_field,

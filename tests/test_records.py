@@ -18,10 +18,10 @@ from courant.charform import CharPair, Hoist, HoistSearch, standard_three_form
 from courant.cli import Config, config_to_text, parse_config_text
 from courant.dorfman import Section
 from courant.geometry import GValuedForm, Patch
-from courant.morphism import IsoData, identity_iso
+from courant.morphism import IsoData
 from courant.report import CheckRecord, Report, Witness
 
-from fixtures import fixture_d
+from fixtures import fixture_d, identity_iso
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
