@@ -158,7 +158,10 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
 
 
 def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
-    """Connection and curvature induced by a hoist via the ample bracket."""
+    """Connection and curvature induced by a hoist via the ample bracket.
+
+    The one source for what a hoist induces: the coherence conditions,
+    ``build_from_pair`` and the hoist and central shifts all read it."""
     patch, m = alg.patch, alg.fiber.dim
     p = patch.p
     gamma = []
@@ -169,13 +172,11 @@ def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
         gamma.append([[base[i][j] + ad_j[i][j] for j in range(m)] for i in range(m)])
     conn = GConnection(patch, m, gamma)
     comps = {}
-    for a in range(1, p + 1):
-        for b in range(a + 1, p + 1):
-            ka = h.section(alg, a)
-            kb = h.section(alg, b)
-            vec = alg.bracket(ka, kb).r  # kappa[x,y] has no fiber part on the frame
-            if any(vec):
-                comps[(a, b)] = vec
+    for a, b in combinations(range(1, p + 1), 2):
+        # R(d_a, d_b) is the fiber part of [kappa d_a, kappa d_b]: [d_a, d_b] = 0
+        vec = alg.bracket(h.section(alg, a), h.section(alg, b)).r
+        if any(vec):
+            comps[(a, b)] = vec
     curv = GValuedForm(patch, m, 2, comps)
     return conn, curv
 
@@ -296,16 +297,17 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
             ]
             if rank(candidate) == len(candidate):
                 complement.append(idx)
+        # columns: the center basis, then the complement's unit vectors
+        cols_mat = basis + [
+            [Fraction(1) if t == u else Fraction(0) for t in range(m)] for u in complement
+        ]
+        change = [list(row) for row in zip(*cols_mat)]
         for a in range(p):
             col = columns[a]
             fixed = [Poly.zero(patch.n) for _ in range(m)]
             for exp, vec in coefficient_vectors(col):
                 # write vec in (center + complement) coordinates, drop the center part
-                cols_mat = [list(z) for z in center] + [
-                    [Fraction(1) if t == u else Fraction(0) for t in range(m)]
-                    for u in complement
-                ]
-                coeffs = solve([list(row) for row in zip(*cols_mat)], vec)
+                coeffs = solve(change, vec)
                 reduced = [Fraction(0)] * m
                 for pos, u in enumerate(complement):
                     reduced[u] += coeffs[len(center) + pos]

@@ -477,7 +477,12 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         _emit_fform(report, "built.H", built.hform)
     elif cmd == "roundtrip":
         pair = characteristic_pair_of(q)
-        rebuilt = build_from_pair(pair, Hoist.standard(cfg.patch, cfg.fiber.dim))
+        try:
+            rebuilt = build_from_pair(pair, Hoist.standard(cfg.patch, cfg.fiber.dim))
+        except ValueError as exc:
+            # invalid data: the canonical pair is not coherent, as in ``build``
+            report.add_fail("roundtrip_coherent", Witness(str(exc), (), "1"))
+            return report
         for label, same in (
             ("roundtrip_connection", rebuilt.conn == q.conn),
             ("roundtrip_curvature", rebuilt.curv == q.curv),

@@ -56,6 +56,7 @@ from typing import Dict, List, Sequence, Tuple
 from .ample import AForm, QuadAlgebroid, add_live, ce_differential, live, sub_live
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form, validate_connection
+from .linalg import poly_mat_mul
 from .poly import Poly
 from .report import Check, Record, Report
 
@@ -354,14 +355,10 @@ class Quintuple(QuadAlgebroid):
             ga = self.conn.gamma[a - 1]
             gb = self.conn.gamma[b - 1]
             ad_r = self.fiber.ad_matrix(self.curv.get((a, b)))
+            ab, ba = poly_mat_mul(ga, gb), poly_mat_mul(gb, ga)
             for i in range(m):
                 for j in range(m):
-                    acc = gb[i][j].diff(a) - ga[i][j].diff(b) - ad_r[i][j]
-                    for l in range(m):
-                        if ga[i][l] and gb[l][j]:
-                            acc = acc + ga[i][l] * gb[l][j]
-                        if gb[i][l] and ga[l][j]:
-                            acc = acc - gb[i][l] * ga[l][j]
+                    acc = gb[i][j].diff(a) - ga[i][j].diff(b) - ad_r[i][j] + ab[i][j] - ba[i][j]
                     curvid.add((a, b, i + 1, j + 1), acc)
         report.add(curvid.record())
 

@@ -127,10 +127,6 @@ class FForm:
             self.patch, self.degree, {k: v.scale(c) for k, v in self.comps.items()}
         )
 
-    def d(self) -> "FForm":
-        """Leafwise exterior derivative (alternating-sum convention)."""
-        return leafwise_d(self)
-
     def __str__(self) -> str:
         if not self.comps:
             return "0"

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from typing import List, Tuple
 
 from .ample import AForm, ASection, aform_keys, ce_differential
-from .charform import standard_three_form
+from .charform import Hoist, hoist_data, standard_three_form
 from .dorfman import Quintuple, Section, check_degree_cap
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
@@ -36,9 +36,8 @@ from .linalg import (
     poly_mat_inverse_constant_det,
     poly_mat_mul,
     poly_mat_vec,
-    rank,
 )
-from .poly import Poly, coefficient_vectors, sum_products
+from .poly import Poly, sum_products
 from .report import Check, Record, Report, Witness
 
 HALF = Fraction(1, 2)
@@ -252,54 +251,29 @@ def psi_form(patch: Patch, dim: int, k: List[List[Poly]]) -> AForm:
 
 
 def hoist_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
-    """Shift by a fiber-valued 1-form: tau = id, phi = J, beta = -J^* J."""
+    """Shift by a fiber-valued 1-form: tau = id, phi = J, beta = -J^* J.
+
+    The target changes the hoist by x -> x - J(x): its connection and
+    curvature are ``hoist_data`` of the hoist -J through the ample
+    bracket of ``q`` itself, so a fault in that bracket shows up as a
+    mismatch with ``transport``.  The H formula is an independent closed form.
+    """
     patch, fiber = q.patch, q.fiber
     m, p, n = fiber.dim, patch.p, patch.n
     cols = [j.get((a,)) for a in range(1, p + 1)]
     beta = [[-fiber.pairing(ja, jb, n) for ja in cols] for jb in cols]
     iso = IsoData(poly_mat_identity(n, m), j, beta)
-
-    gamma2 = []
-    for a in range(1, p + 1):
-        ad_j = fiber.ad_matrix(j.get((a,)))
-        base = q.conn.gamma[a - 1]
-        gamma2.append([[base[i][l] - ad_j[i][l] for l in range(m)] for i in range(m)])
-    conn2 = GConnection(patch, m, gamma2)
-
-    curv_comps = {}
-    for a in range(1, p + 1):
-        for b in range(a + 1, p + 1):
-            vec = q.curv.get((a, b))
-            vec = [
-                u + v - w + z
-                for u, v, w, z in zip(
-                    vec,
-                    fiber.bracket(j.get((a,)), j.get((b,))),
-                    q.conn.apply(a, j.get((b,))),
-                    q.conn.apply(b, j.get((a,))),
-                )
-            ]
-            if any(vec):
-                curv_comps[(a, b)] = vec
-    curv2 = GValuedForm(patch, m, 2, curv_comps)
+    conn2, curv2 = hoist_data(q, Hoist(j.scale(-1)))
 
     h_comps = {}
     for key in combinations(range(1, p + 1), 3):
         a, b, c = key
-        value = q.hform.get(key)
-        value = value - fiber.pairing(
-            j.get((a,)), fiber.bracket(j.get((b,)), j.get((c,))), n
-        ).scale(2)
+        br = fiber.bracket(cols[b - 1], cols[c - 1])
+        value = q.hform.get(key) - fiber.pairing(cols[a - 1], br, n).scale(2)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            vec = [
-                u - v - w.scale(2)
-                for u, v, w in zip(
-                    q.conn.apply(y, j.get((z,))),
-                    q.conn.apply(z, j.get((y,))),
-                    q.curv.get((y, z)),
-                )
-            ]
-            value = value + fiber.pairing(j.get((x,)), vec, n)
+            dy, dz = q.conn.apply(y, cols[z - 1]), q.conn.apply(z, cols[y - 1])
+            vec = [u - v - w.scale(2) for u, v, w in zip(dy, dz, q.curv.get((y, z)))]
+            value = value + fiber.pairing(cols[x - 1], vec, n)
         if value:
             h_comps[key] = value
     hform2 = FForm(patch, 3, h_comps)
@@ -324,60 +298,42 @@ def omega_shift_iso(q: Quintuple, omega: FForm) -> Tuple[IsoData, Quintuple]:
 def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
     """Same-hoist shift: requires J centered in the fiber and curl-free.
 
-    Raises ValueError with a witness when the hypotheses fail.
+    Both hypotheses are read off ``hoist_data`` of the hoist -J/2 through
+    the ample bracket of ``q``: its connection is Gamma_a - ad(J_a)/2,
+    and ``center()`` is the kernel of r -> ad r for valid and invalid
+    fibers alike, so ad(J_a) = 0 exactly when every coefficient vector of
+    J_a is central.  Then [J_a, J_b] = 0 and its curvature is
+    R_ab - (nabla_a J_b - nabla_b J_a)/2.  The H formula is an
+    independent closed form.  Raises ValueError with a witness when the
+    hypotheses fail.
     """
     patch, fiber = q.patch, q.fiber
     m, p, n = fiber.dim, patch.p, patch.n
-    center = fiber.center()
-    span_rows = [list(z) for z in center]
+    conn2, curv2 = hoist_data(q, Hoist(j.scale(-HALF)))
     for a in range(1, p + 1):
-        col = j.get((a,))
-        for _, vec in coefficient_vectors(col):
-            if _not_in_span(span_rows, vec):
-                raise ValueError(
-                    "central shift rejected: J(d_%d) is not valued in the fiber center" % a
-                )
-    for a in range(1, p + 1):
-        for b in range(a + 1, p + 1):
-            curl = [
-                u - v
-                for u, v in zip(q.conn.apply(a, j.get((b,))), q.conn.apply(b, j.get((a,))))
-            ]
-            if any(curl):
-                raise ValueError(
-                    "central shift rejected: nabla_%d J_%d - nabla_%d J_%d is nonzero"
-                    % (a, b, b, a)
-                )
-    half_j_comps = {}
-    for a in range(1, p + 1):
-        col = [v.scale(HALF) for v in j.get((a,))]
-        if any(col):
-            half_j_comps[(a,)] = col
+        if conn2.gamma[a - 1] != q.conn.gamma[a - 1]:
+            raise ValueError("central shift rejected: J(d_%d) is not valued in the fiber center" % a)
+    for a, b in combinations(range(1, p + 1), 2):
+        if curv2.get((a, b)) != q.curv.get((a, b)):
+            raise ValueError(
+                "central shift rejected: nabla_%d J_%d - nabla_%d J_%d is nonzero"
+                % (a, b, b, a)
+            )
     cols = [j.get((a,)) for a in range(1, p + 1)]
     beta = [[fiber.pairing(ja, jb, n).scale(Fraction(-1, 4)) for ja in cols] for jb in cols]
-    iso = IsoData(
-        poly_mat_identity(n, m), GValuedForm(patch, m, 1, half_j_comps), beta
-    )
+    iso = IsoData(poly_mat_identity(n, m), j.scale(HALF), beta)
     h_comps = {}
     for key in combinations(range(1, p + 1), 3):
         a, b, c = key
         value = q.hform.get(key) - (
-            fiber.pairing(j.get((a,)), q.curv.get((b, c)), n)
-            + fiber.pairing(j.get((b,)), q.curv.get((c, a)), n)
-            + fiber.pairing(j.get((c,)), q.curv.get((a, b)), n)
+            fiber.pairing(cols[a - 1], q.curv.get((b, c)), n)
+            + fiber.pairing(cols[b - 1], q.curv.get((c, a)), n)
+            + fiber.pairing(cols[c - 1], q.curv.get((a, b)), n)
         )
         if value:
             h_comps[key] = value
     target = Quintuple(patch, fiber, q.conn, q.curv, FForm(patch, 3, h_comps))
     return iso, target
-
-
-def _not_in_span(rows: List[List[Fraction]], vec: List[Fraction]) -> bool:
-    if not any(vec):
-        return False
-    if not rows:
-        return True
-    return rank(rows + [vec]) != rank(rows)
 
 
 # -- pullbacks, intrinsic forms, the coboundary identity ---------------------

@@ -297,6 +297,19 @@ cform.gff.3.1.2 = "1"
     assert "built.R.1.2.3" in out
 
 
+@pytest.mark.parametrize("name", ["mut_c_0", "mut_s_1", "mut_s_2"])
+def test_roundtrip_on_invalid_data_is_a_failing_record(capsys, name):
+    # well-formed config, invalid data: the canonical pair is not coherent;
+    # that is a check failure (exit 1), as in ``build``, not an input error
+    path = os.path.join(ROOT, "bench", "pool", name + ".cfg")
+    assert main(["roundtrip", path, "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    checks = json.loads(out.out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("roundtrip_coherent", "fail")]
+    assert checks[0]["witness"]["identity"] == "pair is not coherent for this hoist: coherent_closed"
+
+
 def test_cli_demos_configs_exist_and_pass():
     root = os.path.join(ROOT, "demos", "configs")
     for name in ("fixture_c.cfg", "fixture_d.cfg"):

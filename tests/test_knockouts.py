@@ -16,10 +16,15 @@ On the cochain path, closedness of the canonical 3-form and
 bracket that either can see.
 """
 
+import os
+
 import pytest
 
 from courant import Quintuple, ce_differential, naive_matches_ce, standard_three_form
+from courant.cli import parse_config, run_command
 from fixtures import COCHAIN_FIXTURES, fixture_a, fixture_c, fixture_d
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def _lie_covector_without_transport(self, x, xi):
@@ -240,3 +245,72 @@ def test_knockouts_on_the_cochain_path(monkeypatch, knockout, fixture):
     not_closed = bool(ce_differential(q, c))
     naive_fails = not naive_matches_ce(q, c).ok
     assert (not_closed, naive_fails) == (knockout in CLOSEDNESS_CAUGHT, False)
+
+
+# -- the shift path ----------------------------------------------------------
+
+# Both shifts take their predicted connection and curvature from
+# ``hoist_data`` of the shifted hoist, read off the ample bracket of the
+# quintuple itself, while ``transport`` stays formula-based; so a
+# knockout of the G + F bracket makes the two disagree.  Under
+# ``nabla_along`` the curvature of a hoist shift moves wherever nabla J
+# is nonzero (fixture D's adjoint connection); under ``curv_contract``
+# R itself moves.  The central shift on fixture C (abelian fiber) reads
+# that moved R as a curl, so under ``curv_contract`` its rejection
+# message names nabla_1 J_2 - nabla_2 J_1 although J is curl-free; on
+# fixture D the central shift is rejected with or without a knockout (J
+# is not central).  The knockouts outside the G + F bracket cannot reach
+# the shift path.
+SHIFT_CONFIGS = {
+    "fixture_d_hoist": os.path.join(ROOT, "demos", "configs", "fixture_d_hoist.cfg"),
+    "form_d_hoist": os.path.join(ROOT, "bench", "pool", "form_d_hoist.cfg"),
+}
+SHIFT_CONFIGS.update(
+    ("form_c_%d" % k, os.path.join(ROOT, "bench", "pool", "form_c_%d.cfg" % k)) for k in range(4)
+)
+NOT_CENTRAL = "central shift rejected: J(d_1) is not valued in the fiber center"
+CURL = "central shift rejected: nabla_1 J_2 - nabla_2 J_1 is nonzero"
+CURVATURE_MISMATCH = [("shift_curvature_matches", "transport differs from prediction")]
+FIXTURE_C_SHIFTS = {
+    ("form_c_%d" % k, kind): value
+    for k in range(4)
+    for kind, value in (("hoist", CURVATURE_MISMATCH), ("central", [("shift_hypotheses", CURL)]))
+}
+D_HOIST = {(name, "hoist"): CURVATURE_MISMATCH for name in ("fixture_d_hoist", "form_d_hoist")}
+# (config, kind) -> failing shift_* records (name, witness identity), where
+# they differ from the unbroken code
+EXPECTED_SHIFT = {knockout: {} for knockout in KNOCKOUTS}
+EXPECTED_SHIFT.update({
+    "nabla_along=0": D_HOIST,
+    "nabla_along*-1": D_HOIST,
+    "curv_contract=0": {**D_HOIST, **FIXTURE_C_SHIFTS},
+    "curv_contract*-1": {**D_HOIST, **FIXTURE_C_SHIFTS},
+})
+
+
+def shift_failures():
+    out = {}
+    for name, path in sorted(SHIFT_CONFIGS.items()):
+        cfg = parse_config(path)
+        for kind in ("hoist", "central"):
+            report = run_command("shift", cfg, kind=kind)
+            out[(name, kind)] = [
+                (r.name, r.witness.identity) for r in report.failures() if r.name.startswith("shift_")
+            ]
+    return out
+
+
+def test_shift_records_without_knockout():
+    got = shift_failures()
+    expected = {key: [] for key in got}
+    for name in ("fixture_d_hoist", "form_d_hoist"):
+        expected[(name, "central")] = [("shift_hypotheses", NOT_CENTRAL)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("knockout", sorted(KNOCKOUTS))
+def test_knockouts_on_the_shift_path(monkeypatch, knockout):
+    baseline = shift_failures()
+    monkeypatch.setattr(Quintuple, *KNOCKOUTS[knockout])
+    moved = {key: fails for key, fails in shift_failures().items() if fails != baseline[key]}
+    assert moved == EXPECTED_SHIFT[knockout]

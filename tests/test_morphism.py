@@ -1,15 +1,19 @@
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courant import (
     FForm,
     GConnection,
     GValuedForm,
+    Patch,
     Poly,
     QuadAlgebroid,
+    QuadLieAlgebra,
     Quintuple,
     apply_iso,
     ce_differential,
@@ -30,7 +34,9 @@ from courant import (
 )
 from courant.cli import parse_config
 from courant.dorfman import MAX_DEGREE_CAP
+from courant.linalg import rank
 from courant.morphism import IsoData
+from courant.poly import coefficient_vectors
 from courant.report import Check, Report
 from fixtures import (
     cayley_so3,
@@ -41,14 +47,17 @@ from fixtures import (
     fixture_exact,
     identity_iso,
     is_horizontal,
+    mutate_fixture_d,
     phi_form_differential,
     poly_mat_from_rational,
     psi_form_differential,
     rand_poly,
+    rank_mutant,
     seeded_ample_automorphism,
     seeded_endomorphism_field,
     seeded_gvalued_one_form,
     seeded_iso_fixture_d,
+    su2_patch,
 )
 from test_dorfman import rand_section
 from test_fiber import count_makes
@@ -349,6 +358,145 @@ def test_central_shift_rejects_curl():
     j = GValuedForm(q.patch, 4, 1, {(1,): [zero] * 3 + [q.patch.var(2)]})
     with pytest.raises(ValueError):
         central_shift_iso(q, j)
+
+
+# -- the shifts against their closed forms ---------------------------------------
+
+
+def literal_hoist_shift(q, j):
+    """Gamma_a - ad(J_a) and R_ab + [J_a, J_b] - nabla_a J_b + nabla_b J_a,
+    the closed forms of a hoist shift: the oracle of ``hoist_shift_iso``."""
+    patch, fiber = q.patch, q.fiber
+    m, p = fiber.dim, patch.p
+    gamma = []
+    for a in range(1, p + 1):
+        ad_j, base = fiber.ad_matrix(j.get((a,))), q.conn.gamma[a - 1]
+        gamma.append([[base[i][l] - ad_j[i][l] for l in range(m)] for i in range(m)])
+    comps = {}
+    for a, b in combinations(range(1, p + 1), 2):
+        ja, jb = j.get((a,)), j.get((b,))
+        comps[(a, b)] = [
+            r + s - u + v
+            for r, s, u, v in zip(q.curv.get((a, b)), fiber.bracket(ja, jb), q.conn.apply(a, jb), q.conn.apply(b, ja))
+        ]
+    return GConnection(patch, m, gamma), GValuedForm(patch, m, 2, comps)
+
+
+def literal_central_rejection(q, j):
+    """The message that rejects a central shift by J, or None: first a
+    coefficient vector of some J_a outside the span of the fiber center
+    (by rank), then a nonzero curl.  The oracle of ``central_shift_iso``."""
+    center = [list(z) for z in q.fiber.center()]
+    p = q.patch.p
+    for a in range(1, p + 1):
+        for _, vec in coefficient_vectors(j.get((a,))):
+            if any(vec) and (not center or rank(center + [vec]) != rank(center)):
+                return "central shift rejected: J(d_%d) is not valued in the fiber center" % a
+    for a, b in combinations(range(1, p + 1), 2):
+        curl = [u - v for u, v in zip(q.conn.apply(a, j.get((b,))), q.conn.apply(b, j.get((a,))))]
+        if any(curl):
+            return "central shift rejected: nabla_%d J_%d - nabla_%d J_%d is nonzero" % (a, b, b, a)
+    return None
+
+
+def _quintuple(patch, fiber, gamma, curv):
+    return Quintuple(patch, fiber, GConnection(patch, fiber.dim, gamma), curv, FForm.zero(patch, 3))
+
+
+def skew_center_fiber_quintuple():
+    """Invalid fiber ([e1, e1] = e2 = -[e2, e1]) whose center is the line
+    through e1 + e2, over a rank-3 leaf with a flat connection."""
+    patch = Patch(3, 3)
+    fiber = QuadLieAlgebra(2, [[[0, 1], [0, 0]], [[0, -1], [0, 0]]], [[1, 0], [0, 1]])
+    zero = [[patch.zero()] * 2 for _ in range(2)]
+    curv = GValuedForm(patch, 2, 2, {(1, 2): [patch.var(3), patch.zero()]})
+    return _quintuple(patch, fiber, [zero] * 3, curv)
+
+
+def curved_line_quintuple():
+    """Fixture C with Gamma_1 = x2 on its line fiber (not metric): the
+    connection acts on the center, so it enters the curl."""
+    q = fixture_c()
+    zero = [[q.patch.zero()]]
+    return _quintuple(q.patch, q.fiber, [[[q.patch.var(2)]], zero, zero, zero], q.curv)
+
+
+SHIFT_QUINTUPLES = {
+    "C": fixture_c,
+    "D": fixture_d,
+    "D_extended": fixture_d_extended,
+    "su2(4,3)": lambda: su2_patch(4, 3),
+    "mut_d_0": lambda: mutate_fixture_d(0)[0],
+    "mut_d_1": lambda: mutate_fixture_d(1)[0],
+    "mut_c_2": lambda: rank_mutant("mut_c", 2)[0],
+    "mut_s_1": lambda: rank_mutant("mut_s", 1)[0],
+    "skew_center_fiber": skew_center_fiber_quintuple,
+    "curved_line": curved_line_quintuple,
+}
+J_KINDS = ("random", "central", "gradient", "gradient+noise")
+
+
+def random_shift_form(q, kind, rng):
+    """A fiber-valued 1-form J: generic, valued in the center, or a
+    gradient d F times a central vector (curl-free under a connection
+    that kills the center), optionally with a generic term on one d_a."""
+    patch, m, p = q.patch, q.fiber.dim, q.patch.p
+    center = q.fiber.center()
+    z = [sum((rng.randint(-2, 2) * v for v in vec), Fraction(0)) for vec in zip(*center)] if center else [0] * m
+    if kind == "random":
+        cols = [[rand_poly(rng, patch.n, 2, terms=2) for _ in range(m)] for _ in range(p)]
+    elif kind == "central":
+        cols = [[f.scale(c) for c in z] for f in (rand_poly(rng, patch.n, 2, terms=2) for _ in range(p))]
+    else:
+        potential = rand_poly(rng, patch.n, 3, terms=3)
+        cols = [[potential.diff(a).scale(c) for c in z] for a in range(1, p + 1)]
+    if kind == "gradient+noise":
+        a = rng.randrange(p)
+        cols[a] = [u + rand_poly(rng, patch.n, 1, terms=1) for u in cols[a]]
+    return GValuedForm(patch, m, 1, {(a,): col for a, col in enumerate(cols, start=1)})
+
+
+def shift_outcome(q, j):
+    """Compare both shifts with their oracles; the central rejection
+    message, or None when the central shift is accepted."""
+    _, predicted = hoist_shift_iso(q, j)
+    assert (predicted.conn, predicted.curv) == literal_hoist_shift(q, j)
+    expected = literal_central_rejection(q, j)
+    try:
+        iso, target = central_shift_iso(q, j)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return expected
+    assert expected is None
+    half = {key: [v.scale(Fraction(1, 2)) for v in vec] for key, vec in j.comps.items()}
+    assert iso.phi == GValuedForm(q.patch, q.fiber.dim, 1, half)
+    assert (target.conn, target.curv) == (q.conn, q.curv)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SHIFT_QUINTUPLES)),
+    kind=st.sampled_from(J_KINDS),
+    seed=st.integers(0, 10**6),
+)
+def test_shifts_match_their_closed_forms(name, kind, seed):
+    q = SHIFT_QUINTUPLES[name]()
+    shift_outcome(q, random_shift_form(q, kind, random.Random(seed)))
+
+
+def test_shift_oracle_sweep_reaches_every_outcome():
+    outcomes = set()
+    for name in sorted(SHIFT_QUINTUPLES):
+        q = SHIFT_QUINTUPLES[name]()
+        for kind in J_KINDS:
+            for seed in range(3):
+                outcomes.add(shift_outcome(q, random_shift_form(q, kind, random.Random(seed))))
+    center = "central shift rejected: J(d_%d) is not valued in the fiber center"
+    curl = "central shift rejected: nabla_%d J_%d - nabla_%d J_%d is nonzero"
+    assert outcomes == {None, center % 1, center % 2, center % 3} | {
+        curl % (a, b, b, a) for a, b in ((1, 2), (1, 3), (1, 4), (2, 4))
+    }
 
 
 # -- intrinsic forms -------------------------------------------------------------
