@@ -43,8 +43,6 @@ from .morphism import (
     coboundary_identity_check,
     hoist_shift_iso,
     intertwining_report,
-    intrinsic_form,
-    is_ample_automorphism,
     omega_shift_iso,
     phi_form,
     psi_form,
@@ -88,8 +86,6 @@ __all__ = [
     "hoist_data",
     "hoist_shift_iso",
     "intertwining_report",
-    "intrinsic_form",
-    "is_ample_automorphism",
     "leafwise_d",
     "monomials",
     "naive_differential",

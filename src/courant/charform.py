@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
 from .dorfman import Quintuple, Section
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
-from .linalg import rank, solve
+from .linalg import solve
 from .poly import Poly, coefficient_vectors
 from .report import Check, Record, Report, Witness
 
@@ -247,8 +247,20 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
 
     The (2,1) components must lie in the image of the pairing-contracted
     structure constants B[(ij)][k] = <[e_i,e_j],e_k>, monomial by
-    monomial.  Solutions are made unique by zeroing all components along
-    the fiber center; the curvature condition is then verified.
+    monomial; the curvature condition is then verified.  ``solve`` sets
+    the free columns of B to zero, which on a valid fiber is the unique
+    solution with no component along the fiber center z(g):
+
+    - ker B = z(g): <[e_i,e_j], x> = <e_i, [e_j,x]> by ad-invariance,
+      and the metric is nondegenerate.
+    - The pivot columns of B are exactly the greedy complement of z(g):
+      column c is a pivot iff e_c is independent of e_0..e_{c-1} modulo
+      ker B.
+    - So the free-columns-zero solution is the unique solution supported
+      on that complement, which is the projection along z(g).
+
+    On an invalid fiber ker B may differ from z(g); the solution found
+    still satisfies B J_a = rhs.
     """
     patch, fiber = alg.patch, alg.fiber
     m, p = fiber.dim, patch.p
@@ -261,65 +273,23 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
 
     pairs = list(combinations(range(1, m + 1), 2))
     bmat = [[fiber.b[i - 1][j - 1][k] for k in range(m)] for i, j in pairs]
-    center = fiber.center()
 
     columns: List[List[Poly]] = []
     for a in range(1, p + 1):
-        rhs_polys = [
-            c.eval_frame([("g", i), ("g", j), ("f", a)]) for i, j in pairs
-        ]
+        rhs_polys = [c.eval_frame([("g", i), ("g", j), ("f", a)]) for i, j in pairs]
         col = [Poly.zero(patch.n) for _ in range(m)]
         for exp, rhs in coefficient_vectors(rhs_polys):
+            mono = Poly(patch.n, {exp: 1})
             sol = solve(bmat, rhs)
             if sol is None:
-                report.add_fail(
-                    "hoist_solvable",
-                    Witness(
-                        "B J_a = C(e_i,e_j,d_a) has no solution",
-                        (a,) + exp,
-                        str(Poly(patch.n, {exp: 1})),
-                    ),
-                )
+                witness = Witness("B J_a = C(e_i,e_j,d_a) has no solution", (a,) + exp, str(mono))
+                report.add_fail("hoist_solvable", witness)
                 return HoistSearch(None, report)
-            mono = Poly(patch.n, {exp: 1})
             col = [acc + mono.scale(v) if v else acc for acc, v in zip(col, sol)]
         columns.append(col)
 
-    # remove center-direction components for a deterministic representative
-    if center:
-        # greedy complement of the center inside the standard basis
-        basis = [list(z) for z in center]
-        complement: List[int] = []
-        for idx in range(m):
-            candidate = basis + [
-                [Fraction(1) if t == u else Fraction(0) for t in range(m)]
-                for u in complement + [idx]
-            ]
-            if rank(candidate) == len(candidate):
-                complement.append(idx)
-        # columns: the center basis, then the complement's unit vectors
-        cols_mat = basis + [
-            [Fraction(1) if t == u else Fraction(0) for t in range(m)] for u in complement
-        ]
-        change = [list(row) for row in zip(*cols_mat)]
-        for a in range(p):
-            col = columns[a]
-            fixed = [Poly.zero(patch.n) for _ in range(m)]
-            for exp, vec in coefficient_vectors(col):
-                # write vec in (center + complement) coordinates, drop the center part
-                coeffs = solve(change, vec)
-                reduced = [Fraction(0)] * m
-                for pos, u in enumerate(complement):
-                    reduced[u] += coeffs[len(center) + pos]
-                mono = Poly(patch.n, {exp: 1})
-                fixed = [acc + mono.scale(v) if v else acc for acc, v in zip(fixed, reduced)]
-            columns[a] = fixed
-
-    hoist = Hoist(
-        GValuedForm(
-            patch, m, 1, {(a,): columns[a - 1] for a in range(1, p + 1) if any(columns[a - 1])}
-        )
-    )
+    comps = {(a,): col for a, col in enumerate(columns, start=1) if any(col)}
+    hoist = Hoist(GValuedForm(patch, m, 1, comps))
     report.add_pass("hoist_solvable")
     for check in _hoist_conditions(alg, c, hoist):
         report.add(check.record())

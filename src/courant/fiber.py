@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .linalg import nullspace, rational_det
+from .linalg import rational_det
 from .poly import Poly, sum_products
 from .report import Report, Witness, first_witness
 
@@ -165,21 +165,6 @@ class QuadLieAlgebra:
             [[-self.b[i][j][k] for k in range(m)] for j in range(m)]
             for i in range(m)
         ]
-
-    def center(self) -> List[List[Fraction]]:
-        """Rational basis of {r : [r, s] = 0 for all s}.
-
-        Kernel of the stacked adjoint map r -> ad(r); basis vectors are
-        normalized to leading entry 1.
-        """
-        m = self.dim
-        rows = []
-        for j in range(m):
-            for k in range(m):
-                rows.append([self.c[i][j][k] for i in range(m)])
-        if not rows:
-            return []
-        return nullspace(rows, m)
 
 
 def su2() -> QuadLieAlgebra:

@@ -1,9 +1,9 @@
 """Exact rational and polynomial-matrix linear algebra.
 
-Rational matrices are lists of lists with int/Fraction entries.  The
-elimination routines clear denominators and run fraction-free (Bareiss)
-row reduction over the integers, so intermediate values stay integral;
-solutions and nullspace vectors are reported as exact rationals.
+Rational matrices are lists of lists with int/Fraction entries.  One
+sparse reduced-row-echelon routine over ``Fraction`` (``_rref``) does
+every exact elimination: ``solve`` reads one solution off the reduced
+form and ``rational_det`` reads the determinant off the pivots.
 
 Polynomial matrices (entries :class:`courant.poly.Poly`) get the small
 dense helpers needed for structure transport: product, determinant via
@@ -14,121 +14,64 @@ determinant is a nonzero constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Poly, sum_products
 
-Vec = List[Fraction]
-Mat = List[List[Fraction]]
+Row = Dict[int, Fraction]
 
 
-def _clear_denominators(row: Sequence) -> List[int]:
-    fracs = [Fraction(v) for v in row]
-    scale = lcm(*(v.denominator for v in fracs))
-    return [int(v * scale) for v in fracs]
+def _minus(row: Row, factor: Fraction, other: Row) -> Row:
+    """row - factor * other, keeping only nonzero entries."""
+    keys = row.keys() | other.keys()
+    return {j: w for j in keys if (w := row.get(j, 0) - factor * other.get(j, 0))}
 
 
-def _bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free row echelon form; returns (rows, pivot column list,
-    sign of the row permutation)."""
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: List[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
+def _rref(rows: Sequence[Sequence], ncols: int) -> Tuple[Dict[int, Row], Fraction]:
+    """Reduced row echelon form of ``rows``, inserted one row at a time.
+
+    Returns a map from each pivot column to its row (the nonzero entries,
+    1 at the pivot, 0 at every other pivot column) and the determinant:
+    the product of the leading entries times the sign of the order in
+    which the pivots appeared, or 0 once a row reduces to zero.  Each
+    pivot row is zero left of its pivot, so column c is a pivot exactly
+    when it is independent of columns 0..c-1."""
+    pivots: Dict[int, Row] = {}
+    det = Fraction(1)
+    for dense in rows:
+        row = {j: Fraction(dense[j]) for j in range(ncols) if dense[j]}
+        for c in [c for c in row if c in pivots]:
+            row = _minus(row, row[c], pivots[c])
+        if not row:
+            det = Fraction(0)
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots, sign
+        lead = min(row)
+        scale = row[lead]
+        det *= scale * (-1) ** sum(c > lead for c in pivots)
+        row = {j: v / scale for j, v in row.items()}
+        for c, other in pivots.items():
+            if lead in other:
+                pivots[c] = _minus(other, other[lead], row)
+        pivots[lead] = row
+    return pivots, det
 
 
 def rational_det(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant; the empty 0x0 matrix has determinant 1.
-
-    The last Bareiss pivot of the cleared integer matrix is its
-    determinant up to the row-swap sign; dividing by the row lcms undoes
-    the clearing."""
+    """Exact determinant; the empty 0x0 matrix has determinant 1."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    ech, pivots, sign = _bareiss_echelon([_clear_denominators(row) for row in matrix])
-    if len(pivots) < n:
-        return Fraction(0)
-    scale = prod(lcm(*(Fraction(v).denominator for v in row)) for row in matrix)
-    return Fraction(sign * ech[-1][-1], scale)
+    return _rref(matrix, n)[1]
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int) -> List[Vec]:
-    """Basis of the right nullspace, each vector scaled so its first
-    nonzero entry is 1; ordered by ascending free column."""
-    rows = [_clear_denominators(row) for row in matrix if any(Fraction(v) for v in row)]
-    if not rows:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    ech, pivots, _ = _bareiss_echelon(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis: List[Vec] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        # back-substitute pivot entries
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = Fraction(0)
-            for j in range(c + 1, ncols):
-                if vec[j]:
-                    s += Fraction(ech[r][j]) * vec[j]
-            vec[c] = -s / ech[r][c]
-        first = next(v for v in vec if v)
-        basis.append([v / first for v in vec])
-    return basis
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    """Exact rank of a rational matrix."""
-    rows = [_clear_denominators(row) for row in matrix]
-    return len(_bareiss_echelon(rows)[1])
-
-
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
-    """One exact solution of ``matrix @ x = rhs`` or None if inconsistent."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [_clear_denominators(list(row) + [b]) for row, b in zip(matrix, rhs)]
-    if not aug:
-        return [Fraction(0)] * ncols
-    ech, pivots, _ = _bareiss_echelon(aug)
+def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]:
+    """The solution of ``matrix @ x = rhs`` that is zero at every free
+    column, or None if the system is inconsistent."""
+    ncols = len(matrix[0]) if matrix else 0
+    pivots, _ = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], ncols + 1)
     if ncols in pivots:
         return None  # pivot in the augmented column
-    x = [Fraction(0)] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = Fraction(ech[r][ncols])
-        for j in range(c + 1, ncols):
-            if x[j]:
-                s -= Fraction(ech[r][j]) * x[j]
-        x[c] = s / ech[r][c]
-    return x
+    return [pivots.get(c, {}).get(ncols, Fraction(0)) for c in range(ncols)]
 
 
 # -- polynomial matrices ------------------------------------------------

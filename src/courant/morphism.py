@@ -300,7 +300,7 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
 
     Both hypotheses are read off ``hoist_data`` of the hoist -J/2 through
     the ample bracket of ``q``: its connection is Gamma_a - ad(J_a)/2,
-    and ``center()`` is the kernel of r -> ad r for valid and invalid
+    and the fiber center is the kernel of r -> ad r for valid and invalid
     fibers alike, so ad(J_a) = 0 exactly when every coefficient vector of
     J_a is central.  Then [J_a, J_b] = 0 and its curvature is
     R_ab - (nabla_a J_b - nabla_b J_a)/2.  The H formula is an
@@ -336,7 +336,7 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
     return iso, target
 
 
-# -- pullbacks, intrinsic forms, the coboundary identity ---------------------
+# -- pullbacks and the coboundary identity -----------------------------------
 
 
 def pullback_aform(
@@ -361,37 +361,6 @@ def pullback_aform(
         if value:
             comps[key] = value
     return AForm(patch, m, c.degree, comps)
-
-
-def is_ample_automorphism(q: Quintuple, tau: List[List[Poly]], phi: GValuedForm) -> Report:
-    """Check that (tau, phi) preserves the ample bracket of q exactly."""
-    report = Report()
-    patch, fiber = q.patch, q.fiber
-    iso = IsoData(tau, phi, [[Poly.zero(patch.n)] * patch.p for _ in range(patch.p)])
-    report.extend(validate_iso(patch, fiber, iso))
-    # drop the pairing condition: it constrains beta, which an ample map lacks
-    report.records = [r for r in report.records if r.name != "iso_pairing_condition"]
-    moved = transport(q, iso)
-    if moved.conn != q.conn:
-        report.add_fail("ample_bracket_preserved", Witness("transported connection differs", (), "nonzero"))
-    elif moved.curv != q.curv:
-        report.add_fail("ample_bracket_preserved", Witness("transported curvature differs", (), "nonzero"))
-    else:
-        report.add_pass("ample_bracket_preserved")
-    return report
-
-
-def intrinsic_form(
-    q: Quintuple, tau: List[List[Poly]], phi: GValuedForm, c: AForm
-) -> AForm:
-    """sigma^* C - C for an ample automorphism sigma = (tau, phi)."""
-    gate = is_ample_automorphism(q, tau, phi)
-    if not gate.ok:
-        raise ValueError(
-            "(tau, phi) is not an ample automorphism: %s" % gate.failures()[0].name
-        )
-    pulled = pullback_aform(q.patch, q.fiber, c, tau, phi)
-    return pulled - c
 
 
 def coboundary_identity_check(q1: Quintuple, q2: Quintuple, iso: IsoData) -> Report:

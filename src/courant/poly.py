@@ -302,20 +302,6 @@ class Poly:
         }
         return _make(self.nvars, num, self.den)
 
-    def evaluate(self, point: Iterable[Coeff]) -> Fraction:
-        """Evaluate at a rational point (used by test oracles)."""
-        pt = [Fraction(v) for v in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for key, c in self.num.items():
-            v = Fraction(c)
-            for x, e in zip(pt, _unpack(key, self.nvars)):
-                if e:
-                    v *= x ** e
-            total += v
-        return total / self.den
-
     def is_constant(self) -> bool:
         return not any(self.num)
 

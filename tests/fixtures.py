@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Tuple
+from math import lcm, prod
+from typing import List, Optional, Sequence, Tuple
 
 from courant import (
     AForm,
@@ -18,12 +19,22 @@ from courant import (
     QuadAlgebroid,
     QuadLieAlgebra,
     Quintuple,
+    Report,
+    Witness,
     abelian,
+    pullback_aform,
     su2,
     transport,
+    validate_iso,
 )
 from courant.geometry import FConnection
-from courant.linalg import poly_mat_identity, poly_mat_mul, poly_mat_vec
+from courant.linalg import (
+    poly_mat_identity,
+    poly_mat_inverse_constant_det,
+    poly_mat_mul,
+    poly_mat_vec,
+    rational_det,
+)
 
 
 def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
@@ -60,6 +71,130 @@ def aform_from_fform(patch: Patch, dim: int, w: FForm) -> AForm:
     return AForm(patch, dim, w.degree, comps)
 
 
+def evaluate(poly: Poly, point) -> Fraction:
+    """Evaluate a polynomial at a rational point."""
+    pt = [Fraction(v) for v in point]
+    if len(pt) != poly.nvars:
+        raise ValueError("point has wrong dimension")
+    return sum(
+        (Fraction(c) * prod(x ** e for x, e in zip(pt, exp)) for exp, c in poly.terms.items()),
+        Fraction(0),
+    )
+
+
+# -- dense Bareiss elimination: the oracle of courant.linalg ------------------
+
+
+def _clear_denominators(row: Sequence) -> List[int]:
+    fracs = [Fraction(v) for v in row]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [int(v * scale) for v in fracs]
+
+
+def _bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free row echelon form; returns (rows, pivot column list,
+    sign of the row permutation)."""
+    m = [row[:] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, sign
+
+
+def bareiss_det(matrix: Sequence[Sequence]) -> Fraction:
+    """Determinant: the last Bareiss pivot of the cleared integer matrix,
+    up to the row-swap sign, divided by the row lcms."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    ech, pivots, sign = _bareiss_echelon([_clear_denominators(row) for row in matrix])
+    if len(pivots) < n:
+        return Fraction(0)
+    scale = prod(lcm(*(Fraction(v).denominator for v in row)) for row in matrix)
+    return Fraction(sign * ech[-1][-1], scale)
+
+
+def bareiss_solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]:
+    """The solution of ``matrix @ x = rhs`` that is zero at every free
+    column, by back-substitution, or None if inconsistent."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    aug = [_clear_denominators(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    if not aug:
+        return [Fraction(0)] * ncols
+    ech, pivots, _ = _bareiss_echelon(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        s = Fraction(ech[r][ncols])
+        for j in range(c + 1, ncols):
+            if x[j]:
+                s -= Fraction(ech[r][j]) * x[j]
+        x[c] = s / ech[r][c]
+    return x
+
+
+def nullspace(matrix: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
+    """Basis of the right nullspace, each vector scaled so its first
+    nonzero entry is 1; ordered by ascending free column."""
+    rows = [_clear_denominators(row) for row in matrix if any(Fraction(v) for v in row)]
+    if not rows:
+        return [
+            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
+            for i in range(ncols)
+        ]
+    ech, pivots, _ = _bareiss_echelon(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        # back-substitute pivot entries
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            s = Fraction(0)
+            for j in range(c + 1, ncols):
+                if vec[j]:
+                    s += Fraction(ech[r][j]) * vec[j]
+            vec[c] = -s / ech[r][c]
+        first = next(v for v in vec if v)
+        basis.append([v / first for v in vec])
+    return basis
+
+
+def rank(matrix: Sequence[Sequence]) -> int:
+    """Exact rank of a rational matrix."""
+    return len(_bareiss_echelon([_clear_denominators(row) for row in matrix])[1])
+
+
+def center(fiber: QuadLieAlgebra) -> List[List[Fraction]]:
+    """Rational basis of {r : [r, s] = 0 for all s}: the kernel of the
+    stacked adjoint map r -> ad(r), basis vectors with leading entry 1."""
+    m = fiber.dim
+    rows = [[fiber.c[i][j][k] for i in range(m)] for j in range(m) for k in range(m)]
+    return nullspace(rows, m) if rows else []
+
+
 # -- isomorphisms and closed-form differentials -------------------------------
 
 
@@ -93,6 +228,37 @@ def compose_iso(patch: Patch, fiber: QuadLieAlgebra, second: IsoData, first: Iso
                 - corr.scale(2)
             )
     return IsoData(tau, GValuedForm(patch, m, 1, phi_comps), beta)
+
+
+def is_ample_automorphism(q: Quintuple, tau: List[List[Poly]], phi: GValuedForm) -> Report:
+    """Check that (tau, phi) preserves the ample bracket of q exactly."""
+    report = Report()
+    patch, fiber = q.patch, q.fiber
+    iso = IsoData(tau, phi, [[Poly.zero(patch.n)] * patch.p for _ in range(patch.p)])
+    report.extend(validate_iso(patch, fiber, iso))
+    # drop the pairing condition: it constrains beta, which an ample map lacks
+    report.records = [r for r in report.records if r.name != "iso_pairing_condition"]
+    moved = transport(q, iso)
+    if moved.conn != q.conn:
+        report.add_fail("ample_bracket_preserved", Witness("transported connection differs", (), "nonzero"))
+    elif moved.curv != q.curv:
+        report.add_fail("ample_bracket_preserved", Witness("transported curvature differs", (), "nonzero"))
+    else:
+        report.add_pass("ample_bracket_preserved")
+    return report
+
+
+def intrinsic_form(
+    q: Quintuple, tau: List[List[Poly]], phi: GValuedForm, c: AForm
+) -> AForm:
+    """sigma^* C - C for an ample automorphism sigma = (tau, phi)."""
+    gate = is_ample_automorphism(q, tau, phi)
+    if not gate.ok:
+        raise ValueError(
+            "(tau, phi) is not an ample automorphism: %s" % gate.failures()[0].name
+        )
+    pulled = pullback_aform(q.patch, q.fiber, c, tau, phi)
+    return pulled - c
 
 
 def phi_form_differential(alg: QuadAlgebroid, j: GValuedForm) -> AForm:
@@ -208,19 +374,48 @@ def fixture_d() -> Quintuple:
     return Quintuple(patch, fiber, conn, curv, FForm.zero(patch, 3))
 
 
-def fixture_d_extended() -> Quintuple:
-    """Fixture D with a central line adjoined to the fiber (su(2) + R)."""
+def fixture_d_extended(central: int = 1) -> Quintuple:
+    """Fixture D with a central subspace adjoined to the fiber
+    (su(2) + R^central, a line by default)."""
     patch = Patch(2, 2)
-    fiber = direct_sum(su2(), abelian(1))
+    m = 3 + central
+    fiber = direct_sum(su2(), abelian(central))
     gamma = []
     for a in range(1, 3):
-        unit = [patch.one() if k == a else patch.zero() for k in range(1, 5)]
+        unit = [patch.one() if k == a else patch.zero() for k in range(1, m + 1)]
         gamma.append(fiber.ad_matrix(unit))
-    conn = GConnection(patch, 4, gamma)
-    curv = GValuedForm(
-        patch, 4, 2, {(1, 2): [patch.zero(), patch.zero(), patch.one(), patch.zero()]}
-    )
+    conn = GConnection(patch, m, gamma)
+    e3 = [patch.one() if k == 3 else patch.zero() for k in range(1, m + 1)]
+    curv = GValuedForm(patch, m, 2, {(1, 2): e3})
     return Quintuple(patch, fiber, conn, curv, FForm.zero(patch, 3))
+
+
+def rebased(q: Quintuple, basis) -> Quintuple:
+    """The same structure in the fiber basis f_i = sum_a basis[a][i] e_a
+    (an invertible rational matrix P): structure constants
+    P^-1 [P e_i, P e_j], metric P^T g P, connection P^-1 Gamma_a P,
+    curvature P^-1 R."""
+    patch, fiber = q.patch, q.fiber
+    m, n = fiber.dim, patch.n
+    fwd = poly_mat_from_rational(n, basis)
+    inv = poly_mat_inverse_constant_det(fwd)
+    images = [[fwd[a][i] for a in range(m)] for i in range(m)]  # P e_i
+    c = [
+        [[v.constant_value() for v in poly_mat_vec(inv, fiber.bracket(u, w))] for w in images]
+        for u in images
+    ]
+    g = [[fiber.pairing(u, w).constant_value() for w in images] for u in images]
+    gamma = [poly_mat_mul(poly_mat_mul(inv, mat), fwd) for mat in q.conn.gamma]
+    curv = GValuedForm(patch, m, 2, {key: poly_mat_vec(inv, vec) for key, vec in q.curv.comps.items()})
+    return Quintuple(patch, QuadLieAlgebra(m, c, g), GConnection(patch, m, gamma), curv, q.hform)
+
+
+def random_basis(rng: random.Random, m: int) -> List[List[Fraction]]:
+    """A random invertible rational m x m matrix."""
+    while True:
+        basis = [[rand_fraction(rng, 2, 3) for _ in range(m)] for _ in range(m)]
+        if rational_det(basis):
+            return basis
 
 
 def fixture_exact() -> Quintuple:

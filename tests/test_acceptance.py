@@ -25,7 +25,6 @@ from courant import (
     e_connection_form,
     hoist_shift_iso,
     intertwining_report,
-    intrinsic_form,
     leafwise_d,
     omega_shift_iso,
     phi_form,
@@ -41,6 +40,7 @@ from fixtures import (
     fixture_d,
     fixture_d_extended,
     fixture_exact,
+    intrinsic_form,
     is_horizontal,
     mutate_fixture_d,
     phi_form_differential,

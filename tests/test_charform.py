@@ -8,10 +8,15 @@ from courant import (
     CharPair,
     FConnection,
     FForm,
+    GConnection,
     GValuedForm,
     Hoist,
+    Patch,
     Poly,
     QuadAlgebroid,
+    QuadLieAlgebra,
+    Quintuple,
+    abelian,
     build_from_pair,
     ce_differential,
     characteristic_pair_of,
@@ -21,15 +26,22 @@ from courant import (
     hoist_data,
     phi_form,
     standard_three_form,
+    su2,
 )
 from fixtures import (
     ALL_FIXTURES,
+    center,
+    direct_sum,
     fixture_b,
     fixture_c,
     fixture_d,
+    fixture_d_extended,
     fixture_product,
     fixture_exact,
     rand_poly,
+    random_basis,
+    rank,
+    rebased,
     seeded_gvalued_one_form,
 )
 
@@ -360,3 +372,62 @@ def test_find_hoist_gauge_fixing_with_center():
     assert search.hoist.j == j.scale(-1)
     report = check_coherent(alg, shifted, search.hoist)
     assert report.ok
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_find_hoist_with_center_off_the_axes(seed):
+    # su(2) + R^2 in a random rational basis: no coordinate axis is
+    # central, so the free columns of B are not the center coordinates.
+    # The shift is constant, so its central part is curl-free and -J
+    # plus any constant central vector is a hoist too.
+    q = rebased(fixture_d_extended(2), random_basis(random.Random(seed), 5))
+    assert q.validate().ok
+    zvecs = center(q.fiber)
+    assert len(zvecs) == 2
+    units = [[Fraction(int(i == k)) for i in range(5)] for k in range(5)]
+    assert all(rank(zvecs + [unit]) == 3 for unit in units)
+    alg = QuadAlgebroid.of(q)
+    j = seeded_gvalued_one_form(seed, q, max_degree=0)
+    shifted = standard_three_form(q) + ce_differential(alg, phi_form(q.patch, 5, j, q.fiber))
+    search = find_hoist(alg, shifted)
+    assert search.hoist is not None
+    assert check_coherent(alg, shifted, search.hoist).ok
+    offset = search.hoist.j + j
+    assert offset  # the hoist is not -J itself: its center part was moved
+    for a in (1, 2):
+        assert not any(any(row) for row in q.fiber.ad_matrix(offset.get((a,))))
+
+
+def test_find_hoist_on_non_invariant_metric():
+    # R + su(2) (line metric 2) with 1 added to g_12 = g_21: the metric
+    # stays nondegenerate but is not ad-invariant, and ker B is the line
+    # through e_1 - e_2, not the center R e_1.  The hoist
+    # solve reports the solution of B J_a = rhs that is zero at the free
+    # column e_2; projecting it along the center, as the solve once did,
+    # broke B J_a = rhs and moved the curvature witness.  The mixed
+    # condition reads the form's Cartan part, which matches -B only on
+    # increasing index triples here, so it fails either way.
+    patch = Patch(2, 2)
+    valid = direct_sum(abelian(1, [[2]]), su2())
+    g = [row[:] for row in valid.g]
+    g[0][1] += 1
+    g[1][0] += 1
+    fiber = QuadLieAlgebra(4, valid.c, g)
+    assert [r.name for r in fiber.validate().failures()] == ["fiber_ad_invariance"]
+    q = Quintuple(patch, fiber, GConnection.flat(patch, 4), GValuedForm.zero(patch, 4, 2), FForm.zero(patch, 3))
+    alg = QuadAlgebroid.of(q)
+    j = seeded_gvalued_one_form(0, q, max_degree=1)
+    shifted = standard_three_form(q) + ce_differential(alg, phi_form(patch, 4, j, fiber))
+    search = find_hoist(alg, shifted)
+    assert search.hoist is None
+    assert [(r.name, r.status, r.witness and r.witness.to_dict()) for r in search.report.records] == [
+        ("coherent_closed", "pass", None),
+        ("coherent_cartan", "pass", None),
+        ("hoist_solvable", "pass", None),
+        ("coherent_mixed", "fail",
+         {"identity": "C(r,s,kappa x)", "indices": [3, 4, 1], "residual": "-1*x2 + 1"}),
+        ("coherent_curvature", "fail",
+         {"identity": "C(r,kappa x,kappa y) - <r,R^kappa(x,y)>", "indices": [1, 1, 2],
+          "residual": "3/2*x1*x2 + 3/2*x1 - 7/3"}),
+    ]
+

@@ -2,18 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courant.linalg import (
-    nullspace,
     poly_mat_det,
     poly_mat_identity,
     poly_mat_inverse_constant_det,
     poly_mat_mul,
-    rank,
     rational_det,
     solve,
 )
 from courant.poly import Poly
+from fixtures import bareiss_det, bareiss_solve, nullspace, rank
 
 
 def test_det_basics():
@@ -124,3 +124,71 @@ def test_rank():
         # a third row in the span never raises the rank
         combo = [rows[0][j] * 2 - rows[1][j] for j in range(3)]
         assert rank(rows + [combo]) == rank(rows) == 3 - len(nullspace(rows, 3))
+
+
+# -- the reduced-echelon kernel against the dense Bareiss oracle -------------
+
+# about half the entries are zero, so the systems are sparse
+ENTRY = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+def _dot(row, x):
+    return sum((r * v for r, v in zip(row, x)), Fraction(0))
+
+
+@st.composite
+def rows_with_combinations(draw, nrows, ncols):
+    """Random rows, some replaced by a combination of two others, so
+    rank deficiency is common."""
+    rows = [[draw(ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if nrows > 1 and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s = draw(ENTRY)
+            rows[i] = [x + s * y for x, y in zip(a, b)]
+    return rows
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): b in the image of A (consistent) or random (often
+    inconsistent once A is rank deficient)."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = draw(rows_with_combinations(nrows, ncols))
+    if draw(st.booleans()):
+        x = [draw(ENTRY) for _ in range(ncols)]
+        rhs = [_dot(row, x) for row in rows]
+    else:
+        rhs = [draw(ENTRY) for _ in rows]
+    return rows, rhs
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    return draw(rows_with_combinations(n, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_solve_matches_bareiss(system):
+    rows, rhs = system
+    x = solve(rows, rhs)
+    assert x == bareiss_solve(rows, rhs)
+    if x is not None:
+        assert all(_dot(row, x) == b for row, b in zip(rows, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_matches_bareiss(matrix):
+    assert rational_det(matrix) == bareiss_det(matrix)
+
+
+def test_solve_zero_at_free_columns():
+    # column 1 depends on column 0, so it is free and the solution is zero there
+    assert solve([[1, 2, 0], [2, 4, 1]], [1, 3]) == [1, 0, 1]
+    assert solve([[0, 1]], [5]) == [0, 5]
+    assert solve([[1, 1]], [2]) == [2, 0]
+    assert solve([[0, 0]], [1]) is None
+    assert solve([], []) == []

@@ -21,8 +21,6 @@ from courant import (
     coboundary_identity_check,
     hoist_shift_iso,
     intertwining_report,
-    intrinsic_form,
-    is_ample_automorphism,
     leafwise_d,
     omega_shift_iso,
     phi_form,
@@ -34,24 +32,27 @@ from courant import (
 )
 from courant.cli import parse_config
 from courant.dorfman import MAX_DEGREE_CAP
-from courant.linalg import rank
 from courant.morphism import IsoData
 from courant.poly import coefficient_vectors
 from courant.report import Check, Report
 from fixtures import (
     cayley_so3,
+    center,
     compose_iso,
     fixture_c,
     fixture_d,
     fixture_d_extended,
     fixture_exact,
     identity_iso,
+    intrinsic_form,
+    is_ample_automorphism,
     is_horizontal,
     mutate_fixture_d,
     phi_form_differential,
     poly_mat_from_rational,
     psi_form_differential,
     rand_poly,
+    rank,
     rank_mutant,
     seeded_ample_automorphism,
     seeded_endomorphism_field,
@@ -386,11 +387,11 @@ def literal_central_rejection(q, j):
     """The message that rejects a central shift by J, or None: first a
     coefficient vector of some J_a outside the span of the fiber center
     (by rank), then a nonzero curl.  The oracle of ``central_shift_iso``."""
-    center = [list(z) for z in q.fiber.center()]
+    zvecs = center(q.fiber)
     p = q.patch.p
     for a in range(1, p + 1):
         for _, vec in coefficient_vectors(j.get((a,))):
-            if any(vec) and (not center or rank(center + [vec]) != rank(center)):
+            if any(vec) and (not zvecs or rank(zvecs + [vec]) != rank(zvecs)):
                 return "central shift rejected: J(d_%d) is not valued in the fiber center" % a
     for a, b in combinations(range(1, p + 1), 2):
         curl = [u - v for u, v in zip(q.conn.apply(a, j.get((b,))), q.conn.apply(b, j.get((a,))))]
@@ -441,8 +442,8 @@ def random_shift_form(q, kind, rng):
     gradient d F times a central vector (curl-free under a connection
     that kills the center), optionally with a generic term on one d_a."""
     patch, m, p = q.patch, q.fiber.dim, q.patch.p
-    center = q.fiber.center()
-    z = [sum((rng.randint(-2, 2) * v for v in vec), Fraction(0)) for vec in zip(*center)] if center else [0] * m
+    zvecs = center(q.fiber)
+    z = [sum((rng.randint(-2, 2) * v for v in vec), Fraction(0)) for vec in zip(*zvecs)] if zvecs else [0] * m
     if kind == "random":
         cols = [[rand_poly(rng, patch.n, 2, terms=2) for _ in range(m)] for _ in range(p)]
     elif kind == "central":

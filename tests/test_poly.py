@@ -15,6 +15,7 @@ from courant.poly import (
     coefficient_vectors,
     sum_products,
 )
+from fixtures import evaluate
 
 
 def rational(rng):
@@ -53,7 +54,7 @@ def test_scalar_product_evaluation_oracle():
     rng = random.Random(1)
     for _ in range(5):
         pt = [rational(rng), rational(rng)]
-        assert prod.evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+        assert evaluate(prod, pt) == evaluate(a, pt) * evaluate(b, pt)
 
 
 def test_mul_matches_pointwise_oracle_random():
@@ -64,7 +65,7 @@ def test_mul_matches_pointwise_oracle_random():
         prod = a * b
         for _ in range(5):
             pt = [rational(rng), rational(rng)]
-            assert prod.evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+            assert evaluate(prod, pt) == evaluate(a, pt) * evaluate(b, pt)
 
 
 def test_partial_derivative_power_rule():
