@@ -3,7 +3,41 @@
 Everything is computed over multivariate polynomials with rational
 coefficients, so every structural statement in the library is an exact,
 decidable identity: no tolerances, no floating point.
+
+Import cost.  Compiling the package is most of what a short command
+costs, so the two command layers, ``charform`` (the characteristic
+3-form and coherent pairs) and ``morphism`` (isomorphisms and
+transport), are lazy: ``_register_lazy`` puts their module objects in
+``sys.modules`` and on this package at once, and their code runs on the
+first attribute access.  ``check``, ``axioms`` and ``pontryagin`` on a
+config without ``[iso]`` or ``[hoist]`` then never compile them.  The package names they define are served by
+``__getattr__`` through ``_LAZY_EXPORTS``.  Three rules keep this sound:
+
+* a future command layer registers the same way, with its names in
+  ``_LAZY_EXPORTS``;
+* the eager layers (``poly``, ``fiber``, ``linalg``, ``geometry``,
+  ``ample``, ``dorfman``, ``report``) never import a lazy one at module
+  level, or every command would compile it again;
+* ``importlib.util.LazyLoader`` is not thread-safe before Python 3.12,
+  which is fine for the single-threaded CLI.
 """
+
+import importlib.util
+import sys
+
+
+def _register_lazy(name: str):
+    """The module ``name``, in ``sys.modules`` now, executed on first use."""
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+charform = _register_lazy(__name__ + ".charform")
+morphism = _register_lazy(__name__ + ".morphism")
 
 from .poly import Poly, PolyParseError, parse_poly
 from .fiber import QuadLieAlgebra, abelian, su2
@@ -25,32 +59,50 @@ from .ample import (
     ce_differential,
 )
 from .dorfman import Quintuple, Section, monomials, naive_differential, naive_matches_ce
-from .charform import (
-    CharPair,
-    Hoist,
-    build_from_pair,
-    characteristic_pair_of,
-    check_coherent,
-    e_connection_form,
-    find_hoist,
-    hoist_data,
-    standard_three_form,
-)
-from .morphism import (
-    IsoData,
-    apply_iso,
-    central_shift_iso,
-    coboundary_identity_check,
-    hoist_shift_iso,
-    intertwining_report,
-    omega_shift_iso,
-    phi_form,
-    psi_form,
-    pullback_aform,
-    transport,
-    validate_iso,
-)
 from .report import CheckRecord, Report, Witness
+
+# Package name -> the lazy layer that defines it.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "CharPair",
+            "Hoist",
+            "build_from_pair",
+            "characteristic_pair_of",
+            "check_coherent",
+            "e_connection_form",
+            "find_hoist",
+            "hoist_data",
+            "standard_three_form",
+        ),
+        charform,
+    ),
+    **dict.fromkeys(
+        (
+            "IsoData",
+            "apply_iso",
+            "central_shift_iso",
+            "coboundary_identity_check",
+            "hoist_shift_iso",
+            "intertwining_report",
+            "omega_shift_iso",
+            "phi_form",
+            "psi_form",
+            "pullback_aform",
+            "transport",
+            "validate_iso",
+        ),
+        morphism,
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(module, name)
+
 
 __all__ = [
     "AForm",

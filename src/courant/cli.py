@@ -18,29 +18,11 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
+from . import charform, morphism
 from .ample import AForm, QuadAlgebroid, ce_differential
-from .charform import (
-    CharPair,
-    Hoist,
-    build_from_pair,
-    characteristic_pair_of,
-    e_connection_form,
-    find_hoist,
-    standard_three_form,
-)
 from .dorfman import Quintuple, naive_matches_ce
 from .fiber import QuadLieAlgebra
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
-from .morphism import (
-    IsoData,
-    central_shift_iso,
-    coboundary_identity_check,
-    hoist_shift_iso,
-    intertwining_report,
-    omega_shift_iso,
-    transport,
-    validate_iso,
-)
 from .poly import Poly, PolyParseError, parse_poly
 from .report import Check, Record, Report, Witness
 
@@ -122,8 +104,8 @@ class Config(Record):
         curv: GValuedForm,
         hform: FForm,
         nabla_f: Optional[FConnection] = None,
-        iso: Optional[IsoData] = None,
-        hoist: Optional[Hoist] = None,
+        iso: Optional[morphism.IsoData] = None,
+        hoist: Optional[charform.Hoist] = None,
         omega: Optional[FForm] = None,
         cform: Optional[AForm] = None,
     ):
@@ -298,9 +280,9 @@ def _build(patch: Patch, m: int, data, saw: Set[str]) -> Config:
         # iso.beta.a.b is <beta(d_a)|d_b>, stored at row b, column a
         beta = {(b, a): v for (a, b), v in data["iso.beta"].items()}
         phi = GValuedForm(patch, m, 1, _vectors(data["iso.phi"], m, zero))
-        cfg.iso = IsoData(_dense(tau, (m, m), zero), phi, _dense(beta, (p, p), zero))
+        cfg.iso = morphism.IsoData(_dense(tau, (m, m), zero), phi, _dense(beta, (p, p), zero))
     if "hoist" in saw:
-        cfg.hoist = Hoist(GValuedForm(patch, m, 1, _vectors(data["hoist.J"], m, zero)))
+        cfg.hoist = charform.Hoist(GValuedForm(patch, m, 1, _vectors(data["hoist.J"], m, zero)))
     if "omega" in saw:
         cfg.omega = FForm(patch, 2, data["omega.w"])
     if "cform" in saw:
@@ -419,13 +401,13 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
     elif cmd == "axioms":
         report.extend(q.check_axioms(degree))
     elif cmd == "charform":
-        form = standard_three_form(q)
+        form = charform.standard_three_form(q)
         closed = Check("charform_closed", "dC_s")
         closed.add_form(ce_differential(q, form))
         report.add(closed.record())
         _emit_aform(report, "C_s", form)
     elif cmd == "chernweil":
-        target = standard_three_form(q)
+        target = charform.standard_three_form(q)
         plans = [("gamma_zero", FConnection.flat(cfg.patch)), ("gamma_linear", _linear_symmetric_fconnection(cfg.patch))]
         if cfg.nabla_f is not None:
             if not cfg.nabla_f.is_torsion_free():
@@ -433,7 +415,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
             plans.append(("nabla_f", cfg.nabla_f))
         forms = {}
         for label, fc in plans:
-            forms[label] = e_connection_form(q, fc)
+            forms[label] = charform.e_connection_form(q, fc)
             match = Check("chernweil_matches_standard_%s" % label, "C_nablaE - C_s")
             match.add_form(forms[label] - target)
             report.add(match.record())
@@ -444,25 +426,31 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         _emit_fform(report, "RR", rr)
     elif cmd == "coherent":
         cform = _require(cfg.cform, "cform")
+        fiber_report = cfg.fiber.validate()
+        if not fiber_report.ok:
+            return fiber_report  # the hoist equations assume an ad-invariant metric
         alg = QuadAlgebroid.of(q)
-        search = find_hoist(alg, cform)
+        search = charform.find_hoist(alg, cform)
         report.extend(search.report)
         if search.hoist is not None:
             cols = [(a, search.hoist.column(a)) for a in range(1, cfg.patch.p + 1)]
             _emit(report, "hoist.J", [((a, k + 1), v) for a, col in cols for k, v in enumerate(col)])
     elif cmd == "build":
         cform = _require(cfg.cform, "cform")
+        fiber_report = cfg.fiber.validate()
+        if not fiber_report.ok:
+            return fiber_report
         alg = QuadAlgebroid.of(q)
         if cfg.hoist is not None:
             hoist = cfg.hoist
         else:
-            search = find_hoist(alg, cform)
+            search = charform.find_hoist(alg, cform)
             if search.hoist is None:
                 report.extend(search.report)
                 return report
             hoist = search.hoist
         try:
-            built = build_from_pair(CharPair(alg, cform), hoist)
+            built = charform.build_from_pair(charform.CharPair(alg, cform), hoist)
         except ValueError as exc:
             report.add_fail("build_coherent", Witness(str(exc), (), "1"))
             return report
@@ -476,9 +464,9 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         _emit(report, "built.R", curv)
         _emit_fform(report, "built.H", built.hform)
     elif cmd == "roundtrip":
-        pair = characteristic_pair_of(q)
+        pair = charform.characteristic_pair_of(q)
         try:
-            rebuilt = build_from_pair(pair, Hoist.standard(cfg.patch, cfg.fiber.dim))
+            rebuilt = charform.build_from_pair(pair, charform.Hoist.standard(cfg.patch, cfg.fiber.dim))
         except ValueError as exc:
             # invalid data: the canonical pair is not coherent, as in ``build``
             report.add_fail("roundtrip_coherent", Witness(str(exc), (), "1"))
@@ -494,31 +482,31 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
                 report.add_fail(label, Witness("component mismatch", (), "1"))
     elif cmd == "transport":
         iso = _require(cfg.iso, "iso")
-        report.extend(validate_iso(cfg.patch, cfg.fiber, iso))
+        report.extend(morphism.validate_iso(cfg.patch, cfg.fiber, iso))
         if not report.ok:
             return report
-        moved = transport(q, iso)
+        moved = morphism.transport(q, iso)
         report.extend(moved.validate().renamed("target_%s"))
-        report.extend(intertwining_report(q, moved, iso, degree_cap=degree))
-        report.extend(coboundary_identity_check(q, moved, iso))
+        report.extend(morphism.intertwining_report(q, moved, iso, degree_cap=degree))
+        report.extend(morphism.coboundary_identity_check(q, moved, iso))
     elif cmd == "shift":
         if kind == "hoist":
             hoist = _require(cfg.hoist, "hoist")
-            iso, predicted = hoist_shift_iso(q, hoist.j)
+            iso, predicted = morphism.hoist_shift_iso(q, hoist.j)
         elif kind == "omega":
             omega = _require(cfg.omega, "omega")
-            iso, predicted = omega_shift_iso(q, omega)
+            iso, predicted = morphism.omega_shift_iso(q, omega)
         elif kind == "central":
             hoist = _require(cfg.hoist, "hoist")
             try:
-                iso, predicted = central_shift_iso(q, hoist.j)
+                iso, predicted = morphism.central_shift_iso(q, hoist.j)
             except ValueError as exc:
                 report.add_fail("shift_hypotheses", Witness(str(exc), (), "1"))
                 return report
         else:
             raise ConfigError("unknown shift kind %r" % kind)
         report.add_pass("shift_hypotheses")
-        moved = transport(q, iso)
+        moved = morphism.transport(q, iso)
         for label, same in (
             ("shift_connection_matches", moved.conn == predicted.conn),
             ("shift_curvature_matches", moved.curv == predicted.curv),
@@ -530,7 +518,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
                 report.add_fail(label, Witness("transport differs from prediction", (), "1"))
         report.extend(predicted.validate().renamed("target_%s"))
     elif cmd == "naive":
-        forms = [("C_s", standard_three_form(q))]
+        forms = [("C_s", charform.standard_three_form(q))]
         if cfg.cform is not None:
             forms.append(("cform", cfg.cform))
         for label, form in forms:

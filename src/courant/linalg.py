@@ -6,9 +6,10 @@ every exact elimination: ``solve`` reads one solution off the reduced
 form and ``rational_det`` reads the determinant off the pivots.
 
 Polynomial matrices (entries :class:`courant.poly.Poly`) get the small
-dense helpers needed for structure transport: product, determinant via
-Laplace expansion, and the adjugate used to invert a matrix whose
-determinant is a nonzero constant.
+dense helpers needed for structure transport: product, and the
+determinant and the inverse of a matrix whose determinant is a nonzero
+constant, both read off the characteristic polynomial with ring
+operations only (Berkowitz), so their cost grows as m^4, not m!.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]
 # -- polynomial matrices ------------------------------------------------
 
 
-def poly_mat_zero(nvars: int, nrows: int, ncols: int) -> List[List[Poly]]:
-    zero = Poly.zero(nvars)
-    return [[zero for _ in range(ncols)] for _ in range(nrows)]
-
-
 def poly_mat_identity(nvars: int, n: int) -> List[List[Poly]]:
     one = Poly.const(nvars, 1)
     zero = Poly.zero(nvars)
@@ -113,60 +109,65 @@ def poly_mat_diff(a, index: int):
     return [[x.diff(index) for x in row] for row in a]
 
 
-def poly_mat_det(a) -> Poly:
-    """Determinant by Laplace expansion; fine for the small fiber sizes here."""
-    n = len(a)
-    if n == 0:
+def _charpoly(a) -> List[Poly]:
+    """Coefficients c_0 = 1, c_1, .., c_m of det(t I - a) = sum c_i t^(m-i).
+
+    Berkowitz's division-free algorithm, O(m^4) ring operations where
+    Laplace expansion takes O(m!): going up from the trailing 1x1 block,
+    each step multiplies the coefficients of the trailing block M by the
+    Toeplitz matrix whose first column is 1, -a_rr, -R C, -R M C, ..,
+    -R M^(s-1) C, for the row R and column C that border M in row r."""
+    m = len(a)
+    if m == 0:
         raise ValueError("cannot infer variable count of an empty determinant")
-    if any(len(row) != n for row in a):
+    if any(len(row) != m for row in a):
         raise ValueError("determinant of a non-square matrix")
     nvars = a[0][0].nvars
-    if n == 1:
-        return a[0][0]
-
-    def minor_det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Poly:
-        if len(rows) == 1:
-            return a[rows[0]][cols[0]]
-        r, rest = rows[0], rows[1:]
-        terms = [
-            (-1 if pos % 2 else 1, a[r][c], minor_det(rest, cols[:pos] + cols[pos + 1:]))
-            for pos, c in enumerate(cols)
-            if a[r][c]
+    one = Poly.const(nvars, 1)
+    coeffs = [one, -a[m - 1][m - 1]]
+    for r in range(m - 2, -1, -1):
+        sub = [row[r + 1:] for row in a[r + 1:]]
+        border, col = a[r][r + 1:], [row[r] for row in a[r + 1:]]
+        column = [one, -a[r][r]]
+        for k in range(m - 1 - r):
+            if k:
+                col = poly_mat_vec(sub, col)
+            column.append(sum_products(nvars, [(-1, x, y) for x, y in zip(border, col)]))
+        coeffs = [
+            sum_products(nvars, [(1, column[i - j], c) for j, c in enumerate(coeffs[: i + 1])])
+            for i in range(len(column))
         ]
-        return sum_products(nvars, terms)
-
-    return minor_det(tuple(range(n)), tuple(range(n)))
+    return coeffs
 
 
-def poly_mat_adjugate(a) -> List[List[Poly]]:
-    n = len(a)
-    nvars = a[0][0].nvars
-    if n == 1:
-        return [[Poly.const(nvars, 1)]]
-    adj = poly_mat_zero(nvars, n, n)
-    idx = tuple(range(n))
-    for i in range(n):
-        rows = idx[:i] + idx[i + 1:]
-        for j in range(n):
-            cols = idx[:j] + idx[j + 1:]
-            minor = [[a[r][c] for c in cols] for r in rows]
-            d = poly_mat_det(minor)
-            adj[j][i] = d if (i + j) % 2 == 0 else -d
-    return adj
+def poly_mat_det(a) -> Poly:
+    """Determinant, (-1)^m times the last coefficient of the characteristic polynomial."""
+    last = _charpoly(a)[-1]
+    return -last if len(a) % 2 else last
 
 
 def poly_mat_inverse_constant_det(a) -> List[List[Poly]]:
     """Inverse of a polynomial matrix whose determinant is a nonzero constant.
 
-    Raises ValueError when the determinant is non-constant or zero, since
-    the inverse would then leave the polynomial ring.
+    By Cayley-Hamilton, sum c_i a^(m-i) = 0 for the coefficients c_i of
+    the characteristic polynomial, so the adjugate is (-1)^(m-1) (a^(m-1)
+    + c_1 a^(m-2) + .. + c_(m-1) I), summed by Horner's rule, and det(a)
+    is (-1)^m c_m.  Raises ValueError when the determinant is
+    non-constant or zero, since the inverse would then leave the
+    polynomial ring.
     """
-    det = poly_mat_det(a)
+    m = len(a)
+    coeffs = _charpoly(a)
+    det = -coeffs[-1] if m % 2 else coeffs[-1]
     if not det.is_constant():
         raise ValueError("matrix determinant is not constant: %s" % det)
     value = det.constant_value()
     if value == 0:
         raise ValueError("matrix is singular")
-    adj = poly_mat_adjugate(a)
-    inv_det = Fraction(1) / value
-    return [[entry.scale(inv_det) for entry in row] for row in adj]
+    adj = poly_mat_identity(a[0][0].nvars, m)
+    for c in coeffs[1:-1]:
+        adj = poly_mat_mul(a, adj)
+        for i in range(m):
+            adj[i][i] = adj[i][i] + c
+    scale = Fraction((-1) ** (m - 1)) / value
+    return [[entry.scale(scale) for entry in row] for row in adj]

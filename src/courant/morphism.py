@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Tuple
 
-from .ample import AForm, ASection, aform_keys, ce_differential
+from .ample import AForm, ASection, aform_keys, ce_differential, live
 from .charform import Hoist, hoist_data, standard_three_form
 from .dorfman import Quintuple, Section, check_degree_cap
 from .fiber import QuadLieAlgebra
@@ -103,23 +103,20 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
 
 
 def apply_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData, e: Section) -> Section:
-    """Image of a section; preserves the pseudo-metric exactly."""
-    p, n = patch.p, patch.n
-    phi = [iso.phi_col(a) for a in range(1, p + 1)]
-    live = [(x, phi[a], iso.beta_col(a + 1)) for a, x in enumerate(e.x) if x]
-    tau_r = poly_mat_vec(iso.tau, e.r)
-    r = [
-        u + sum_products(n, [(1, x, col[k]) for x, col, _ in live])
-        for k, u in enumerate(tau_r)
-    ]
-    # xi + beta(x) - 2 phi^* tau(r), with (phi^* s)_a = <s, phi(d_a)>
-    xi = [
-        e.xi[a]
-        + sum_products(n, [(1, x, col[a]) for x, _, col in live])
-        - fiber.pairing(tau_r, phi[a], n).scale(2)
-        for a in range(p)
-    ]
-    return Section(xi, r, list(e.x))
+    """Image of a section; preserves the pseudo-metric exactly.  The map
+    is linear in the section, so a zero part r or x is skipped."""
+    n = patch.n
+    parts = [(x, iso.phi_col(a), iso.beta_col(a)) for a, x in enumerate(e.x, 1) if x]
+    xi, r = e.xi, e.r
+    if parts:  # + beta(x)
+        xi = [u + sum_products(n, [(1, x, col[a]) for x, _, col in parts]) for a, u in enumerate(xi)]
+    if live(r):
+        r = poly_mat_vec(iso.tau, r)
+        # - 2 phi^* tau(r), with (phi^* s)_a = <s, phi(d_a)>
+        xi = [u - fiber.pairing(r, iso.phi_col(a), n).scale(2) for a, u in enumerate(xi, 1)]
+    if parts:  # + phi(x)
+        r = [u + sum_products(n, [(1, x, col[k]) for x, col, _ in parts]) for k, u in enumerate(r)]
+    return Section(list(xi), list(r), list(e.x))
 
 
 def transport(q1: Quintuple, iso: IsoData) -> Quintuple:

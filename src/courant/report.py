@@ -9,7 +9,6 @@ runs on the same input produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -195,6 +194,8 @@ class Report(Record):
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> str:
+        import json  # here, so that text reports never load it
+
         payload = {
             "version": 1,
             "checks": [

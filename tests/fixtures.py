@@ -34,7 +34,9 @@ from courant.linalg import (
     poly_mat_mul,
     poly_mat_vec,
     rational_det,
+    solve,
 )
+from courant.poly import sum_products
 
 
 def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
@@ -193,6 +195,43 @@ def center(fiber: QuadLieAlgebra) -> List[List[Fraction]]:
     m = fiber.dim
     rows = [[fiber.c[i][j][k] for i in range(m)] for j in range(m) for k in range(m)]
     return nullspace(rows, m) if rows else []
+
+
+# -- Laplace expansion: the oracle of courant.linalg's Berkowitz routines -----
+
+
+def laplace_det(a) -> Poly:
+    """Determinant of a square polynomial matrix by expansion along the first row."""
+    n = len(a)
+    nvars = a[0][0].nvars
+
+    def minor_det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Poly:
+        if len(rows) == 1:
+            return a[rows[0]][cols[0]]
+        r, rest = rows[0], rows[1:]
+        terms = [
+            (-1 if pos % 2 else 1, a[r][c], minor_det(rest, cols[:pos] + cols[pos + 1:]))
+            for pos, c in enumerate(cols)
+            if a[r][c]
+        ]
+        return sum_products(nvars, terms)
+
+    return minor_det(tuple(range(n)), tuple(range(n)))
+
+
+def laplace_adjugate(a) -> List[List[Poly]]:
+    """adj(a)[j][i] = (-1)^(i+j) times the minor of a without row i and column j."""
+    n = len(a)
+    if n == 1:
+        return [[Poly.const(a[0][0].nvars, 1)]]
+    idx = tuple(range(n))
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows = idx[:i] + idx[i + 1:]
+        for j in range(n):
+            d = laplace_det([[a[r][c] for c in idx[:j] + idx[j + 1:]] for r in rows])
+            adj[j][i] = d if (i + j) % 2 == 0 else -d
+    return adj
 
 
 # -- isomorphisms and closed-form differentials -------------------------------
@@ -500,6 +539,19 @@ def cayley_so3(rng: random.Random):
         [sum(minus[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
         for i in range(3)
     ]
+
+
+def cayley_orthogonal(rng: random.Random, m: int) -> List[List[Fraction]]:
+    """(I - S)(I + S)^-1 for a random skew integer S: a dense rational
+    orthogonal m x m matrix of determinant 1."""
+    skew = [[Fraction(0)] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        skew[i][j] = Fraction(rng.randint(-2, 2))
+        skew[j][i] = -skew[i][j]
+    plus = [[(i == j) + skew[i][j] for j in range(m)] for i in range(m)]
+    minus = [[(i == j) - skew[i][j] for j in range(m)] for i in range(m)]
+    cols = [solve(plus, [Fraction(i == j) for i in range(m)]) for j in range(m)]
+    return [[sum(minus[i][k] * cols[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
 
 
 def seeded_iso_fixture_d(seed: int, q: Quintuple) -> IsoData:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from courant import (
     standard_three_form,
     su2,
 )
+from courant.cli import Config, config_to_text, main
 from fixtures import (
     ALL_FIXTURES,
     center,
@@ -398,26 +400,32 @@ def test_find_hoist_with_center_off_the_axes(seed):
         assert not any(any(row) for row in q.fiber.ad_matrix(offset.get((a,))))
 
 
-def test_find_hoist_on_non_invariant_metric():
-    # R + su(2) (line metric 2) with 1 added to g_12 = g_21: the metric
-    # stays nondegenerate but is not ad-invariant, and ker B is the line
-    # through e_1 - e_2, not the center R e_1.  The hoist
-    # solve reports the solution of B J_a = rhs that is zero at the free
-    # column e_2; projecting it along the center, as the solve once did,
-    # broke B J_a = rhs and moved the curvature witness.  The mixed
-    # condition reads the form's Cartan part, which matches -B only on
-    # increasing index triples here, so it fails either way.
+def _non_invariant_case():
+    """R + su(2) (line metric 2) with 1 added to g_12 = g_21, and a
+    shifted standard form on it: (quintuple, algebroid, form)."""
     patch = Patch(2, 2)
     valid = direct_sum(abelian(1, [[2]]), su2())
     g = [row[:] for row in valid.g]
     g[0][1] += 1
     g[1][0] += 1
     fiber = QuadLieAlgebra(4, valid.c, g)
-    assert [r.name for r in fiber.validate().failures()] == ["fiber_ad_invariance"]
     q = Quintuple(patch, fiber, GConnection.flat(patch, 4), GValuedForm.zero(patch, 4, 2), FForm.zero(patch, 3))
     alg = QuadAlgebroid.of(q)
     j = seeded_gvalued_one_form(0, q, max_degree=1)
-    shifted = standard_three_form(q) + ce_differential(alg, phi_form(patch, 4, j, fiber))
+    return q, alg, standard_three_form(q) + ce_differential(alg, phi_form(patch, 4, j, fiber))
+
+
+def test_find_hoist_on_non_invariant_metric():
+    # The metric of _non_invariant_case stays nondegenerate but is not
+    # ad-invariant, and ker B is the line through e_1 - e_2, not the
+    # center R e_1.  The hoist solve reports the solution of B J_a = rhs
+    # that is zero at the free column e_2; projecting it along the
+    # center, as the solve once did,
+    # broke B J_a = rhs and moved the curvature witness.  The mixed
+    # condition reads the form's Cartan part, which matches -B only on
+    # increasing index triples here, so it fails either way.
+    q, alg, shifted = _non_invariant_case()
+    assert [r.name for r in q.fiber.validate().failures()] == ["fiber_ad_invariance"]
     search = find_hoist(alg, shifted)
     assert search.hoist is None
     assert [(r.name, r.status, r.witness and r.witness.to_dict()) for r in search.report.records] == [
@@ -430,4 +438,18 @@ def test_find_hoist_on_non_invariant_metric():
          {"identity": "C(r,kappa x,kappa y) - <r,R^kappa(x,y)>", "indices": [1, 1, 2],
           "residual": "3/2*x1*x2 + 3/2*x1 - 7/3"}),
     ]
+
+
+@pytest.mark.parametrize("command", ["coherent", "build"])
+def test_coherent_and_build_report_an_invalid_fiber_alone(command, tmp_path, capsys):
+    # the hoist equations assume an ad-invariant metric, so on this fiber
+    # both commands stop at the fiber report, before find_hoist runs
+    q, _, shifted = _non_invariant_case()
+    cfg = Config(q.patch, q.fiber, q.conn, q.curv, q.hform, cform=shifted)
+    path = tmp_path / "cfg.cfg"
+    path.write_text(config_to_text(cfg))
+    assert main([command, str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == ["fiber_ad_invariance"]
+    assert [c["name"] for c in checks] == [r.name for r in q.fiber.validate().records]
 

@@ -13,7 +13,8 @@ from courant.linalg import (
     solve,
 )
 from courant.poly import Poly
-from fixtures import bareiss_det, bareiss_solve, nullspace, rank
+import courant.linalg as linalg
+from fixtures import bareiss_det, bareiss_solve, laplace_adjugate, laplace_det, nullspace, rank
 
 
 def test_det_basics():
@@ -111,6 +112,66 @@ def test_poly_det_laplace_random_vs_rational():
         vals = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
         mat = [[Poly.const(0, v) for v in row] for row in vals]
         assert poly_mat_det(mat).constant_value() == rational_det(vals)
+
+
+POLY_ENTRY = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), st.fractions(-3, 3, max_denominator=3), max_size=2
+).map(lambda terms: Poly(2, terms))
+
+
+@st.composite
+def poly_matrices(draw):
+    """A square polynomial matrix, m <= 5; half of them L U with unit-
+    diagonal L and a nonzero constant diagonal on U, so det is a nonzero
+    constant and the inverse exists."""
+    m = draw(st.integers(1, 5))
+    a = [[draw(POLY_ENTRY) for _ in range(m)] for _ in range(m)]
+    if draw(st.booleans()):
+        one, zero = Poly.const(2, 1), Poly.zero(2)
+        diag = [Poly.const(2, draw(st.fractions(1, 3, max_denominator=3))) for _ in range(m)]
+        lower = [[one if i == j else a[i][j] if j < i else zero for j in range(m)] for i in range(m)]
+        upper = [[diag[i] if i == j else a[i][j] if j > i else zero for j in range(m)] for i in range(m)]
+        a = poly_mat_mul(lower, upper)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_matrices())
+def test_berkowitz_matches_laplace(a):
+    det = laplace_det(a)
+    assert poly_mat_det(a) == det
+    if det.is_constant() and det.constant_value():
+        scale = 1 / det.constant_value()
+        expected = [[entry.scale(scale) for entry in row] for row in laplace_adjugate(a)]
+        assert poly_mat_inverse_constant_det(a) == expected
+    else:
+        message = "matrix determinant is not constant: %s" % det if det else "matrix is singular"
+        with pytest.raises(ValueError) as info:
+            poly_mat_inverse_constant_det(a)
+        assert str(info.value) == message
+
+
+def test_inverse_8x8_makes_at_most_m4_sum_products(monkeypatch):
+    # Laplace expansion makes ~e m! sum_products calls for the determinant
+    # alone (~110,000 at m = 8); Berkowitz plus Horner make O(m^4)
+    m = 8
+    rng = random.Random(8)
+    lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(m)] for i in range(m)]
+    upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(m)] for i in range(m)]
+    dense = [[sum(lower[i][k] * upper[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    a = [[Poly.const(1, v) for v in row] for row in dense]
+    calls = []
+    counted = linalg.sum_products
+
+    def counting(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(linalg, "sum_products", counting)
+    inv = poly_mat_inverse_constant_det(a)
+    monkeypatch.undo()
+    assert len(calls) <= m ** 4
+    assert poly_mat_mul(a, inv) == poly_mat_identity(1, m)
 
 
 def test_rank():

@@ -30,12 +30,13 @@ from courant import (
     transport,
     validate_iso,
 )
-from courant.cli import parse_config
+from courant.cli import main, parse_config
 from courant.dorfman import MAX_DEGREE_CAP
 from courant.morphism import IsoData
 from courant.poly import coefficient_vectors
 from courant.report import Check, Report
 from fixtures import (
+    cayley_orthogonal,
     cayley_so3,
     center,
     compose_iso,
@@ -745,3 +746,22 @@ def test_intertwining_bracket_count(monkeypatch):
         calls.clear()
         assert intertwining_report(q, moved, iso, cap).ok
         assert len(calls) <= 490, cap
+
+
+def test_transport_on_a_dense_dim_12_fiber(tmp_path, capsys):
+    # the determinant and inverse of tau by Laplace expansion ran for
+    # minutes here; by Berkowitz the whole command takes seconds
+    m = 12
+    tau = cayley_orthogonal(random.Random(12), m)
+    lines = ["[base]", "base.n = 2", "base.p = 2", "[fiber]", "fiber.dim = %d" % m]
+    lines += ['fiber.metric.%d.%d = "1"' % (i, i) for i in range(1, m + 1)]
+    lines += ["[iso]"] + [
+        'iso.tau.%d.%d = "%s"' % (i, j, v)
+        for i, row in enumerate(tau, 1)
+        for j, v in enumerate(row, 1)
+        if v
+    ]
+    path = tmp_path / "dim12.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["transport", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
