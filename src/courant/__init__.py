@@ -9,9 +9,11 @@ costs, so the two command layers, ``charform`` (the characteristic
 3-form and coherent pairs) and ``morphism`` (isomorphisms and
 transport), are lazy: ``_register_lazy`` puts their module objects in
 ``sys.modules`` and on this package at once, and their code runs on the
-first attribute access.  ``check``, ``axioms`` and ``pontryagin`` on a
-config without ``[iso]`` or ``[hoist]`` then never compile them.  The package names they define are served by
-``__getattr__`` through ``_LAZY_EXPORTS``.  Three rules keep this sound:
+first attribute access.  ``check``, ``axioms`` and ``pontryagin`` then
+never compile them: the records a config's ``[iso]`` and ``[hoist]``
+blocks parse to, ``IsoData`` and ``Hoist``, live in the eager layers.
+The package names the lazy layers define are served by ``__getattr__``
+through ``_LAZY_EXPORTS``.  Three rules keep this sound:
 
 * a future command layer registers the same way, with its names in
   ``_LAZY_EXPORTS``;
@@ -54,11 +56,12 @@ from .geometry import (
 from .ample import (
     AForm,
     ASection,
+    Hoist,
     QuadAlgebroid,
     aform_to_str,
     ce_differential,
 )
-from .dorfman import Quintuple, Section, monomials, naive_differential, naive_matches_ce
+from .dorfman import IsoData, Quintuple, Section, monomials, naive_differential, naive_matches_ce
 from .report import CheckRecord, Report, Witness
 
 # Package name -> the lazy layer that defines it.
@@ -66,7 +69,6 @@ _LAZY_EXPORTS = {
     **dict.fromkeys(
         (
             "CharPair",
-            "Hoist",
             "build_from_pair",
             "characteristic_pair_of",
             "check_coherent",
@@ -79,7 +81,6 @@ _LAZY_EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "IsoData",
             "apply_iso",
             "central_shift_iso",
             "coboundary_identity_check",

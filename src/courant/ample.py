@@ -11,20 +11,24 @@ F* part.
 
 Sections of A are pairs (r, x) of fiber and leafwise component
 vectors.  The bracket is determined by the connection, the curvature
-2-form and the fiber bracket; the anchor projects to the x part.
+2-form and the fiber bracket; the anchor projects to the x part, and
+a ``Hoist`` x -> J(x) + x splits it.
 
 Forms on A are stored by bigraded components: the value on
 (e_{i_1},..,e_{i_s}, d/dx_{a_1},..,d/dx_{a_t}) with both index groups
 strictly increasing and fiber arguments first.  Evaluation on any
 argument order resolves the permutation sign, and evaluation on
-general sections expands multilinearly over the frame.  The Lie
-algebroid differential ``ce_differential`` acts on these forms.
+general sections expands multilinearly over the frame.
+``frame_differential`` is the one Chevalley-Eilenberg sum on wedges of
+frame sections: ``ce_differential`` runs it on the frame of A with the
+ample bracket, the naive differential of :mod:`courant.dorfman` on the
+Courant frame with the skew Dorfman bracket.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .geometry import GConnection, GValuedForm, Patch, sort_with_sign
@@ -125,11 +129,6 @@ class QuadAlgebroid:
         s.x[a - 1] = self.patch.one()
         return s
 
-    def section(self, r: Sequence[Poly], x: Sequence[Poly]) -> ASection:
-        if len(r) != self.fiber.dim or len(x) != self.patch.p:
-            raise ValueError("ample section shape mismatch")
-        return ASection(list(r), list(x))
-
     # -- structure maps -----------------------------------------------------
 
     def anchor_apply(self, u, f: Poly) -> Poly:
@@ -211,6 +210,30 @@ class QuadAlgebroid:
         if x2_live and r1_live:
             r_out = sub_live(r_out, self.nabla_along(v.x, u.r))
         return ASection(r_out, x_out)
+
+
+class Hoist(Record):
+    """A splitting x -> J(x) + x of A's anchor, encoded by the fiber-valued
+    1-form J."""
+
+    _fields = ("j",)
+
+    def __init__(self, j: GValuedForm):
+        if j.degree != 1:
+            raise ValueError("hoist data must be a fiber-valued 1-form")
+        self.j = j
+
+    @staticmethod
+    def standard(patch: Patch, dim: int) -> "Hoist":
+        return Hoist(GValuedForm.zero(patch, dim, 1))
+
+    def column(self, a: int) -> List[Poly]:
+        return self.j.get((a,))
+
+    def section(self, alg: QuadAlgebroid, a: int) -> ASection:
+        s = alg.coord(a)
+        s.r = self.column(a)
+        return s
 
 
 FrameSym = Tuple[str, int]
@@ -345,51 +368,75 @@ def aform_keys(patch: Patch, dim: int, degree: int):
     return sorted(keys)
 
 
-def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
-    """Lie algebroid differential of a form on A, computed on the frame.
+def frame_differential(
+    alg: QuadAlgebroid, w: AForm, frames: Sequence, bracket: Callable, wedges
+) -> List[Tuple[Sequence[int], Poly]]:
+    """[(wedge, value)] of the Chevalley-Eilenberg sum of ``w`` on each
+    wedge (u_0, .., u_k) of ``frames``, given by increasing frame indices:
 
-    The anchor terms come from ``anchor_apply`` and the bracket terms
-    from ``bracket`` on the frame sections e_1..e_m, d/dx_1..d/dx_p, so
-    the differential uses the same A-structure as the Dorfman bracket.
+        sum_pos (-1)^pos rho(u_pos) w(.., u_pos omitted, ..)
+        + sum_{i<j} (-1)^(i+j) w([u_i, u_j], .., u_i, u_j omitted, ..).
+
+    ``w`` reads a frame through ``eval_frame`` at its symbol, its one
+    nonzero r or x component (a unit), or at none for a frame with
+    neither (delta^a), where every form on A vanishes.  ``bracket(s, t)``
+    is called once per increasing pair of frame indices, and its result
+    enters through its r and x parts, its projection to A.
     """
     if w.patch != alg.patch or w.dim != alg.fiber.dim:
         raise ValueError("form does not live on this algebroid")
-    degree, m, p = w.degree, alg.fiber.dim, alg.patch.p
-    syms = [("g", i) for i in range(1, m + 1)] + [("f", a) for a in range(1, p + 1)]
-    frames = [alg.fiber_elem(i) for i in range(1, m + 1)] + [alg.coord(a) for a in range(1, p + 1)]
-    # component keys list their frame indices in increasing order, so
-    # only the brackets of increasing frame pairs are needed
+    m, p = alg.fiber.dim, alg.patch.p
+    asyms = [("g", i) for i in range(1, m + 1)] + [("f", a) for a in range(1, p + 1)]
+    syms = [next((sym for coeff, sym in zip(u.r + u.x, asyms) if coeff.num), None) for u in frames]
     brackets = {}
-    for s, t in combinations(range(m + p), 2):
-        br = alg.bracket(frames[s], frames[t])
-        terms = [(coeff, sym) for coeff, sym in zip(br.r + br.x, syms) if coeff]
+    for s, t in combinations(range(len(frames)), 2):
+        br = bracket(s, t)
+        terms = [(coeff, sym) for coeff, sym in zip(br.r + br.x, asyms) if coeff.num]
         if terms:
             brackets[(s, t)] = terms
-    comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-    for key in aform_keys(alg.patch, m, degree + 1):
-        gidx, fidx = key
-        idx = [i - 1 for i in gidx] + [m + a - 1 for a in fidx]
-        args = [syms[k] for k in idx]
-        total = alg.patch.zero()
-        for pos, k in enumerate(idx):
-            value = alg.anchor_apply(frames[k], w.eval_frame(args[:pos] + args[pos + 1:]))
-            if value:
-                total = total + value if pos % 2 == 0 else total - value
-        for i, j in combinations(range(degree + 1), 2):
-            terms = brackets.get((idx[i], idx[j]))
+    # every wedge has degree + 1 frames: its pairs (i, j) and the other positions
+    pairs = [(i, j, [k for k in range(w.degree + 1) if k != i and k != j])
+             for i, j in combinations(range(w.degree + 1), 2)]
+    zero = alg.zero_poly()
+    out = []
+    for wedge in wedges:
+        args = [syms[k] for k in wedge]
+        total = zero
+        # a frame without a symbol has zero anchor, and w vanishes on it
+        if None not in args:
+            for pos, k in enumerate(wedge):
+                value = alg.anchor_apply(frames[k], w.eval_frame(args[:pos] + args[pos + 1:]))
+                if value.num:
+                    total = total + value if pos % 2 == 0 else total - value
+        for i, j, others in pairs:
+            terms = brackets.get((wedge[i], wedge[j]))
             if terms is None:
                 continue
-            rest = [args[k] for k in range(degree + 1) if k != i and k != j]
-            acc = alg.patch.zero()
+            rest = [args[k] for k in others]
+            if None in rest:
+                continue
+            acc = zero
             for coeff, sym in terms:
                 sub = w.eval_frame([sym] + rest)
-                if sub:
+                if sub.num:
                     acc = acc + coeff * sub
-            if acc:
+            if acc.num:
                 total = total + acc if (i + j) % 2 == 0 else total - acc
-        if total:
-            comps[key] = total
-    return AForm(alg.patch, m, degree + 1, comps)
+        out.append((wedge, total))
+    return out
+
+
+def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
+    """Lie algebroid differential of a form on A: ``frame_differential``
+    on the frame e_1..e_m, d/dx_1..d/dx_p with the ample bracket, so the
+    differential uses the same A-structure as the Dorfman bracket."""
+    m, p = alg.fiber.dim, alg.patch.p
+    frames = [alg.fiber_elem(i) for i in range(1, m + 1)] + [alg.coord(a) for a in range(1, p + 1)]
+    keys = aform_keys(alg.patch, m, w.degree + 1)
+    wedges = [[i - 1 for i in gidx] + [m + a - 1 for a in fidx] for gidx, fidx in keys]
+    table = frame_differential(alg, w, frames, lambda s, t: alg.bracket(frames[s], frames[t]), wedges)
+    # zero values skip the constructor's key checks
+    return AForm(alg.patch, m, w.degree + 1, {key: v for key, (_, v) in zip(keys, table) if v})
 
 
 def aform_to_str(w: AForm) -> str:

@@ -20,38 +20,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .ample import AForm, ASection, QuadAlgebroid, aform_keys, ce_differential
+from .ample import AForm, Hoist, QuadAlgebroid, aform_keys, ce_differential
 from .dorfman import Quintuple, Section
-from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
+from .geometry import FConnection, FForm, GConnection, GValuedForm
 from .linalg import solve
 from .poly import Poly, coefficient_vectors
 from .report import Check, Record, Report, Witness
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
-
-
-class Hoist(Record):
-    """Anchor section x -> J(x) + x, encoded by the fiber-valued 1-form J."""
-
-    _fields = ("j",)
-
-    def __init__(self, j: GValuedForm):
-        if j.degree != 1:
-            raise ValueError("hoist data must be a fiber-valued 1-form")
-        self.j = j
-
-    @staticmethod
-    def standard(patch: Patch, dim: int) -> "Hoist":
-        return Hoist(GValuedForm.zero(patch, dim, 1))
-
-    def column(self, a: int) -> List[Poly]:
-        return self.j.get((a,))
-
-    def section(self, alg: QuadAlgebroid, a: int) -> ASection:
-        s = alg.coord(a)
-        s.r = self.column(a)
-        return s
 
 
 class CharPair(Record):
@@ -72,20 +49,14 @@ def standard_three_form(q: Quintuple) -> AForm:
     cartan = fiber.cartan_three_form()
     for gidx in combinations(range(1, m + 1), 3):
         i, j, k = gidx
-        value = cartan[i - 1][j - 1][k - 1]
-        if value:
-            comps[(gidx, ())] = Poly.const(patch.n, value)
+        comps[(gidx, ())] = Poly.const(patch.n, cartan[i - 1][j - 1][k - 1])
     for k in range(1, m + 1):
         ek = q.fiber_elem(k).r
         for fidx in combinations(range(1, p + 1), 2):
             a, b = fidx
-            value = fiber.pairing(q.curv.get((a, b)), ek)
-            if value:
-                comps[((k,), fidx)] = value
+            comps[((k,), fidx)] = fiber.pairing(q.curv.get((a, b)), ek)
     for fidx in combinations(range(1, p + 1), 3):
-        value = q.hform.comps.get(fidx)
-        if value:
-            comps[((), fidx)] = value
+        comps[((), fidx)] = q.hform.get(fidx)
     return AForm(patch, m, 3, comps)
 
 
@@ -151,9 +122,7 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
     comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
     for key in aform_keys(q.patch, m, 3):
         gidx, fidx = key
-        value = value_on(tuple([p + i - 1 for i in gidx] + [p + m + a - 1 for a in fidx]))
-        if value:
-            comps[key] = value
+        comps[key] = value_on(tuple([p + i - 1 for i in gidx] + [p + m + a - 1 for a in fidx]))
     return AForm(q.patch, m, 3, comps)
 
 
@@ -174,9 +143,7 @@ def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
     comps = {}
     for a, b in combinations(range(1, p + 1), 2):
         # R(d_a, d_b) is the fiber part of [kappa d_a, kappa d_b]: [d_a, d_b] = 0
-        vec = alg.bracket(h.section(alg, a), h.section(alg, b)).r
-        if any(vec):
-            comps[(a, b)] = vec
+        comps[(a, b)] = alg.bracket(h.section(alg, a), h.section(alg, b)).r
     curv = GValuedForm(patch, m, 2, comps)
     return conn, curv
 
@@ -288,7 +255,7 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
             col = [acc + mono.scale(v) if v else acc for acc, v in zip(col, sol)]
         columns.append(col)
 
-    comps = {(a,): col for a, col in enumerate(columns, start=1) if any(col)}
+    comps = {(a,): col for a, col in enumerate(columns, start=1)}
     hoist = Hoist(GValuedForm(patch, m, 1, comps))
     report.add_pass("hoist_solvable")
     for check in _hoist_conditions(alg, c, hoist):
@@ -312,9 +279,7 @@ def build_from_pair(pair: CharPair, h: Hoist) -> Quintuple:
     comps = {}
     for key in combinations(range(1, patch.p + 1), 3):
         a, b, cc = key
-        value = c.eval_sections([kappa[a - 1], kappa[b - 1], kappa[cc - 1]])
-        if value:
-            comps[key] = value
+        comps[key] = c.eval_sections([kappa[a - 1], kappa[b - 1], kappa[cc - 1]])
     hform = FForm(patch, 3, comps)
     return Quintuple(patch, alg.fiber, conn, curv, hform)
 

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import charform, morphism
-from .ample import AForm, QuadAlgebroid, ce_differential
-from .dorfman import Quintuple, naive_matches_ce
+from .ample import AForm, Hoist, QuadAlgebroid, ce_differential
+from .dorfman import IsoData, Quintuple, naive_matches_ce
 from .fiber import QuadLieAlgebra
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from .poly import Poly, PolyParseError, parse_poly
@@ -104,8 +104,8 @@ class Config(Record):
         curv: GValuedForm,
         hform: FForm,
         nabla_f: Optional[FConnection] = None,
-        iso: Optional[morphism.IsoData] = None,
-        hoist: Optional[charform.Hoist] = None,
+        iso: Optional[IsoData] = None,
+        hoist: Optional[Hoist] = None,
         omega: Optional[FForm] = None,
         cform: Optional[AForm] = None,
     ):
@@ -280,9 +280,9 @@ def _build(patch: Patch, m: int, data, saw: Set[str]) -> Config:
         # iso.beta.a.b is <beta(d_a)|d_b>, stored at row b, column a
         beta = {(b, a): v for (a, b), v in data["iso.beta"].items()}
         phi = GValuedForm(patch, m, 1, _vectors(data["iso.phi"], m, zero))
-        cfg.iso = morphism.IsoData(_dense(tau, (m, m), zero), phi, _dense(beta, (p, p), zero))
+        cfg.iso = IsoData(_dense(tau, (m, m), zero), phi, _dense(beta, (p, p), zero))
     if "hoist" in saw:
-        cfg.hoist = charform.Hoist(GValuedForm(patch, m, 1, _vectors(data["hoist.J"], m, zero)))
+        cfg.hoist = Hoist(GValuedForm(patch, m, 1, _vectors(data["hoist.J"], m, zero)))
     if "omega" in saw:
         cfg.omega = FForm(patch, 2, data["omega.w"])
     if "cform" in saw:
@@ -389,6 +389,16 @@ def _linear_symmetric_fconnection(patch: Patch) -> FConnection:
     return FConnection(patch, gamma)
 
 
+def _compare(report: Report, name: str, got: Quintuple, want: Quintuple, mismatch: str) -> None:
+    """A record ``name % part`` per part connection, curvature and hform:
+    PASS where ``got`` and ``want`` agree, else FAIL with ``mismatch``."""
+    for part, attr in (("connection", "conn"), ("curvature", "curv"), ("hform", "hform")):
+        if getattr(got, attr) == getattr(want, attr):
+            report.add_pass(name % part)
+        else:
+            report.add_fail(name % part, Witness(mismatch, (), "1"))
+
+
 def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Report:
     """Execute one verification command; deterministic for fixed inputs."""
     q = cfg.quintuple()
@@ -466,20 +476,12 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
     elif cmd == "roundtrip":
         pair = charform.characteristic_pair_of(q)
         try:
-            rebuilt = charform.build_from_pair(pair, charform.Hoist.standard(cfg.patch, cfg.fiber.dim))
+            rebuilt = charform.build_from_pair(pair, Hoist.standard(cfg.patch, cfg.fiber.dim))
         except ValueError as exc:
             # invalid data: the canonical pair is not coherent, as in ``build``
             report.add_fail("roundtrip_coherent", Witness(str(exc), (), "1"))
             return report
-        for label, same in (
-            ("roundtrip_connection", rebuilt.conn == q.conn),
-            ("roundtrip_curvature", rebuilt.curv == q.curv),
-            ("roundtrip_hform", rebuilt.hform == q.hform),
-        ):
-            if same:
-                report.add_pass(label)
-            else:
-                report.add_fail(label, Witness("component mismatch", (), "1"))
+        _compare(report, "roundtrip_%s", rebuilt, q, "component mismatch")
     elif cmd == "transport":
         iso = _require(cfg.iso, "iso")
         report.extend(morphism.validate_iso(cfg.patch, cfg.fiber, iso))
@@ -507,15 +509,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
             raise ConfigError("unknown shift kind %r" % kind)
         report.add_pass("shift_hypotheses")
         moved = morphism.transport(q, iso)
-        for label, same in (
-            ("shift_connection_matches", moved.conn == predicted.conn),
-            ("shift_curvature_matches", moved.curv == predicted.curv),
-            ("shift_hform_matches", moved.hform == predicted.hform),
-        ):
-            if same:
-                report.add_pass(label)
-            else:
-                report.add_fail(label, Witness("transport differs from prediction", (), "1"))
+        _compare(report, "shift_%s_matches", moved, predicted, "transport differs from prediction")
         report.extend(predicted.validate().renamed("target_%s"))
     elif cmd == "naive":
         forms = [("C_s", charform.standard_three_form(q))]

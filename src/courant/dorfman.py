@@ -26,8 +26,8 @@ Two verification layers:
   the Jacobiator is known to be totally skew.  The degree cap matters
   only after a Leibniz failure, where the literal enumeration on the
   family {monomial * frame section} supplies the records that the frame
-  checks cannot certify.  That enumeration is also kept whole as
-  ``method="direct"`` and cross-checked in the test suite.
+  checks cannot certify.  The test suite runs that enumeration,
+  ``_axioms_direct``, whole as the certificate's oracle.
 
 Zero components are skipped.  A section the axiom check brackets is
 a frame section, or one times x_a, with one nonzero component of
@@ -41,10 +41,14 @@ report is the same and only the work changes.
 once per call of the axiom check, the naive differential and the
 Chern-Weil form, which all read frame brackets many times over.
 
-The naive differential, the degenerate-pairing differential tabulated
-on wedges of the Courant frame, lives here too: on every wedge it
-agrees with the ample ``ce_differential`` under the projection E -> A,
-which ``naive_matches_ce`` checks exactly.
+The naive differential lives here too.  Naive cohomology is the Lie
+algebroid cohomology of A, so the naive differential is
+``ample.frame_differential`` on the Courant frame with the skew bracket
+of a ``FrameBrackets`` table, as ``ce_differential`` is on the frame of
+A with the ample bracket; ``naive_matches_ce`` compares the two, which
+shows a Dorfman bracket whose A-part differs from the ample bracket.
+``IsoData``, an isomorphism of quintuples, lives here so that parsing a
+config's ``[iso]`` block loads no command layer.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, List, Sequence, Tuple
 
-from .ample import AForm, QuadAlgebroid, add_live, ce_differential, live, sub_live
+from .ample import AForm, QuadAlgebroid, add_live, ce_differential, frame_differential, live, sub_live
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form, validate_connection
 from .linalg import poly_mat_mul
@@ -186,12 +190,6 @@ class Quintuple(QuadAlgebroid):
         s.xi[a - 1] = self.patch.one()
         return s
 
-    def section(self, xi: Sequence[Poly], r: Sequence[Poly], x: Sequence[Poly]) -> Section:
-        p, m = self.patch.p, self.fiber.dim
-        if len(xi) != p or len(r) != m or len(x) != p:
-            raise ValueError("section component shape mismatch")
-        return Section(list(xi), list(r), list(x))
-
     def frame_sections(self) -> List[Section]:
         """delta^1..delta^p, e_1..e_m, d/dx_1..d/dx_p in this order."""
         p, m = self.patch.p, self.fiber.dim
@@ -319,10 +317,6 @@ class Quintuple(QuadAlgebroid):
             out = add_live(out, [b.scale(2) for b in self.q_form(e2.x, e1.r)])
         return Section(out, ample.r, ample.x)
 
-    def courant(self, e1: Section, e2: Section) -> Section:
-        """Skew bracket: Dorfman minus d of the pairing."""
-        return self.dorfman(e1, e2) - self.d_operator(self.pairing(e1, e2))
-
     def frame_brackets(self) -> "FrameBrackets":
         """A table of the brackets of the frame sections, for one call."""
         return FrameBrackets(self)
@@ -381,13 +375,9 @@ class Quintuple(QuadAlgebroid):
         family = [u.mul(f) for f in monos for u in frames]
         return family, monos
 
-    def check_axioms(self, degree_cap: int = 2, method: str = "reduced") -> Report:
+    def check_axioms(self, degree_cap: int = 2) -> Report:
         check_degree_cap(degree_cap, "axiom")
-        if method == "reduced":
-            return self._axioms_reduced(degree_cap)
-        if method == "direct":
-            return self._axioms_direct(degree_cap)
-        raise ValueError("unknown axiom check method %r" % method)
+        return self._axioms_reduced(degree_cap)
 
     def _axioms_direct(
         self, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_IDENTITIES)
@@ -544,7 +534,7 @@ class Quintuple(QuadAlgebroid):
         anywhere in family x frame x monomials implies one at some
         (frame, frame, x_a), which comes earlier.  The test suite
         cross-checks this certificate against the literal enumeration
-        ``method="direct"``, on valid and on mutated data.
+        ``_axioms_direct``, on valid and on mutated data.
         """
         br = self.frame_brackets()
         frames = br.frames
@@ -632,6 +622,26 @@ class Quintuple(QuadAlgebroid):
         return Report(records + [left.record()])
 
 
+class IsoData(Record):
+    """An isomorphism (tau, phi, beta) of quintuples over the identity,
+    which :mod:`courant.morphism` applies and transports along: tau: m x
+    m, phi: fiber-valued 1-form, beta[b][a] = <beta(d_a)|d_b>."""
+
+    _fields = ("tau", "phi", "beta")
+
+    def __init__(self, tau: List[List[Poly]], phi: GValuedForm, beta: List[List[Poly]]):
+        self.tau = tau
+        self.phi = phi
+        self.beta = beta
+
+    def phi_col(self, a: int) -> List[Poly]:
+        return self.phi.get((a,))
+
+    def beta_col(self, a: int) -> List[Poly]:
+        """Components of beta(d_a) in the dual frame."""
+        return [row[a - 1] for row in self.beta]
+
+
 class FrameBrackets(dict):
     """The Dorfman brackets [[u_i, u_j]] of the frame sections u =
     ``frame_sections()``, keyed by (i, j) and bracketed on first lookup.
@@ -654,8 +664,8 @@ class FrameBrackets(dict):
         return value
 
     def courant(self, i: int, j: int) -> Section:
-        """The skew bracket of u_i and u_j by ``Quintuple.courant``'s
-        formula, [[u_i, u_j]] - D<u_i, u_j>, once per (i, j)."""
+        """The skew bracket [[u_i, u_j]] - D<u_i, u_j>, the Dorfman
+        bracket minus D of the pairing, once per (i, j)."""
         key = (i, j)
         value = self._courant.get(key)
         if value is None:
@@ -667,38 +677,14 @@ class FrameBrackets(dict):
 def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Poly]]:
     """Tabulate the degenerate-pairing differential of a naive cochain.
 
-    ``s`` is read as a naive cochain through the projection: its value
-    on a wedge of Courant sections is the form evaluated on their
-    images in the ample algebroid, which are their r and x parts.  The
-    table lists, for every strictly increasing (k+1)-wedge of the
-    Courant frame, the alternating-sum value built from anchored
-    derivatives and the skew bracket.  Every frame pair in a wedge is
-    increasing, and its skew bracket comes from one ``FrameBrackets``
-    table, so each increasing pair is bracketed once, not once per
-    wedge that holds it.
+    ``s`` is read as a naive cochain through the projection E -> A, to
+    the r and x parts.  The table lists, for every strictly increasing
+    (k+1)-wedge of the Courant frame, the ``frame_differential`` sum with
+    the skew bracket of one ``FrameBrackets`` table.
     """
     table = q.frame_brackets()
-    frames = table.frames
-    k = s.degree
-    out: List[Tuple[Tuple[int, ...], Poly]] = []
-    for wedge in combinations(range(len(frames)), k + 1):
-        secs = [frames[t] for t in wedge]
-        total = q.zero_poly()
-        for pos in range(k + 1):
-            value = s.eval_sections(secs[:pos] + secs[pos + 1:])
-            if value:
-                term = q.anchor_apply(secs[pos], value)
-                if term:
-                    total = total + term if pos % 2 == 0 else total - term
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                cb = table.courant(wedge[i], wedge[j])
-                rest = [secs[t] for t in range(k + 1) if t != i and t != j]
-                value = s.eval_sections([cb] + rest)
-                if value:
-                    total = total + value if (i + j) % 2 == 0 else total - value
-        out.append((wedge, total))
-    return out
+    wedges = combinations(range(len(table.frames)), s.degree + 1)
+    return frame_differential(q, s, table.frames, table.courant, wedges)
 
 
 def naive_matches_ce(q: Quintuple, s: AForm) -> Report:

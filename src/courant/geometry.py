@@ -150,8 +150,7 @@ def leafwise_d(w: FForm) -> FForm:
                 continue
             term = value.diff(a)
             acc = acc + term if pos % 2 == 0 else acc - term
-        if acc:
-            out[key] = acc
+        out[key] = acc
     return FForm(patch, w.degree + 1, out)
 
 
@@ -374,8 +373,7 @@ def pontryagin_form(curv: GValuedForm, fiber: QuadLieAlgebra) -> FForm:
             - fiber.pairing(curv.get((a, c)), curv.get((b, d)), patch.n)
             + fiber.pairing(curv.get((a, d)), curv.get((b, c)), patch.n)
         ).scale(2)
-        if value:
-            out[key] = value
+        out[key] = value
     return FForm(patch, 4, out)
 
 

@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Tuple
 
-from .ample import AForm, ASection, aform_keys, ce_differential, live
-from .charform import Hoist, hoist_data, standard_three_form
-from .dorfman import Quintuple, Section, check_degree_cap
+from .ample import AForm, ASection, Hoist, aform_keys, ce_differential, live
+from .charform import hoist_data, standard_three_form
+from .dorfman import IsoData, Quintuple, Section, check_degree_cap
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
 from .linalg import (
@@ -38,27 +38,9 @@ from .linalg import (
     poly_mat_vec,
 )
 from .poly import Poly, sum_products
-from .report import Check, Record, Report, Witness
+from .report import Check, Report, Witness
 
 HALF = Fraction(1, 2)
-
-
-class IsoData(Record):
-    """tau: m x m, phi: fiber-valued 1-form, beta[b][a] = <beta(d_a)|d_b>."""
-
-    _fields = ("tau", "phi", "beta")
-
-    def __init__(self, tau: List[List[Poly]], phi: GValuedForm, beta: List[List[Poly]]):
-        self.tau = tau
-        self.phi = phi
-        self.beta = beta
-
-    def phi_col(self, a: int) -> List[Poly]:
-        return self.phi.get((a,))
-
-    def beta_col(self, a: int) -> List[Poly]:
-        """Components of beta(d_a) in the dual frame."""
-        return [row[a - 1] for row in self.beta]
 
 
 def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
@@ -146,9 +128,7 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
             )
         ]
         br = fiber.bracket(phi[a - 1], phi[b - 1])
-        vec = [u + v for u, v in zip(poly_mat_vec(tau, inner), br)]
-        if any(vec):
-            curv_comps[(a, b)] = vec
+        curv_comps[(a, b)] = [u + v for u, v in zip(poly_mat_vec(tau, inner), br)]
     curv2 = GValuedForm(patch, m, 2, curv_comps)
 
     h_comps = {}
@@ -160,8 +140,7 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
             inner = [u - v for u, v in zip(q1.conn.apply(y, jcols[z - 1]), q1.curv.get((y, z)))]
             value = value + fiber.pairing(phi[x - 1], poly_mat_vec(tau, inner), n).scale(2)
             value = value + iso.beta[y - 1][z - 1].diff(x)
-        if value:
-            h_comps[key] = value
+        h_comps[key] = value
     hform2 = FForm(patch, 3, h_comps)
     return Quintuple(patch, fiber, conn2, curv2, hform2)
 
@@ -228,8 +207,7 @@ def phi_form(patch: Patch, dim: int, j: GValuedForm, fiber: QuadLieAlgebra) -> A
         for a, ja in enumerate(cols, start=1):
             # <e_i, J_a> = sum_l g_il J_a^l, from row i of the metric
             value = sum((v.scale(g) for g, v in zip(row, ja) if g and v), Poly.zero(patch.n))
-            if value:
-                comps[((i,), (a,))] = value
+            comps[((i,), (a,))] = value
     return AForm(patch, dim, 2, comps)
 
 
@@ -238,9 +216,7 @@ def psi_form(patch: Patch, dim: int, k: List[List[Poly]]) -> AForm:
     comps = {}
     for a in range(1, patch.p + 1):
         for b in range(a + 1, patch.p + 1):
-            value = k[a - 1][b - 1] - k[b - 1][a - 1]
-            if value:
-                comps[((), (a, b))] = value
+            comps[((), (a, b))] = k[a - 1][b - 1] - k[b - 1][a - 1]
     return AForm(patch, dim, 2, comps)
 
 
@@ -271,8 +247,7 @@ def hoist_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
             dy, dz = q.conn.apply(y, cols[z - 1]), q.conn.apply(z, cols[y - 1])
             vec = [u - v - w.scale(2) for u, v, w in zip(dy, dz, q.curv.get((y, z)))]
             value = value + fiber.pairing(cols[x - 1], vec, n)
-        if value:
-            h_comps[key] = value
+        h_comps[key] = value
     hform2 = FForm(patch, 3, h_comps)
     return iso, Quintuple(patch, fiber, conn2, curv2, hform2)
 
@@ -327,8 +302,7 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
             + fiber.pairing(cols[b - 1], q.curv.get((c, a)), n)
             + fiber.pairing(cols[c - 1], q.curv.get((a, b)), n)
         )
-        if value:
-            h_comps[key] = value
+        h_comps[key] = value
     target = Quintuple(patch, fiber, q.conn, q.curv, FForm(patch, 3, h_comps))
     return iso, target
 
@@ -354,9 +328,7 @@ def pullback_aform(
     for key in aform_keys(patch, m, c.degree):
         gidx, fidx = key
         args = [images_g[i - 1] for i in gidx] + [images_f[a - 1] for a in fidx]
-        value = c.eval_sections(args)
-        if value:
-            comps[key] = value
+        comps[key] = c.eval_sections(args)
     return AForm(patch, m, c.degree, comps)
 
 
@@ -372,9 +344,7 @@ def coboundary_identity_check(q1: Quintuple, q2: Quintuple, iso: IsoData) -> Rep
     tau_inv = poly_mat_inverse_constant_det(iso.tau) if m else []
     j_comps = {}
     for a in range(1, patch.p + 1):
-        col = poly_mat_vec(tau_inv, iso.phi_col(a))
-        if any(col):
-            j_comps[(a,)] = col
+        j_comps[(a,)] = poly_mat_vec(tau_inv, iso.phi_col(a))
     jform = GValuedForm(patch, m, 1, j_comps)
     primitive = psi_form(patch, m, iso.beta).scale(HALF) + phi_form(patch, m, jform, fiber)
     rhs = ce_differential(q1, primitive)

@@ -10,6 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from courant import (
     AForm,
+    ASection,
     FForm,
     GConnection,
     GValuedForm,
@@ -20,6 +21,7 @@ from courant import (
     QuadLieAlgebra,
     Quintuple,
     Report,
+    Section,
     Witness,
     abelian,
     pullback_aform,
@@ -82,6 +84,29 @@ def evaluate(poly: Poly, point) -> Fraction:
         (Fraction(c) * prod(x ** e for x, e in zip(pt, exp)) for exp, c in poly.terms.items()),
         Fraction(0),
     )
+
+
+# -- sections and the skew bracket ----------------------------------------------
+
+
+def section(q: Quintuple, xi: Sequence[Poly], r: Sequence[Poly], x: Sequence[Poly]) -> Section:
+    """The Courant section xi + r + x of q, with its shape checked."""
+    p, m = q.patch.p, q.fiber.dim
+    if len(xi) != p or len(r) != m or len(x) != p:
+        raise ValueError("section component shape mismatch")
+    return Section(list(xi), list(r), list(x))
+
+
+def ample_section(alg: QuadAlgebroid, r: Sequence[Poly], x: Sequence[Poly]) -> ASection:
+    """The ample section r + x of alg, with its shape checked."""
+    if len(r) != alg.fiber.dim or len(x) != alg.patch.p:
+        raise ValueError("ample section shape mismatch")
+    return ASection(list(r), list(x))
+
+
+def courant(q: Quintuple, e1: Section, e2: Section) -> Section:
+    """The skew bracket: Dorfman minus D of the pairing."""
+    return q.dorfman(e1, e2) - q.d_operator(q.pairing(e1, e2))
 
 
 # -- dense Bareiss elimination: the oracle of courant.linalg ------------------

@@ -32,6 +32,7 @@ from courant import (
 from courant.cli import Config, config_to_text, main
 from fixtures import (
     ALL_FIXTURES,
+    ample_section,
     center,
     direct_sum,
     fixture_b,
@@ -119,9 +120,7 @@ def test_standard_form_term_by_term_oracle():
         expected = expected + q.fiber.pairing(q.curv_contract(x1, x2), r3)
         expected = expected + q.fiber.pairing(q.curv_contract(x2, x3), r1)
         expected = expected + q.fiber.pairing(q.curv_contract(x3, x1), r2)
-        from courant.ample import ASection
-
-        got = c.eval_sections([ASection(list(r), list(x)) for r, x in secs])
+        got = c.eval_sections([ample_section(alg, r, x) for r, x in secs])
         assert got == expected
 
 

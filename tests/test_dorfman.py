@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from courant import Poly, Quintuple, Section, monomials
 from fixtures import (
     ALL_FIXTURES,
+    courant,
     fixture_a,
     fixture_c,
     fixture_d,
     mutate_fixture_d,
     rand_poly,
+    section,
     su2_patch,
 )
 from test_poly import polys
@@ -113,8 +115,8 @@ def test_fiber_projection_of_fiber_bracket():
     for _ in range(10):
         r1 = [rand_poly(rng, 2, 2) for _ in range(3)]
         r2 = [rand_poly(rng, 2, 2) for _ in range(3)]
-        e1 = q.section([q.patch.zero()] * 2, r1, [q.patch.zero()] * 2)
-        e2 = q.section([q.patch.zero()] * 2, r2, [q.patch.zero()] * 2)
+        e1 = section(q, [q.patch.zero()] * 2, r1, [q.patch.zero()] * 2)
+        e2 = section(q, [q.patch.zero()] * 2, r2, [q.patch.zero()] * 2)
         assert q.dorfman(e1, e2).r == q.fiber.bracket(r1, r2)
 
 
@@ -210,7 +212,7 @@ def test_courant_bracket_is_skew():
     for _ in range(10):
         e1 = rand_section(rng, q, 1)
         e2 = rand_section(rng, q, 1)
-        d = q.courant(e1, e2) + q.courant(e2, e1)
+        d = courant(q, e1, e2) + courant(q, e2, e1)
         assert d.is_zero()
 
 
@@ -245,7 +247,7 @@ def test_axiom_methods_agree_on_valid_fixtures():
         q = build()
         for cap in caps:
             reduced = q.check_axioms(cap)
-            direct = q.check_axioms(cap, method="direct")
+            direct = q._axioms_direct(cap)
             red = {r.name: r.status for r in reduced if r.name.startswith("axiom")}
             dir_ = {r.name: r.status for r in direct}
             assert red == dir_
@@ -255,7 +257,7 @@ def test_axiom_methods_agree_on_mutants():
     for seed in range(9):
         q, _cls = mutate_fixture_d(seed)
         reduced = q.check_axioms(1)
-        direct = q.check_axioms(1, method="direct")
+        direct = q._axioms_direct(1)
         assert not reduced.ok and not direct.ok
         red = {r.name: r.status for r in reduced if r.name.startswith("axiom")}
         dir_ = {r.name: r.status for r in direct}
@@ -312,7 +314,7 @@ def test_monomials_match_box_enumeration():
 def test_section_shape_mismatch():
     q = fixture_d()
     with pytest.raises(ValueError):
-        q.section([q.patch.zero()], [q.patch.zero()] * 3, [q.patch.zero()] * 2)
+        section(q, [q.patch.zero()], [q.patch.zero()] * 3, [q.patch.zero()] * 2)
 
 
 def test_bracket_and_pairing_shape_guards():
@@ -326,17 +328,13 @@ def test_bracket_and_pairing_shape_guards():
 
 
 def test_check_axioms_rejects_negative_degree():
-    q = fixture_d()
-    for method in ("reduced", "direct"):
-        with pytest.raises(ValueError):
-            q.check_axioms(-1, method=method)
+    with pytest.raises(ValueError):
+        fixture_d().check_axioms(-1)
 
 
 def test_check_axioms_rejects_degree_above_ceiling():
-    q = fixture_d()
-    for method in ("reduced", "direct"):
-        with pytest.raises(ValueError, match="must be <= %d" % MAX_DEGREE_CAP):
-            q.check_axioms(MAX_DEGREE_CAP + 1, method=method)
+    with pytest.raises(ValueError, match="must be <= %d" % MAX_DEGREE_CAP):
+        fixture_d().check_axioms(MAX_DEGREE_CAP + 1)
 
 
 # -- zero components -----------------------------------------------------------

@@ -14,11 +14,11 @@ from itertools import combinations
 
 import pytest
 
-from courant import FConnection, Quintuple, e_connection_form, naive_differential, standard_three_form
+from courant import FConnection, Quintuple, e_connection_form, naive_differential, naive_matches_ce, standard_three_form
 from courant.ample import AForm, aform_keys
 from courant.charform import HALF, THIRD, _e_connection
 from courant.cli import _linear_symmetric_fconnection, parse_config, run_command
-from fixtures import COCHAIN_FIXTURES
+from fixtures import COCHAIN_FIXTURES, courant
 
 POOL = os.path.join(os.path.dirname(__file__), "..", "bench", "pool")
 POOL_FORMS = ["form_%s_%d" % (f, k) for f in "cs" for k in range(4)] + ["form_d_hoist", "form_d_cform"]
@@ -36,7 +36,7 @@ def literal_e_connection_form(q, fc):
         total = q.zero_poly()
         for i, j, k in (0, 1, 2), (1, 2, 0), (2, 0, 1):
             e1, e2, e3 = triple[i], triple[j], triple[k]
-            total = total + q.pairing(q.courant(e1, e2), e3).scale(THIRD)
+            total = total + q.pairing(courant(q, e1, e2), e3).scale(THIRD)
             asym = _e_connection(q, fc, e1, e2) - _e_connection(q, fc, e2, e1)
             total = total - q.pairing(asym, e3).scale(HALF)
         return total
@@ -76,7 +76,7 @@ def literal_naive_differential(q, s):
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 rest = [secs[t] for t in range(k + 1) if t != i and t != j]
-                value = s.eval_sections([q.courant(secs[i], secs[j])] + rest)
+                value = s.eval_sections([courant(q, secs[i], secs[j])] + rest)
                 if value:
                     total = total + value if (i + j) % 2 == 0 else total - value
         table.append((wedge, total))
@@ -149,6 +149,25 @@ def test_non_descending_form_raises_at_the_same_wedge(fixture):
     p, m = q.patch.p, q.fiber.dim
     # (delta^1, e_1, d/dx_p) is the first wedge that holds the spurious term
     assert str(got.value).endswith("wedge %r" % ((0, p, 2 * p + m - 1),))
+
+
+# naive_matches_ce under PerturbedBracket: the naive table reads the
+# Dorfman bracket and ce_differential the ample one, so the spurious
+# d/dx_1 term of [[e_1, d/dx_p]] shows where a nonzero C_s component
+# meets it.  On su(2)(4,3) that is the wedge (e_1, e_3, d/dx_2, d/dx_3):
+# C_s(d/dx_1, e_3, d/dx_2) = -<R_12, e_3>.  On C, D and D_transported no
+# component meets it, and the check passes.
+PERTURBED_NAIVE_WITNESS = {"C": None, "D": None, "D_transported": None, "su2(4,3)": ((4, 6, 8, 9), "1")}
+
+
+@pytest.mark.parametrize("fixture", sorted(COCHAIN_FIXTURES))
+def test_naive_matches_ce_sees_a_dorfman_bracket_off_the_ample_one(fixture):
+    q = COCHAIN_FIXTURES[fixture]()
+    (record,) = naive_matches_ce(perturbed(q), standard_three_form(q)).records
+    expected = PERTURBED_NAIVE_WITNESS[fixture]
+    assert record.ok == (expected is None)
+    if expected is not None:
+        assert (record.witness.indices, record.witness.residual) == expected
 
 
 def count_dorfman(monkeypatch):

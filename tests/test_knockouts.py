@@ -92,7 +92,7 @@ def failing(report):
 
 # failing records of check_axioms(1) under each knockout; where a Leibniz
 # rule fails, the records of axioms 1, 2, 4, 5 and 6 that pass on frame
-# tuples are those of method="direct"
+# tuples are those of the literal enumeration ``_axioms_direct``
 EXPECTED_A = {
     "lie_covector-transport": [
         ("axiom_1", (3, 5, 11), "-1"),
@@ -182,7 +182,7 @@ def test_h_knockouts_fail_jacobiator_on_rank_4_leaf(monkeypatch, knockout):
 def test_leibniz_failure_takes_axiom_passes_from_direct(monkeypatch):
     monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
     q = fixture_a()
-    reduced, direct = q.check_axioms(1), q.check_axioms(1, method="direct")
+    reduced, direct = q.check_axioms(1), q._axioms_direct(1)
     for name, indices in (("axiom_1", (3, 5, 11)), ("axiom_6", (3, 3, 9))):
         assert reduced[name] == direct[name]
         assert reduced[name].witness.indices == indices
@@ -198,8 +198,8 @@ def test_both_methods_fail_second_order_axiom_5(monkeypatch, build, indices):
     # [[D f, e]] has order 2 in f: at cap 1 only coefficients of degree 2 see it
     monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
     q = build()
-    for method in ("reduced", "direct"):
-        record = q.check_axioms(1, method=method)["axiom_5"]
+    for report in (q.check_axioms(1), q._axioms_direct(1)):
+        record = report["axiom_5"]
         assert not record.ok
         assert record.witness.indices == indices
 

@@ -38,10 +38,12 @@ def _fresh(code: str) -> list:
         (["check", "fixture_d.cfg"], []),
         (["axioms", "fixture_c.cfg", "--degree", "1"], []),
         (["pontryagin", "fixture_d.cfg"], []),
+        (["check", "fixture_c_shift.cfg"], []),
+        (["pontryagin", "fixture_d_hoist.cfg"], []),
         (["naive", "fixture_d.cfg"], ["charform"]),
         (["transport", "fixture_c_shift.cfg", "--degree", "0"], ["charform", "morphism"]),
     ],
-    ids=["check", "axioms", "pontryagin", "naive", "transport"],
+    ids=["check", "axioms", "pontryagin", "check-iso", "pontryagin-hoist", "naive", "transport"],
 )
 def test_a_command_runs_only_the_lazy_layers_it_uses(argv, loaded):
     argv = [argv[0], str(CONFIGS / argv[1])] + argv[2:]

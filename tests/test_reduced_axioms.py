@@ -3,8 +3,8 @@
 ``literal_reduced_report`` runs every frame-level stage in full: axiom 1
 on all frame x frame x frame triples without an early exit, axiom 5 on
 coefficients up to degree max(2 * cap, 2), both Leibniz rules with f = 1
-included, and after a Leibniz failure the whole ``method="direct"``
-enumeration.  ``check_axioms`` restricts these stages by the arguments in
+included, and after a Leibniz failure the whole literal enumeration
+``_axioms_direct``.  ``check_axioms`` restricts these stages by the arguments in
 ``Quintuple._axioms_reduced``; its reports must be byte-identical.
 """
 
@@ -100,7 +100,7 @@ def literal_reduced_report(q, degree_cap):
 
     records = [ax[k].record() for k in range(1, 7)]
     if ax[3].failed or left.failed:
-        direct = q.check_axioms(degree_cap, method="direct")
+        direct = q._axioms_direct(degree_cap)
         records = [direct[r.name] if r.ok and r.name != "axiom_3" else r for r in records]
     return Report(records + [left.record()])
 

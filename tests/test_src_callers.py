@@ -7,6 +7,14 @@ attribute, somewhere in those files outside its own definition.  A
 helper that only tests use belongs in ``tests/fixtures.py``.  The
 allowlist names the entry points that only demos, the README or
 ``bench/`` call.
+
+Names are matched bare, so a method whose name another public method
+shares counts as called when the other one is.  That blind spot kept
+``Quintuple.section``, ``QuadAlgebroid.section`` and
+``Quintuple.courant`` in ``src/`` while only tests called them: the
+calls of ``Hoist.section`` and ``FrameBrackets.courant`` covered them.
+They are now ``section``, ``ample_section`` and ``courant`` in
+``tests/fixtures.py``.
 """
 
 import ast
