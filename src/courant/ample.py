@@ -16,7 +16,9 @@ a ``Hoist`` x -> J(x) + x splits it.
 
 Forms on A are stored by bigraded components: the value on
 (e_{i_1},..,e_{i_s}, d/dx_{a_1},..,d/dx_{a_t}) with both index groups
-strictly increasing and fiber arguments first.  Evaluation on any
+strictly increasing and fiber arguments first; ``AForm`` shares the
+container ``geometry.Form`` with ``FForm`` and ``GValuedForm``, and
+adds the bigraded key check.  Evaluation on any
 argument order resolves the permutation sign, and evaluation on
 general sections expands multilinearly over the frame.
 ``frame_differential`` is the one Chevalley-Eilenberg sum on wedges of
@@ -28,10 +30,10 @@ Courant frame with the skew Dorfman bracket.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
-from .geometry import GConnection, GValuedForm, Patch, sort_with_sign
+from .geometry import Form, GConnection, GValuedForm, Patch, sort_with_sign
 from .poly import Poly
 from .report import Record
 
@@ -67,12 +69,14 @@ class ASection(Record):
         return not (live(self.r) or live(self.x))
 
 
-class QuadAlgebroid:
+class QuadAlgebroid(Record):
     """Quadratic Lie algebroid data (patch, fiber, connection, curvature).
 
     The structure maps read only the ``r`` and ``x`` parts of their
     arguments, so they act on Courant sections as well.
     """
+
+    _fields = ("patch", "fiber", "conn", "curv")
 
     def __init__(
         self, patch: Patch, fiber: QuadLieAlgebra, conn: GConnection, curv: GValuedForm
@@ -98,16 +102,6 @@ class QuadAlgebroid:
     def of(q: "QuadAlgebroid") -> "QuadAlgebroid":
         """The ample algebroid alone, e.g. of a quintuple."""
         return QuadAlgebroid(q.patch, q.fiber, q.conn, q.curv)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadAlgebroid):
-            return NotImplemented
-        return (
-            self.patch == other.patch
-            and self.fiber == other.fiber
-            and self.conn == other.conn
-            and self.curv == other.curv
-        )
 
     # -- sections -----------------------------------------------------------
 
@@ -239,7 +233,7 @@ class Hoist(Record):
 FrameSym = Tuple[str, int]
 
 
-class AForm:
+class AForm(Form):
     """k-form on the ample algebroid, stored by bigraded components.
 
     Keys are (fiber index tuple, leaf index tuple), both strictly
@@ -254,58 +248,21 @@ class AForm:
         degree: int,
         comps: Mapping[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = (),
     ):
-        self.patch = patch
         self.dim = dim
-        self.degree = degree
-        clean: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-        for (gidx, fidx), value in dict(comps).items():
-            gidx, fidx = tuple(gidx), tuple(fidx)
-            if len(gidx) + len(fidx) != degree:
-                raise ValueError("component %r has wrong arity" % ((gidx, fidx),))
-            if list(gidx) != sorted(set(gidx)) or list(fidx) != sorted(set(fidx)):
-                raise ValueError("component keys must be strictly increasing")
-            if any(not 1 <= i <= dim for i in gidx) or any(
-                not 1 <= a <= patch.p for a in fidx
-            ):
-                raise ValueError("component index out of range")
-            if value:
-                clean[(gidx, fidx)] = value
-        self.comps = clean
+        super().__init__(patch, degree, comps)
 
-    def keys(self):
-        return sorted(self.comps)
-
-    def __bool__(self) -> bool:
-        return bool(self.comps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AForm):
-            return NotImplemented
-        return (
-            self.patch == other.patch
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
-
-    def __add__(self, other: "AForm") -> "AForm":
-        if self.degree != other.degree:
-            raise ValueError("form degree mismatch")
-        comps = dict(self.comps)
-        for key, value in other.comps.items():
-            comps[key] = comps.get(key, self.patch.zero()) + value
-        return AForm(self.patch, self.dim, self.degree, comps)
-
-    def __sub__(self, other: "AForm") -> "AForm":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AForm":
-        return AForm(
-            self.patch,
-            self.dim,
-            self.degree,
-            {k: v.scale(c) for k, v in self.comps.items()},
-        )
+    def _check(self, key, value):
+        gidx, fidx = key
+        gidx, fidx = tuple(gidx), tuple(fidx)
+        if len(gidx) + len(fidx) != self.degree:
+            raise ValueError("component %r has wrong arity" % ((gidx, fidx),))
+        if list(gidx) != sorted(set(gidx)) or list(fidx) != sorted(set(fidx)):
+            raise ValueError("component keys must be strictly increasing")
+        if any(not 1 <= i <= self.dim for i in gidx) or any(
+            not 1 <= a <= self.patch.p for a in fidx
+        ):
+            raise ValueError("component index out of range")
+        return (gidx, fidx), value
 
     def eval_frame(self, args: Sequence[FrameSym]) -> Poly:
         """Value on frame symbols in any order; repeats give zero."""
@@ -313,14 +270,9 @@ class AForm:
             raise ValueError("wrong number of arguments")
         ranked = [(0, idx) if kind == "g" else (1, idx) for kind, idx in args]
         key, sign = sort_with_sign(ranked)
-        if sign == 0:
-            return self.patch.zero()
         gidx = tuple(idx for rank, idx in key if rank == 0)
         fidx = tuple(idx for rank, idx in key if rank == 1)
-        value = self.comps.get((gidx, fidx))
-        if value is None:
-            return self.patch.zero()
-        return value if sign == 1 else -value
+        return self._signed((gidx, fidx), sign)
 
     def eval_sections(self, args: Sequence[ASection]) -> Poly:
         """Multilinear evaluation on ample sections with Poly components."""
@@ -345,14 +297,9 @@ class AForm:
                     total = total + coeff * sub
         return total
 
-    def __str__(self) -> str:
-        if not self.comps:
-            return "0"
-        parts = []
-        for gidx, fidx in self.keys():
-            labels = ["e%d" % i for i in gidx] + ["dx%d" % a for a in fidx]
-            parts.append("(%s) %s" % (self.comps[(gidx, fidx)], "^".join(labels)))
-        return " + ".join(parts)
+    def _label(self, key) -> str:
+        gidx, fidx = key
+        return "^".join(["e%d" % i for i in gidx] + ["dx%d" % a for a in fidx])
 
 
 def aform_keys(patch: Patch, dim: int, degree: int):
@@ -368,6 +315,19 @@ def aform_keys(patch: Patch, dim: int, degree: int):
     return sorted(keys)
 
 
+def _asyms(alg: QuadAlgebroid) -> List[FrameSym]:
+    """The frame symbols of A in the order of the r and x parts."""
+    m, p = alg.fiber.dim, alg.patch.p
+    return [("g", i) for i in range(1, m + 1)] + [("f", a) for a in range(1, p + 1)]
+
+
+def frame_symbols(alg: QuadAlgebroid, frames: Sequence) -> List:
+    """Each frame's symbol, its one nonzero r or x component (a unit), or
+    None for a frame with neither (delta^a): every form on A vanishes there."""
+    asyms = _asyms(alg)
+    return [next((sym for coeff, sym in zip(u.r + u.x, asyms) if coeff.num), None) for u in frames]
+
+
 def frame_differential(
     alg: QuadAlgebroid, w: AForm, frames: Sequence, bracket: Callable, wedges
 ) -> List[Tuple[Sequence[int], Poly]]:
@@ -377,17 +337,15 @@ def frame_differential(
         sum_pos (-1)^pos rho(u_pos) w(.., u_pos omitted, ..)
         + sum_{i<j} (-1)^(i+j) w([u_i, u_j], .., u_i, u_j omitted, ..).
 
-    ``w`` reads a frame through ``eval_frame`` at its symbol, its one
-    nonzero r or x component (a unit), or at none for a frame with
-    neither (delta^a), where every form on A vanishes.  ``bracket(s, t)``
+    ``w`` reads a frame through ``eval_frame`` at its ``frame_symbols``
+    entry; a frame without one gives zero.  ``bracket(s, t)``
     is called once per increasing pair of frame indices, and its result
     enters through its r and x parts, its projection to A.
     """
     if w.patch != alg.patch or w.dim != alg.fiber.dim:
         raise ValueError("form does not live on this algebroid")
-    m, p = alg.fiber.dim, alg.patch.p
-    asyms = [("g", i) for i in range(1, m + 1)] + [("f", a) for a in range(1, p + 1)]
-    syms = [next((sym for coeff, sym in zip(u.r + u.x, asyms) if coeff.num), None) for u in frames]
+    asyms = _asyms(alg)
+    syms = frame_symbols(alg, frames)
     brackets = {}
     for s, t in combinations(range(len(frames)), 2):
         br = bracket(s, t)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .linalg import rational_det
 from .poly import Poly, sum_products
-from .report import Report, Witness, first_witness
+from .report import Record, Report, Witness, first_witness
 
 
 def _exact(v: Fraction):
@@ -32,8 +32,10 @@ def _exact(v: Fraction):
     return v.numerator if v.denominator == 1 else v
 
 
-class QuadLieAlgebra:
+class QuadLieAlgebra(Record):
     """Structure constants plus an ad-invariant metric on a fixed basis."""
+
+    _fields = ("dim", "c", "g")
 
     def __init__(self, dim: int, c: Sequence, g: Sequence):
         self.dim = dim
@@ -60,11 +62,6 @@ class QuadLieAlgebra:
         self.c_terms = [[] for _ in range(dim)]
         for i, j, k, v in self._c_nonzero:
             self.c_terms[k].append((_exact(v), i, j))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadLieAlgebra):
-            return NotImplemented
-        return self.dim == other.dim and self.c == other.c and self.g == other.g
 
     # -- validation ------------------------------------------------------
 

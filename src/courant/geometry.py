@@ -6,6 +6,8 @@ frame Lie brackets vanish and every tensor identity can be checked on
 the coordinate frame alone.  Leafwise forms are stored sparsely on
 strictly increasing index tuples; coefficients may involve all n
 coordinates, but only the leafwise derivatives d/dx1..d/dxp ever act.
+The three form classes, ``FForm``, ``GValuedForm`` and
+``courant.ample.AForm``, share the sparse container ``Form``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .poly import Poly
-from .report import FrozenRecord, Report, first_witness
+from .report import FrozenRecord, Record, Report, first_witness
 
 
 class Patch(FrozenRecord):
@@ -59,28 +61,93 @@ def sort_with_sign(indices: Sequence) -> Tuple[tuple, int]:
     return tuple(idx), sign
 
 
-class FForm:
+class Form(Record):
+    """Sparse form of ``FForm``, ``GValuedForm`` and ``courant.ample.AForm``:
+    components on checked keys, zeros dropped, and the linear algebra.
+    Keys are leafwise and values ``Poly`` unless a subclass overrides
+    ``_check`` (``AForm``) or the value hooks (``GValuedForm``)."""
+
+    _fields = ("patch", "dim", "degree", "comps")
+
+    def __init__(self, patch: Patch, degree: int, comps: Mapping = ()):
+        self.patch = patch
+        self.degree = degree
+        clean = {}
+        for key, value in dict(comps).items():
+            key, value = self._check(key, value)
+            if self._live(value):
+                clean[key] = value
+        self.comps = clean
+
+    def _check(self, key, value):
+        """(key, value) as stored, or ValueError for a malformed key."""
+        key = tuple(key)
+        if len(key) != self.degree:
+            raise ValueError("component %r has wrong arity" % (key,))
+        if list(key) != sorted(set(key)):
+            raise ValueError("component key %r must be strictly increasing" % (key,))
+        if any(not 1 <= a <= self.patch.p for a in key):
+            raise ValueError("leaf index out of range in %r" % (key,))
+        return key, value
+
+    _live = staticmethod(bool)
+    _plus = staticmethod(lambda u, v: u + v)
+    _times = staticmethod(lambda u, c: u.scale(c))
+
+    def _zero(self):
+        return self.patch.zero()
+
+    def _signed(self, key, sign):
+        """The component at a sorted key times a permutation sign; zero
+        for sign 0 (a repeated index) and for a missing key."""
+        value = self.comps.get(key) if sign else None
+        if value is None:
+            return self._zero()
+        return value if sign == 1 else self._times(value, -1)
+
+    def _like(self, comps) -> "Form":
+        """A form of the same class and shape with the given components."""
+        out = object.__new__(self.__class__)
+        out.__dict__.update(self.__dict__)
+        Form.__init__(out, self.patch, self.degree, comps)
+        return out
+
+    def keys(self):
+        return sorted(self.comps)
+
+    def __bool__(self) -> bool:
+        return bool(self.comps)
+
+    def __add__(self, other: "Form") -> "Form":
+        if self.degree != other.degree:
+            raise ValueError("form degree mismatch")
+        comps = dict(self.comps)
+        for key, value in other.comps.items():
+            comps[key] = self._plus(comps[key], value) if key in comps else value
+        return self._like(comps)
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "Form":
+        return self._like({k: self._times(v, c) for k, v in self.comps.items()})
+
+    def _label(self, key) -> str:
+        return "^".join("dx%d" % a for a in key) if key else "1"
+
+    def __str__(self) -> str:
+        parts = ["(%s) %s" % (self.comps[key], self._label(key)) for key in self.keys()]
+        return " + ".join(parts) if parts else "0"
+
+
+class FForm(Form):
     """Leafwise k-form with polynomial coefficients.
 
     Components are stored on strictly increasing leaf index tuples
     (1-based); missing tuples are zero.
     """
 
-    def __init__(self, patch: Patch, degree: int, comps: Mapping[Tuple[int, ...], Poly] = ()):
-        self.patch = patch
-        self.degree = degree
-        clean: Dict[Tuple[int, ...], Poly] = {}
-        for key, value in dict(comps).items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError("component %r has wrong arity" % (key,))
-            if list(key) != sorted(set(key)):
-                raise ValueError("component key %r must be strictly increasing" % (key,))
-            if any(not 1 <= a <= patch.p for a in key):
-                raise ValueError("leaf index out of range in %r" % (key,))
-            if value:
-                clean[key] = value
-        self.comps = clean
+    _fields = ("patch", "degree", "comps")
 
     @staticmethod
     def zero(patch: Patch, degree: int) -> "FForm":
@@ -88,53 +155,7 @@ class FForm:
 
     def get(self, indices: Sequence[int]) -> Poly:
         """Signed component on an arbitrary index tuple."""
-        key, sign = sort_with_sign(indices)
-        if sign == 0:
-            return self.patch.zero()
-        value = self.comps.get(key)
-        if value is None:
-            return self.patch.zero()
-        return value if sign == 1 else -value
-
-    def keys(self):
-        return sorted(self.comps)
-
-    def __bool__(self) -> bool:
-        return any(self.comps.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FForm):
-            return NotImplemented
-        return (
-            self.patch == other.patch
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
-
-    def __add__(self, other: "FForm") -> "FForm":
-        if self.degree != other.degree:
-            raise ValueError("form degree mismatch")
-        comps = dict(self.comps)
-        for key, value in other.comps.items():
-            comps[key] = comps.get(key, self.patch.zero()) + value
-        return FForm(self.patch, self.degree, comps)
-
-    def __sub__(self, other: "FForm") -> "FForm":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "FForm":
-        return FForm(
-            self.patch, self.degree, {k: v.scale(c) for k, v in self.comps.items()}
-        )
-
-    def __str__(self) -> str:
-        if not self.comps:
-            return "0"
-        parts = []
-        for key in self.keys():
-            label = "^".join("dx%d" % a for a in key) if key else "1"
-            parts.append("(%s) %s" % (self.comps[key], label))
-        return " + ".join(parts)
+        return self._signed(*sort_with_sign(indices))
 
 
 def leafwise_d(w: FForm) -> FForm:
@@ -154,8 +175,9 @@ def leafwise_d(w: FForm) -> FForm:
     return FForm(patch, w.degree + 1, out)
 
 
-class GValuedForm:
-    """Fiber-valued leafwise k-form: components are m-vectors of Poly."""
+class GValuedForm(Form):
+    """Fiber-valued leafwise k-form: components are m-vectors of Poly,
+    added and scaled componentwise."""
 
     def __init__(
         self,
@@ -164,75 +186,35 @@ class GValuedForm:
         degree: int,
         comps: Mapping[Tuple[int, ...], Sequence[Poly]] = (),
     ):
-        self.patch = patch
         self.dim = dim
-        self.degree = degree
-        clean: Dict[Tuple[int, ...], List[Poly]] = {}
-        for key, vec in dict(comps).items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError("component %r has wrong arity" % (key,))
-            if list(key) != sorted(set(key)):
-                raise ValueError("component key %r must be strictly increasing" % (key,))
-            if any(not 1 <= a <= patch.p for a in key):
-                raise ValueError("leaf index out of range in %r" % (key,))
-            vec = list(vec)
-            if len(vec) != dim:
-                raise ValueError("component %r has wrong fiber dimension" % (key,))
-            if any(vec):
-                clean[key] = vec
-        self.comps = clean
+        super().__init__(patch, degree, comps)
+
+    def _check(self, key, vec):
+        key, vec = super()._check(key, list(vec))
+        if len(vec) != self.dim:
+            raise ValueError("component %r has wrong fiber dimension" % (key,))
+        return key, vec
+
+    _live = staticmethod(any)
+    _plus = staticmethod(lambda u, v: [a + b for a, b in zip(u, v)])
+    _times = staticmethod(lambda u, c: [a.scale(c) for a in u])
+
+    def _zero(self):
+        return [self.patch.zero()] * self.dim
 
     @staticmethod
     def zero(patch: Patch, dim: int, degree: int) -> "GValuedForm":
         return GValuedForm(patch, dim, degree)
 
     def get(self, indices: Sequence[int]) -> List[Poly]:
-        key, sign = sort_with_sign(indices)
-        zero = [self.patch.zero()] * self.dim
-        if sign == 0:
-            return list(zero)
-        vec = self.comps.get(key)
-        if vec is None:
-            return list(zero)
-        return list(vec) if sign == 1 else [-v for v in vec]
-
-    def keys(self):
-        return sorted(self.comps)
-
-    def __bool__(self) -> bool:
-        return bool(self.comps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GValuedForm):
-            return NotImplemented
-        return (
-            self.patch == other.patch
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
-
-    def __add__(self, other: "GValuedForm") -> "GValuedForm":
-        comps = {k: list(v) for k, v in self.comps.items()}
-        for key, vec in other.comps.items():
-            if key in comps:
-                comps[key] = [a + b for a, b in zip(comps[key], vec)]
-            else:
-                comps[key] = list(vec)
-        return GValuedForm(self.patch, self.dim, self.degree, comps)
-
-    def scale(self, c) -> "GValuedForm":
-        return GValuedForm(
-            self.patch,
-            self.dim,
-            self.degree,
-            {k: [v.scale(c) for v in vec] for k, vec in self.comps.items()},
-        )
+        """Signed component as a fresh list, which the caller may change."""
+        return list(self._signed(*sort_with_sign(indices)))
 
 
-class GConnection:
+class GConnection(Record):
     """Connection on the trivial fiber bundle: nabla_a r = d_a r + Gamma[a] r."""
+
+    _fields = ("patch", "dim", "gamma")
 
     def __init__(self, patch: Patch, dim: int, gamma: Sequence[Sequence[Sequence[Poly]]]):
         self.patch = patch
@@ -289,15 +271,6 @@ class GConnection:
                 da = self.apply(a, r)
                 out = [acc + xa * v if v.num else acc for acc, v in zip(out, da)]
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GConnection):
-            return NotImplemented
-        return (
-            self.patch == other.patch
-            and self.dim == other.dim
-            and self.gamma == other.gamma
-        )
 
 
 def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
@@ -377,7 +350,7 @@ def pontryagin_form(curv: GValuedForm, fiber: QuadLieAlgebra) -> FForm:
     return FForm(patch, 4, out)
 
 
-class FConnection:
+class FConnection(Record):
     """Torsion-free connection on F, given by Christoffel polynomials.
 
     christoffel[a][b][c] is the dx_c-component of nabla_{d/dx_a} d/dx_b;
@@ -387,6 +360,8 @@ class FConnection:
     christoffel[a][b][c]) and ``on_covectors``, its dual on F*
     (Gamma_a = -christoffel[a]).
     """
+
+    _fields = ("patch", "christoffel")
 
     def __init__(self, patch: Patch, christoffel: Sequence[Sequence[Sequence[Poly]]]):
         self.patch = patch
@@ -404,11 +379,6 @@ class FConnection:
         self.on_covectors = GConnection(
             patch, p, [[[-entry for entry in row] for row in mat] for mat in self.christoffel]
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FConnection):
-            return NotImplemented
-        return self.patch == other.patch and self.christoffel == other.christoffel
 
     @staticmethod
     def flat(patch: Patch) -> "FConnection":

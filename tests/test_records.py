@@ -1,7 +1,8 @@
 """The plain record classes: dataclass semantics without ``dataclasses``.
 
 Each record compares field by field with records of its own class and
-prints as ``Class(field=value, ...)``.  ``Patch``, ``Witness`` and
+prints as ``Class(field=value, ...)``; the forms, connections, fibers
+and algebroids are records too.  ``Patch``, ``Witness`` and
 ``CheckRecord`` are frozen and hashable; the others are mutable and
 unhashable.  A fresh ``import courant.cli`` must not load
 ``dataclasses`` (nor ``inspect`` or ``ast``, which it pulls in).
@@ -13,11 +14,12 @@ import sys
 
 import pytest
 
-from courant.ample import ASection, QuadAlgebroid
+from courant.ample import AForm, ASection, QuadAlgebroid
 from courant.charform import CharPair, Hoist, HoistSearch, standard_three_form
 from courant.cli import Config, config_to_text, parse_config_text
-from courant.dorfman import Section
-from courant.geometry import GValuedForm, Patch
+from courant.dorfman import Quintuple, Section
+from courant.fiber import QuadLieAlgebra
+from courant.geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from courant.morphism import IsoData
 from courant.report import CheckRecord, Report, Witness
 
@@ -54,8 +56,12 @@ def _cases():
     patch, one = q.patch, q.patch.one()
     alg = QuadAlgebroid.of(q)
 
-    def form(k):
-        return GValuedForm(patch, 3, 1, {(1,): [one.scale(k), one, one]})
+    def form(k, degree=1):
+        return GValuedForm(patch, 3, degree, {tuple(range(1, degree + 1)): [one.scale(k), one, one]})
+
+    def christoffel(k):
+        return [[[one.scale(k) if a == b == c == 0 else patch.zero() for c in range(2)]
+                 for b in range(2)] for a in range(2)]
 
     return [
         (Witness, lambda k: Witness("id", (1, k), str(k))),
@@ -69,6 +75,14 @@ def _cases():
         (HoistSearch, lambda k: HoistSearch(Hoist(form(k)), Report())),
         (IsoData, lambda k: IsoData(identity_iso(patch, 3).tau, form(k), identity_iso(patch, 3).beta)),
         (Config, lambda k: parse_config_text(_config_text("fixture_d.cfg" if k == 1 else "fixture_c.cfg"))),
+        (FForm, lambda k: FForm(patch, 1, {(2,): one.scale(k)})),
+        (GValuedForm, form),
+        (AForm, lambda k: AForm(patch, 3, 2, {((1,), (2,)): one.scale(k)})),
+        (GConnection, lambda k: GConnection(patch, 1, [[[one.scale(k)]], [[one]]])),
+        (FConnection, lambda k: FConnection(patch, christoffel(k))),
+        (QuadLieAlgebra, lambda k: QuadLieAlgebra(1, [[[0]]], [[k]])),
+        (QuadAlgebroid, lambda k: QuadAlgebroid(patch, q.fiber, q.conn, form(k, 2))),
+        (Quintuple, lambda k: Quintuple(patch, q.fiber, q.conn, form(k, 2), q.hform)),
     ]
 
 
@@ -97,6 +111,23 @@ def test_record_equality_repr_and_hash(cls, make):
             hash(a)
         setattr(a, fields[0], getattr(other, fields[0]))
         assert getattr(a, fields[0]) is getattr(other, fields[0])
+
+
+def test_gconnection_memo_is_not_compared():
+    q = fixture_d()
+    a, b = GConnection(q.patch, 3, q.conn.gamma), GConnection(q.patch, 3, q.conn.gamma)
+    a.apply(1, [q.patch.var(2), q.patch.one(), q.patch.zero()])
+    assert a._memo and not b._memo
+    assert a == b
+
+
+def test_ample_part_of_a_quintuple_differs_from_it():
+    # records of different classes never compare equal, even when the
+    # shared fields agree
+    q = fixture_d()
+    alg = QuadAlgebroid.of(q)
+    assert alg != q and q != alg
+    assert alg == QuadAlgebroid.of(q)
 
 
 def test_record_reprs_in_dataclass_format():
