@@ -14,7 +14,6 @@ from courant import (
     Patch,
     Poly,
     QuadAlgebroid,
-    aform_to_str,
     ce_differential,
     e_connection_form,
     standard_three_form,
@@ -26,7 +25,7 @@ q = model.q
 
 cs = standard_three_form(q)
 print("== canonical 3-form on the ample algebroid (bigraded components) ==")
-print(aform_to_str(cs))
+print(cs)
 print()
 print("closed:", not ce_differential(QuadAlgebroid.of(q), cs))
 print()

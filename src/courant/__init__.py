@@ -12,11 +12,13 @@ transport), are lazy: ``_register_lazy`` puts their module objects in
 first attribute access.  ``check``, ``axioms`` and ``pontryagin`` then
 never compile them: the records a config's ``[iso]`` and ``[hoist]``
 blocks parse to, ``IsoData`` and ``Hoist``, live in the eager layers.
-The package names the lazy layers define are served by ``__getattr__``
-through ``_LAZY_EXPORTS``.  Three rules keep this sound:
+The package names each export once: the eager ones in the import
+block, the lazy ones in ``_LAZY_EXPORTS`` (served by ``__getattr__``).
+It exports only what the demos, the README and ``bench/make_pool.py``
+use; the rest is imported from its module.  Three rules keep this sound:
 
-* a future command layer registers the same way, with its names in
-  ``_LAZY_EXPORTS``;
+* a later command layer registers the same way, and lists its names in
+  ``_LAZY_EXPORTS`` only;
 * the eager layers (``poly``, ``fiber``, ``linalg``, ``geometry``,
   ``ample``, ``dorfman``, ``report``) never import a lazy one at module
   level, or every command would compile it again;
@@ -41,28 +43,11 @@ def _register_lazy(name: str):
 charform = _register_lazy(__name__ + ".charform")
 morphism = _register_lazy(__name__ + ".morphism")
 
-from .poly import Poly, PolyParseError, parse_poly
+from .poly import Poly
 from .fiber import QuadLieAlgebra, abelian, su2
-from .geometry import (
-    FConnection,
-    FForm,
-    GConnection,
-    GValuedForm,
-    Patch,
-    leafwise_d,
-    pontryagin_form,
-    validate_connection,
-)
-from .ample import (
-    AForm,
-    ASection,
-    Hoist,
-    QuadAlgebroid,
-    aform_to_str,
-    ce_differential,
-)
-from .dorfman import IsoData, Quintuple, Section, monomials, naive_differential, naive_matches_ce
-from .report import CheckRecord, Report, Witness
+from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form
+from .ample import Hoist, QuadAlgebroid, ce_differential
+from .dorfman import IsoData, Quintuple
 
 # Package name -> the lazy layer that defines it.
 _LAZY_EXPORTS = {
@@ -74,7 +59,6 @@ _LAZY_EXPORTS = {
             "check_coherent",
             "e_connection_form",
             "find_hoist",
-            "hoist_data",
             "standard_three_form",
         ),
         charform,
@@ -86,10 +70,7 @@ _LAZY_EXPORTS = {
             "coboundary_identity_check",
             "hoist_shift_iso",
             "intertwining_report",
-            "omega_shift_iso",
             "phi_form",
-            "psi_form",
-            "pullback_aform",
             "transport",
             "validate_iso",
         ),
@@ -104,56 +85,5 @@ def __getattr__(name: str):
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     return getattr(module, name)
 
-
-__all__ = [
-    "AForm",
-    "ASection",
-    "CharPair",
-    "CheckRecord",
-    "FConnection",
-    "FForm",
-    "GConnection",
-    "GValuedForm",
-    "Hoist",
-    "IsoData",
-    "Patch",
-    "Poly",
-    "PolyParseError",
-    "QuadAlgebroid",
-    "QuadLieAlgebra",
-    "Quintuple",
-    "Report",
-    "Section",
-    "Witness",
-    "abelian",
-    "aform_to_str",
-    "apply_iso",
-    "build_from_pair",
-    "ce_differential",
-    "central_shift_iso",
-    "characteristic_pair_of",
-    "check_coherent",
-    "coboundary_identity_check",
-    "e_connection_form",
-    "find_hoist",
-    "hoist_data",
-    "hoist_shift_iso",
-    "intertwining_report",
-    "leafwise_d",
-    "monomials",
-    "naive_differential",
-    "naive_matches_ce",
-    "omega_shift_iso",
-    "parse_poly",
-    "phi_form",
-    "pontryagin_form",
-    "psi_form",
-    "pullback_aform",
-    "standard_three_form",
-    "su2",
-    "transport",
-    "validate_connection",
-    "validate_iso",
-]
 
 __version__ = "0.1.0"

@@ -9,10 +9,11 @@ nabla along a vector field, the R-contraction and the shape checks of
 the data.  ``Quintuple`` extends it with the leafwise 3-form and the
 F* part.
 
-Sections of A are pairs (r, x) of fiber and leafwise component
-vectors.  The bracket is determined by the connection, the curvature
-2-form and the fiber bracket; the anchor projects to the x part, and
-a ``Hoist`` x -> J(x) + x splits it.
+``Section`` (xi, r, x) is the one section type of E = F* + G + F; a
+section of A is one with xi = 0, and A's structure maps read only r and
+x.  The bracket is determined by the connection, the curvature 2-form
+and the fiber bracket; the anchor projects to the x part, and a
+``Hoist`` x -> J(x) + x splits it.
 
 Forms on A are stored by bigraded components: the value on
 (e_{i_1},..,e_{i_s}, d/dx_{a_1},..,d/dx_{a_t}) with both index groups
@@ -56,24 +57,56 @@ def sub_live(u: Sequence[Poly], v: Sequence[Poly]) -> List[Poly]:
     return [a - b if b.num else a for a, b in zip(u, v)]
 
 
-class ASection(Record):
-    """A section r + x of the ample algebroid."""
+class Section(Record):
+    """A section xi + r + x of F* + G + F with polynomial components; a
+    section of A is one with xi = 0."""
 
-    __slots__ = _fields = ("r", "x")
+    __slots__ = _fields = ("xi", "r", "x")
 
-    def __init__(self, r: List[Poly], x: List[Poly]):
+    def __init__(self, xi: List[Poly], r: List[Poly], x: List[Poly]):
+        self.xi = xi
         self.r = r
         self.x = x
 
+    def __add__(self, other: "Section") -> "Section":
+        return Section(
+            add_live(self.xi, other.xi), add_live(self.r, other.r), add_live(self.x, other.x)
+        )
+
+    def __sub__(self, other: "Section") -> "Section":
+        return Section(
+            sub_live(self.xi, other.xi), sub_live(self.r, other.r), sub_live(self.x, other.x)
+        )
+
+    def scale(self, c) -> "Section":
+        return Section(
+            [a.scale(c) if a.num else a for a in self.xi],
+            [a.scale(c) if a.num else a for a in self.r],
+            [a.scale(c) if a.num else a for a in self.x],
+        )
+
+    def mul(self, f: Poly) -> "Section":
+        comps = self.xi or self.r or self.x
+        if comps:
+            f._check_compat(comps[0])  # the ring check of the skipped f * 0
+        return Section(
+            [f * a if a.num else a for a in self.xi],
+            [f * a if a.num else a for a in self.r],
+            [f * a if a.num else a for a in self.x],
+        )
+
     def is_zero(self) -> bool:
-        return not (live(self.r) or live(self.x))
+        return not (live(self.xi) or live(self.r) or live(self.x))
+
+    def components(self) -> List[Poly]:
+        return list(self.xi) + list(self.r) + list(self.x)
 
 
 class QuadAlgebroid(Record):
     """Quadratic Lie algebroid data (patch, fiber, connection, curvature).
 
     The structure maps read only the ``r`` and ``x`` parts of their
-    arguments, so they act on Courant sections as well.
+    arguments, the projection of a section of E to A.
     """
 
     _fields = ("patch", "fiber", "conn", "curv")
@@ -108,9 +141,9 @@ class QuadAlgebroid(Record):
     def zero_poly(self) -> Poly:
         return self._zero
 
-    def zero_section(self) -> ASection:
+    def zero_section(self) -> Section:
         z = self._zero
-        return ASection([z] * self.fiber.dim, [z] * self.patch.p)
+        return Section([z] * self.patch.p, [z] * self.fiber.dim, [z] * self.patch.p)
 
     def fiber_elem(self, i: int):
         s = self.zero_section()
@@ -176,13 +209,15 @@ class QuadAlgebroid(Record):
 
     # -- bracket -----------------------------------------------------------
 
-    def bracket(self, u, v) -> ASection:
+    def bracket(self, u, v) -> Section:
         """[r1 + x1, r2 + x2] = [r1,r2] + R(x1,x2) + nabla_{x1} r2 - nabla_{x2} r1
         on the fiber side and the vector field bracket on the leaf side."""
-        return self._bracket(u, v, live(u.x), live(v.x), live(u.r), live(v.r))
+        r, x = self._bracket(u, v, live(u.x), live(v.x), live(u.r), live(v.r))
+        return Section([self._zero] * self.patch.p, r, x)
 
-    def _bracket(self, u, v, x1_live, x2_live, r1_live, r2_live) -> ASection:
-        """The bracket, given which of x1, x2, r1, r2 are nonzero.
+    def _bracket(self, u, v, x1_live, x2_live, r1_live, r2_live) -> Tuple[List[Poly], List[Poly]]:
+        """The (r, x) parts of the bracket, given which of x1, x2, r1, r2
+        are nonzero.
 
         This is also the G + F part of the Dorfman bracket, its hot path:
         the caller computes the flags once for both parts, and terms with
@@ -203,7 +238,7 @@ class QuadAlgebroid(Record):
             r_out = add_live(r_out, self.nabla_along(u.x, v.r))
         if x2_live and r1_live:
             r_out = sub_live(r_out, self.nabla_along(v.x, u.r))
-        return ASection(r_out, x_out)
+        return r_out, x_out
 
 
 class Hoist(Record):
@@ -224,7 +259,7 @@ class Hoist(Record):
     def column(self, a: int) -> List[Poly]:
         return self.j.get((a,))
 
-    def section(self, alg: QuadAlgebroid, a: int) -> ASection:
+    def section(self, alg: QuadAlgebroid, a: int) -> Section:
         s = alg.coord(a)
         s.r = self.column(a)
         return s
@@ -274,8 +309,9 @@ class AForm(Form):
         fidx = tuple(idx for rank, idx in key if rank == 1)
         return self._signed((gidx, fidx), sign)
 
-    def eval_sections(self, args: Sequence[ASection]) -> Poly:
-        """Multilinear evaluation on ample sections with Poly components."""
+    def eval_sections(self, args: Sequence[Section]) -> Poly:
+        """Multilinear evaluation on sections with Poly components, through
+        their r and x parts."""
         if len(args) != self.degree:
             raise ValueError("wrong number of arguments")
         return self._expand(args, 0, [])
@@ -396,17 +432,3 @@ def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
     # zero values skip the constructor's key checks
     return AForm(alg.patch, m, w.degree + 1, {key: v for key, (_, v) in zip(keys, table) if v})
 
-
-def aform_to_str(w: AForm) -> str:
-    """Canonical serialization used for exact byte-level comparisons."""
-    lines = []
-    for gidx, fidx in w.keys():
-        lines.append(
-            "g(%s) f(%s): %s"
-            % (
-                ",".join(map(str, gidx)),
-                ",".join(map(str, fidx)),
-                w.comps[(gidx, fidx)],
-            )
-        )
-    return "\n".join(lines) if lines else "0"

@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .ample import AForm, Hoist, QuadAlgebroid, aform_keys, ce_differential
-from .dorfman import Quintuple, Section
+from .ample import AForm, Hoist, QuadAlgebroid, Section, aform_keys, ce_differential
+from .dorfman import Quintuple
 from .geometry import FConnection, FForm, GConnection, GValuedForm
 from .linalg import solve
 from .poly import Poly, coefficient_vectors

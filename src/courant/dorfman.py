@@ -31,9 +31,10 @@ Two verification layers:
 
 Zero components are skipped.  A section the axiom check brackets is
 a frame section, or one times x_a, with one nonzero component of
-2p + m, so most bracket terms have a zero factor.  ``Section``'s +, -,
-``mul`` and ``scale`` and the bracket terms read ``Poly.num`` and skip
-a zero operand, factor or derivative.  That is exact: a + 0, a - 0 and
+2p + m, so most bracket terms have a zero factor.  The +, -, ``mul``
+and ``scale`` of ``Section`` (in :mod:`courant.ample`, the one section
+type of E and of A) and the bracket terms read ``Poly.num`` and skip a
+zero operand, factor or derivative.  That is exact: a + 0, a - 0 and
 0 * f already return a canonical Poly equal to the one kept, so every
 report is the same and only the work changes.
 
@@ -57,7 +58,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, List, Sequence, Tuple
 
-from .ample import AForm, QuadAlgebroid, add_live, ce_differential, frame_differential, frame_symbols, live, sub_live
+from .ample import AForm, QuadAlgebroid, Section, add_live, ce_differential, frame_differential, frame_symbols, live, sub_live
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form, validate_connection
 from .linalg import poly_mat_mul
@@ -74,50 +75,6 @@ AXIOM_IDENTITIES = {
     5: "[[D f, e]]",
     6: "rho(e1)<e2,e3> - <[[e1,e2]],e3> - <e2,[[e1,e3]]>",
 }
-
-
-class Section(Record):
-    """A section xi + r + x of F* + G + F with polynomial components."""
-
-    __slots__ = _fields = ("xi", "r", "x")
-
-    def __init__(self, xi: List[Poly], r: List[Poly], x: List[Poly]):
-        self.xi = xi
-        self.r = r
-        self.x = x
-
-    def __add__(self, other: "Section") -> "Section":
-        return Section(
-            add_live(self.xi, other.xi), add_live(self.r, other.r), add_live(self.x, other.x)
-        )
-
-    def __sub__(self, other: "Section") -> "Section":
-        return Section(
-            sub_live(self.xi, other.xi), sub_live(self.r, other.r), sub_live(self.x, other.x)
-        )
-
-    def scale(self, c) -> "Section":
-        return Section(
-            [a.scale(c) if a.num else a for a in self.xi],
-            [a.scale(c) if a.num else a for a in self.r],
-            [a.scale(c) if a.num else a for a in self.x],
-        )
-
-    def mul(self, f: Poly) -> "Section":
-        comps = self.xi or self.r or self.x
-        if comps:
-            f._check_compat(comps[0])  # the ring check of the skipped f * 0
-        return Section(
-            [f * a if a.num else a for a in self.xi],
-            [f * a if a.num else a for a in self.r],
-            [f * a if a.num else a for a in self.x],
-        )
-
-    def is_zero(self) -> bool:
-        return not (live(self.xi) or live(self.r) or live(self.x))
-
-    def components(self) -> List[Poly]:
-        return list(self.xi) + list(self.r) + list(self.x)
 
 
 # Largest accepted degree cap.  The direct axiom check enumerates family
@@ -175,11 +132,6 @@ class Quintuple(QuadAlgebroid):
         ]
 
     # -- basic sections ---------------------------------------------------
-
-    def zero_section(self) -> Section:
-        p, m = self.patch.p, self.fiber.dim
-        z = self._zero
-        return Section([z] * p, [z] * m, [z] * p)
 
     def delta(self, a: int) -> Section:
         """The dual frame covector section delta^a."""
@@ -290,7 +242,7 @@ class Quintuple(QuadAlgebroid):
         p = self.patch.p
         zero = self._zero
         x1_live, x2_live, r1_live, r2_live = live(e1.x), live(e2.x), live(e1.r), live(e2.r)
-        ample = self._bracket(e1, e2, x1_live, x2_live, r1_live, r2_live)
+        r, x = self._bracket(e1, e2, x1_live, x2_live, r1_live, r2_live)
 
         # F* part
         out = [zero] * p
@@ -312,7 +264,7 @@ class Quintuple(QuadAlgebroid):
             out = sub_live(out, [b.scale(2) for b in self.q_form(e1.x, e2.r)])
         if x2_live and r1_live:
             out = add_live(out, [b.scale(2) for b in self.q_form(e2.x, e1.r)])
-        return Section(out, ample.r, ample.x)
+        return Section(out, r, x)
 
     def frame_brackets(self) -> "FrameBrackets":
         """A table of the brackets of the frame sections, for one call."""

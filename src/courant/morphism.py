@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Tuple
 
-from .ample import AForm, ASection, Hoist, aform_keys, ce_differential, live
+from .ample import AForm, Hoist, Section, aform_keys, ce_differential, live
 from .charform import hoist_data, standard_three_form
-from .dorfman import IsoData, Quintuple, Section, check_degree_cap
+from .dorfman import IsoData, Quintuple, check_degree_cap
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
 from .linalg import (
@@ -315,15 +315,13 @@ def pullback_aform(
 ) -> AForm:
     """Pull back a form along r + x -> tau(r) + phi(x) + x."""
     m = fiber.dim
-    images_g = [
-        ASection([tau[l][i] for l in range(m)], [Poly.zero(patch.n)] * patch.p)
-        for i in range(m)
-    ]
+    zero = [Poly.zero(patch.n)] * patch.p
+    images_g = [Section(zero, [tau[l][i] for l in range(m)], zero) for i in range(m)]
     images_f = []
     for a in range(1, patch.p + 1):
-        x = [Poly.zero(patch.n)] * patch.p
+        x = list(zero)
         x[a - 1] = patch.one()
-        images_f.append(ASection(phi.get((a,)), x))
+        images_f.append(Section(zero, phi.get((a,)), x))
     comps = {}
     for key in aform_keys(patch, m, c.degree):
         gidx, fidx = key

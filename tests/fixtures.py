@@ -9,8 +9,6 @@ from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from courant import (
-    AForm,
-    ASection,
     FForm,
     GConnection,
     GValuedForm,
@@ -20,15 +18,12 @@ from courant import (
     QuadAlgebroid,
     QuadLieAlgebra,
     Quintuple,
-    Report,
-    Section,
-    Witness,
     abelian,
-    pullback_aform,
     su2,
     transport,
     validate_iso,
 )
+from courant.ample import AForm, Section
 from courant.geometry import FConnection
 from courant.linalg import (
     poly_mat_identity,
@@ -38,7 +33,9 @@ from courant.linalg import (
     rational_det,
     solve,
 )
+from courant.morphism import pullback_aform
 from courant.poly import sum_products
+from courant.report import Report, Witness
 
 
 def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
@@ -97,11 +94,11 @@ def section(q: Quintuple, xi: Sequence[Poly], r: Sequence[Poly], x: Sequence[Pol
     return Section(list(xi), list(r), list(x))
 
 
-def ample_section(alg: QuadAlgebroid, r: Sequence[Poly], x: Sequence[Poly]) -> ASection:
-    """The ample section r + x of alg, with its shape checked."""
+def ample_section(alg: QuadAlgebroid, r: Sequence[Poly], x: Sequence[Poly]) -> Section:
+    """The section r + x of A, with zero F* part and its shape checked."""
     if len(r) != alg.fiber.dim or len(x) != alg.patch.p:
         raise ValueError("ample section shape mismatch")
-    return ASection(list(r), list(x))
+    return Section([alg.zero_poly()] * alg.patch.p, list(r), list(x))
 
 
 def courant(q: Quintuple, e1: Section, e2: Section) -> Section:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from courant import (
-    AForm,
     CharPair,
     FConnection,
     FForm,
@@ -24,11 +23,12 @@ from courant import (
     check_coherent,
     e_connection_form,
     find_hoist,
-    hoist_data,
     phi_form,
     standard_three_form,
     su2,
 )
+from courant.ample import AForm
+from courant.charform import hoist_data
 from courant.cli import Config, config_to_text, main
 from fixtures import (
     ALL_FIXTURES,

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant import Poly, Quintuple, Section, monomials
+from courant import Poly, Quintuple
+from courant.ample import Section
 from fixtures import (
     ALL_FIXTURES,
     courant,
@@ -18,7 +19,7 @@ from fixtures import (
     su2_patch,
 )
 from test_poly import polys
-from courant.dorfman import MAX_DEGREE_CAP
+from courant.dorfman import MAX_DEGREE_CAP, monomials
 from courant.geometry import FForm
 
 

@@ -5,12 +5,12 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant import Patch, Poly, QuadLieAlgebra, abelian, parse_poly, su2
-from courant import poly
+from courant import Patch, Poly, QuadLieAlgebra, abelian, poly, su2
 from courant.ample import AForm, QuadAlgebroid, ce_differential
 from courant.geometry import FForm, GConnection, GValuedForm
 from courant.dorfman import Quintuple
 from courant.linalg import rational_det
+from courant.poly import parse_poly
 from courant.report import Check, Report, Witness
 from fixtures import center, direct_sum, rand_poly
 

@@ -14,10 +14,11 @@ from itertools import combinations
 
 import pytest
 
-from courant import FConnection, Quintuple, e_connection_form, naive_differential, naive_matches_ce, standard_three_form
+from courant import FConnection, Quintuple, e_connection_form, standard_three_form
 from courant.ample import AForm, aform_keys
 from courant.charform import HALF, THIRD, _e_connection
 from courant.cli import _linear_symmetric_fconnection, parse_config, run_command
+from courant.dorfman import naive_differential, naive_matches_ce
 from fixtures import COCHAIN_FIXTURES, courant
 
 POOL = os.path.join(os.path.dirname(__file__), "..", "bench", "pool")

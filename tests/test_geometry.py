@@ -14,14 +14,13 @@ from courant import (
     Patch,
     Poly,
     QuadLieAlgebra,
-    Report,
     abelian,
     leafwise_d,
     pontryagin_form,
     su2,
-    validate_connection,
 )
-from courant.report import Check
+from courant.geometry import validate_connection
+from courant.report import Check, Report
 from fixtures import rand_poly, su2_adjoint_connection
 
 

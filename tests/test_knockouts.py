@@ -20,8 +20,9 @@ import os
 
 import pytest
 
-from courant import Quintuple, ce_differential, naive_matches_ce, standard_three_form
+from courant import Quintuple, ce_differential, standard_three_form
 from courant.cli import parse_config, run_command
+from courant.dorfman import naive_matches_ce
 from fixtures import COCHAIN_FIXTURES, fixture_a, fixture_c, fixture_d
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")

@@ -10,8 +10,10 @@ attribute access forces it.
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -75,12 +77,38 @@ def test_reading_a_lazy_module_dict_loads_it():
     assert _fresh(code) == ["True"]
 
 
+def _package_names() -> set:
+    """The names the demos, the README's Python blocks and the pool
+    builder (``cr.<name>``) take from ``courant``."""
+    sources = [path.read_text() for path in sorted((ROOT / "demos").glob("0*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "courant":
+                names.update(alias.name for alias in node.names)
+    names.update(re.findall(r"\bcr\.(\w+)", (ROOT / "bench" / "make_pool.py").read_text()))
+    return names
+
+
 def test_package_serves_every_export():
-    for name in courant.__all__:
+    names = _package_names()
+    assert {"Quintuple", "transport", "standard_three_form", "su2"} <= names
+    for name in sorted(names):
         obj = getattr(courant, name)
         assert obj is getattr(sys.modules[obj.__module__], name)
     with pytest.raises(AttributeError):
         courant.no_such_name
+
+
+def test_package_exports_only_what_demos_readme_and_pool_use():
+    # tests import everything else from the module that defines it
+    eager = {
+        name for name, obj in vars(courant).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert eager | set(courant._LAZY_EXPORTS) == _package_names()
+    assert not hasattr(courant, "__all__")
 
 
 def _module_level_imports(tree: ast.Module):

@@ -22,17 +22,14 @@ from courant import (
     hoist_shift_iso,
     intertwining_report,
     leafwise_d,
-    omega_shift_iso,
     phi_form,
-    psi_form,
-    pullback_aform,
     standard_three_form,
     transport,
     validate_iso,
 )
 from courant.cli import main, parse_config
 from courant.dorfman import MAX_DEGREE_CAP
-from courant.morphism import IsoData
+from courant.morphism import IsoData, omega_shift_iso, psi_form, pullback_aform
 from courant.poly import coefficient_vectors
 from courant.report import Check, Report
 from fixtures import (

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant import Poly, PolyParseError, parse_poly
+from courant import Poly
 from courant.cli import MAX_BASE_DIM
 from courant.poly import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_TERMS,
+    PolyParseError,
     coefficient_vectors,
+    parse_poly,
     sum_products,
 )
 from fixtures import evaluate

@@ -14,10 +14,10 @@ import sys
 
 import pytest
 
-from courant.ample import AForm, ASection, QuadAlgebroid
+from courant.ample import AForm, QuadAlgebroid, Section
 from courant.charform import CharPair, Hoist, HoistSearch, standard_three_form
 from courant.cli import Config, config_to_text, parse_config_text
-from courant.dorfman import Quintuple, Section
+from courant.dorfman import Quintuple
 from courant.fiber import QuadLieAlgebra
 from courant.geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from courant.morphism import IsoData
@@ -69,7 +69,6 @@ def _cases():
         (Patch, lambda k: Patch(k + 1, 1)),
         (Report, lambda k: Report([CheckRecord("r%d" % k, "pass")])),
         (Section, lambda k: Section([one.scale(k)], [one], [one])),
-        (ASection, lambda k: ASection([one.scale(k)], [one])),
         (Hoist, lambda k: Hoist(form(k))),
         (CharPair, lambda k: CharPair(alg, standard_three_form(q).scale(k))),
         (HoistSearch, lambda k: HoistSearch(Hoist(form(k)), Report())),
@@ -139,16 +138,14 @@ def test_record_reprs_in_dataclass_format():
         "witness=Witness(identity='id', indices=(1, 2), residual='5'))])"
     )
     assert repr(Patch(2, 1)) == "Patch(n=2, p=1)"
-    one = Patch(1, 1).one()
-    assert repr(ASection([one], [one])) == "ASection(r=[Poly(1, 1)], x=[Poly(1, 1)])"
 
 
 def test_section_records_have_slots():
     one = Patch(1, 1).one()
-    for s in (Section([one], [one], [one]), ASection([one], [one])):
-        assert not hasattr(s, "__dict__")
-        with pytest.raises(AttributeError):
-            s.extra = one
+    s = Section([one], [one], [one])
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        s.extra = one
 
 
 def test_record_validation():

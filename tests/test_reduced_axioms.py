@@ -12,8 +12,8 @@ from itertools import product
 
 import pytest
 
-from courant import Quintuple, monomials
-from courant.dorfman import AXIOM_IDENTITIES
+from courant import Quintuple
+from courant.dorfman import AXIOM_IDENTITIES, monomials
 from courant.report import Check, Report
 from fixtures import (
     ALL_FIXTURES,

@@ -1,5 +1,5 @@
-from courant import FForm, Patch, Poly, Section
-from courant.ample import AForm
+from courant import FForm, Patch, Poly
+from courant.ample import AForm, Section
 from courant.report import Check, Report, Witness
 
 
