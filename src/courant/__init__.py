@@ -5,23 +5,29 @@ coefficients, so every structural statement in the library is an exact,
 decidable identity: no tolerances, no floating point.
 
 Import cost.  Compiling the package is most of what a short command
-costs, so the two command layers, ``charform`` (the characteristic
-3-form and coherent pairs) and ``morphism`` (isomorphisms and
-transport), are lazy: ``_register_lazy`` puts their module objects in
-``sys.modules`` and on this package at once, and their code runs on the
-first attribute access.  ``check``, ``axioms`` and ``pontryagin`` then
-never compile them: the records a config's ``[iso]`` and ``[hoist]``
-blocks parse to, ``IsoData`` and ``Hoist``, live in the eager layers.
-The package names each export once: the eager ones in the import
-block, the lazy ones in ``_LAZY_EXPORTS`` (served by ``__getattr__``).
-It exports only what the demos, the README and ``bench/make_pool.py``
-use; the rest is imported from its module.  Three rules keep this sound:
+costs, so every layer that some command does not run is lazy:
+``linalg`` (exact elimination and polynomial matrices), ``axioms`` (the
+axiom check), ``charform`` (the Chern-Weil form and coherent pairs) and
+``morphism`` (isomorphisms and transport).  ``_register_lazy`` puts
+their module objects in ``sys.modules`` and on this package at once,
+and their code runs on the first attribute access.  So ``charform``,
+``naive`` and ``pontryagin`` compile none of them, ``check`` and
+``axioms`` only ``axioms`` and ``linalg``, and ``shift`` and
+``transport`` only ``morphism`` and ``linalg``: the records a config's
+``[iso]`` and ``[hoist]`` blocks parse to, ``IsoData`` and ``Hoist``,
+live in the eager layers, as do ``standard_three_form`` and
+``hoist_data``.  The package names each export once: the eager ones in
+the import block, the lazy ones in ``_LAZY_EXPORTS`` (served by
+``__getattr__``).  It exports only what the demos, the README and
+``bench/make_pool.py`` use; the rest is imported from its module.
+Three rules keep this sound:
 
-* a later command layer registers the same way, and lists its names in
+* a later lazy layer registers the same way, and lists its exports in
   ``_LAZY_EXPORTS`` only;
-* the eager layers (``poly``, ``fiber``, ``linalg``, ``geometry``,
-  ``ample``, ``dorfman``, ``report``) never import a lazy one at module
-  level, or every command would compile it again;
+* every module binds a lazy layer as a module object (``from . import
+  linalg``, then ``linalg.solve(...)``), never a name from it (``from
+  .linalg import solve``), since binding a name runs the layer at
+  import; ``tests/test_lazy_layers.py`` checks this;
 * ``importlib.util.LazyLoader`` is not thread-safe before Python 3.12,
   which is fine for the single-threaded CLI.
 """
@@ -40,6 +46,8 @@ def _register_lazy(name: str):
     return module
 
 
+linalg = _register_lazy(__name__ + ".linalg")
+axioms = _register_lazy(__name__ + ".axioms")
 charform = _register_lazy(__name__ + ".charform")
 morphism = _register_lazy(__name__ + ".morphism")
 
@@ -47,7 +55,7 @@ from .poly import Poly
 from .fiber import QuadLieAlgebra, abelian, su2
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form
 from .ample import Hoist, QuadAlgebroid, ce_differential
-from .dorfman import IsoData, Quintuple
+from .dorfman import IsoData, Quintuple, standard_three_form
 
 # Package name -> the lazy layer that defines it.
 _LAZY_EXPORTS = {
@@ -59,7 +67,6 @@ _LAZY_EXPORTS = {
             "check_coherent",
             "e_connection_form",
             "find_hoist",
-            "standard_three_form",
         ),
         charform,
     ),

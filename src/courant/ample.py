@@ -13,7 +13,10 @@ F* part.
 section of A is one with xi = 0, and A's structure maps read only r and
 x.  The bracket is determined by the connection, the curvature 2-form
 and the fiber bracket; the anchor projects to the x part, and a
-``Hoist`` x -> J(x) + x splits it.
+``Hoist`` x -> J(x) + x splits it.  ``hoist_data`` reads the connection
+and curvature that a hoist induces off the ample bracket; it lives
+here, beside ``Hoist``, so that the shifts of :mod:`courant.morphism`
+do not compile :mod:`courant.charform`.
 
 Forms on A are stored by bigraded components: the value on
 (e_{i_1},..,e_{i_s}, d/dx_{a_1},..,d/dx_{a_t}) with both index groups
@@ -263,6 +266,28 @@ class Hoist(Record):
         s = alg.coord(a)
         s.r = self.column(a)
         return s
+
+
+def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
+    """Connection and curvature induced by a hoist via the ample bracket.
+
+    The one source for what a hoist induces: the coherence conditions,
+    ``build_from_pair`` and the hoist and central shifts all read it."""
+    patch, m = alg.patch, alg.fiber.dim
+    p = patch.p
+    gamma = []
+    for a in range(1, p + 1):
+        ja = h.column(a)
+        ad_j = alg.fiber.ad_matrix(ja)
+        base = alg.conn.gamma[a - 1]
+        gamma.append([[base[i][j] + ad_j[i][j] for j in range(m)] for i in range(m)])
+    conn = GConnection(patch, m, gamma)
+    comps = {}
+    for a, b in combinations(range(1, p + 1), 2):
+        # R(d_a, d_b) is the fiber part of [kappa d_a, kappa d_b]: [d_a, d_b] = 0
+        comps[(a, b)] = alg.bracket(h.section(alg, a), h.section(alg, b)).r
+    curv = GValuedForm(patch, m, 2, comps)
+    return conn, curv
 
 
 FrameSym = Tuple[str, int]

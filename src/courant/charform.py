@@ -20,10 +20,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .ample import AForm, Hoist, QuadAlgebroid, Section, aform_keys, ce_differential
-from .dorfman import Quintuple
-from .geometry import FConnection, FForm, GConnection, GValuedForm
-from .linalg import solve
+from . import linalg
+from .ample import AForm, Hoist, QuadAlgebroid, Section, aform_keys, ce_differential, hoist_data
+from .dorfman import FrameBrackets, Quintuple, standard_three_form
+from .geometry import FConnection, FForm, GValuedForm
 from .poly import Poly, coefficient_vectors
 from .report import Check, Record, Report, Witness
 
@@ -41,25 +41,6 @@ class CharPair(Record):
         self.c = c
 
 
-def standard_three_form(q: Quintuple) -> AForm:
-    """The canonical 3-form of a quintuple on its ample algebroid."""
-    patch, fiber = q.patch, q.fiber
-    m, p = fiber.dim, patch.p
-    comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-    cartan = fiber.cartan_three_form()
-    for gidx in combinations(range(1, m + 1), 3):
-        i, j, k = gidx
-        comps[(gidx, ())] = Poly.const(patch.n, cartan[i - 1][j - 1][k - 1])
-    for k in range(1, m + 1):
-        ek = q.fiber_elem(k).r
-        for fidx in combinations(range(1, p + 1), 2):
-            a, b = fidx
-            comps[((k,), fidx)] = fiber.pairing(q.curv.get((a, b)), ek)
-    for fidx in combinations(range(1, p + 1), 3):
-        comps[((), fidx)] = q.hform.get(fidx)
-    return AForm(patch, m, 3, comps)
-
-
 def _e_connection(q: Quintuple, fc: FConnection, e1: Section, e2: Section) -> Section:
     """Metric covariant derivative along e1 of e2 built from the quintuple
     and a torsion-free leaf connection."""
@@ -73,7 +54,7 @@ def _e_connection(q: Quintuple, fc: FConnection, e1: Section, e2: Section) -> Se
     return Section(xi, r, fc.on_vectors.along(e1.x, e2.x))
 
 
-def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
+def e_connection_form(q: Quintuple, fc: FConnection, table: Optional[FrameBrackets] = None) -> AForm:
     """Chern-Weil style 3-form from a metric covariant derivative.
 
     Computed on all frame triples of the split bundle and reassembled
@@ -84,13 +65,16 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
     ``FrameBrackets`` table) and the antisymmetrised E-connection are
     computed once per ordered frame pair, not once per triple.  Triples
     that hold a dual-frame covector are checked first, in wedge order,
-    and the first nonzero one raises ValueError.
+    and the first nonzero one raises ValueError.  ``table`` defaults to
+    a fresh ``q.frame_brackets()``; ``chernweil`` passes one table to
+    every leaf connection, since the skew bracket does not depend on it.
     """
     if fc.patch != q.patch:
         raise ValueError("leaf connection lives on a different patch")
     if not fc.is_torsion_free():
         raise ValueError("leaf connection must be torsion-free")
-    table = q.frame_brackets()
+    if table is None:
+        table = q.frame_brackets()
     frames = table.frames
     p, m = q.patch.p, q.fiber.dim
     asyms: Dict[Tuple[int, int], Section] = {}
@@ -124,28 +108,6 @@ def e_connection_form(q: Quintuple, fc: FConnection) -> AForm:
         gidx, fidx = key
         comps[key] = value_on(tuple([p + i - 1 for i in gidx] + [p + m + a - 1 for a in fidx]))
     return AForm(q.patch, m, 3, comps)
-
-
-def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
-    """Connection and curvature induced by a hoist via the ample bracket.
-
-    The one source for what a hoist induces: the coherence conditions,
-    ``build_from_pair`` and the hoist and central shifts all read it."""
-    patch, m = alg.patch, alg.fiber.dim
-    p = patch.p
-    gamma = []
-    for a in range(1, p + 1):
-        ja = h.column(a)
-        ad_j = alg.fiber.ad_matrix(ja)
-        base = alg.conn.gamma[a - 1]
-        gamma.append([[base[i][j] + ad_j[i][j] for j in range(m)] for i in range(m)])
-    conn = GConnection(patch, m, gamma)
-    comps = {}
-    for a, b in combinations(range(1, p + 1), 2):
-        # R(d_a, d_b) is the fiber part of [kappa d_a, kappa d_b]: [d_a, d_b] = 0
-        comps[(a, b)] = alg.bracket(h.section(alg, a), h.section(alg, b)).r
-    curv = GValuedForm(patch, m, 2, comps)
-    return conn, curv
 
 
 def _coherent_closed(alg: QuadAlgebroid, c: AForm) -> Check:
@@ -247,7 +209,7 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
         col = [Poly.zero(patch.n) for _ in range(m)]
         for exp, rhs in coefficient_vectors(rhs_polys):
             mono = Poly(patch.n, {exp: 1})
-            sol = solve(bmat, rhs)
+            sol = linalg.solve(bmat, rhs)
             if sol is None:
                 witness = Witness("B J_a = C(e_i,e_j,d_a) has no solution", (a,) + exp, str(mono))
                 report.add_fail("hoist_solvable", witness)

@@ -1,4 +1,4 @@
-"""Command line interface: config parsing, command dispatch, reporting.
+"""Command line interface: argv and config parsing, command dispatch, reporting.
 
 The config format is a flat key-value text file with section headers.
 Every key is fully dotted and must live under its own section header;
@@ -13,14 +13,14 @@ error (I/O, syntax, shape or a missing config block).
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import charform, morphism
 from .ample import AForm, Hoist, QuadAlgebroid, ce_differential
-from .dorfman import IsoData, Quintuple, naive_matches_ce
+from .dorfman import IsoData, Quintuple, naive_matches_ce, standard_three_form
 from .fiber import QuadLieAlgebra
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from .poly import Poly, PolyParseError, parse_poly
@@ -411,21 +411,22 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
     elif cmd == "axioms":
         report.extend(q.check_axioms(degree))
     elif cmd == "charform":
-        form = charform.standard_three_form(q)
+        form = standard_three_form(q)
         closed = Check("charform_closed", "dC_s")
         closed.add_form(ce_differential(q, form))
         report.add(closed.record())
         _emit_aform(report, "C_s", form)
     elif cmd == "chernweil":
-        target = charform.standard_three_form(q)
+        target = standard_three_form(q)
         plans = [("gamma_zero", FConnection.flat(cfg.patch)), ("gamma_linear", _linear_symmetric_fconnection(cfg.patch))]
         if cfg.nabla_f is not None:
             if not cfg.nabla_f.is_torsion_free():
                 raise ConfigError("nabla_f must be torsion-free", None, "nabla_f.gamma")
             plans.append(("nabla_f", cfg.nabla_f))
         forms = {}
+        table = q.frame_brackets()  # the skew bracket does not depend on the leaf connection
         for label, fc in plans:
-            forms[label] = charform.e_connection_form(q, fc)
+            forms[label] = charform.e_connection_form(q, fc, table)
             match = Check("chernweil_matches_standard_%s" % label, "C_nablaE - C_s")
             match.add_form(forms[label] - target)
             report.add(match.record())
@@ -512,7 +513,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         _compare(report, "shift_%s_matches", moved, predicted, "transport differs from prediction")
         report.extend(predicted.validate().renamed("target_%s"))
     elif cmd == "naive":
-        forms = [("C_s", charform.standard_three_form(q))]
+        forms = [("C_s", standard_three_form(q))]
         if cfg.cform is not None:
             forms.append(("cform", cfg.cform))
         for label, form in forms:
@@ -530,28 +531,135 @@ def emit_report(report: Report, fmt: str = "text") -> str:
     raise ConfigError("unknown format %r" % fmt)
 
 
+USAGE = "usage: courant COMMAND CONFIG [--format {text,json}] [--degree INT] [--kind {hoist,omega,central}]"
+HELP = USAGE + """
+
+Exact verification of split-form regular Courant algebroids.
+COMMAND: %s.
+--format defaults to text and --degree (the degree cap) to 2; --kind
+applies to shift only, where it is required.
+""" % ", ".join(COMMANDS)
+# Option -> the choices of its value; --degree takes an int, --help no value.
+OPTIONS = {"--help": (), "--format": ("text", "json"), "--degree": None, "--kind": ("hoist", "omega", "central")}
+# argparse's negative number, which is a value and not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message: str):
+    sys.stderr.write("%s\ncourant: error: %s\n" % (USAGE, message))
+    raise SystemExit(2)
+
+
+def _choices(values) -> str:
+    return "(choose from %s)" % ", ".join(map(repr, values))
+
+
+def _classify(arg: str):
+    """How argparse reads ``arg``: (option, explicit value or None) for
+    one of ``OPTIONS``, (None, None) for an unknown option, None for a
+    value (no leading '-', '-' alone, a negative number or a string with
+    a space)."""
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    name, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if name == "-h":
+        return "--help", explicit
+    if name in OPTIONS:
+        return name, explicit
+    if arg[1] == "-":
+        matches = [option for option in OPTIONS if option.startswith(name)]
+        if len(matches) > 1:
+            _usage_error("ambiguous option: %s could match %s" % (arg, ", ".join(matches)))
+        if matches:
+            return matches[0], explicit
+    elif arg[1] == "h":
+        # argparse reads -hh.. as repeated -h, and refuses what follows
+        return "--help", arg[2:].lstrip("h") or None
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv: List[str]) -> Dict[str, object]:
+    """The command, config, format, degree and kind that ``argv`` gives.
+
+    The grammar is COMMAND CONFIG [--format {text,json}] [--degree INT]
+    [--kind {hoist,omega,central}], read as argparse reads it: options
+    in any position, ``--opt value`` or ``--opt=value``, a unique prefix
+    of an option, the last of repeated options, and ``--`` ending the
+    options.  ``-h``/``--help`` prints the help and raises
+    SystemExit(0); a usage error writes the usage and the error to
+    stderr and raises SystemExit(2).  (argparse itself costs every
+    command ~2 ms of import.)"""
+    # the first "--" ends the options; argparse hands it to an adjacent
+    # positional, else it is unrecognized, and no option takes it as a value
+    if "--" in argv:
+        cut = argv.index("--")
+        items = [(arg, _classify(arg)) for arg in argv[:cut]] + [("--", "--")] + [(arg, None) for arg in argv[cut + 1:]]
+    else:
+        items = [(arg, _classify(arg)) for arg in argv]
+    args: Dict[str, object] = {"format": "text", "degree": 2, "kind": None}
+    positionals: List[str] = []
+    unknown: List[str] = []
+    index, took_positional = 0, False
+    while index < len(items):
+        arg, kind = items[index]
+        index += 1
+        if kind == "--":
+            if not (took_positional or index < len(items) and len(positionals) < 2):
+                unknown.append(arg)
+            continue
+        took_positional = kind is None and len(positionals) < 2
+        if kind is None:
+            if not positionals and arg not in COMMANDS:
+                _usage_error("argument command: invalid choice: %r %s" % (arg, _choices(COMMANDS)))
+            (positionals if took_positional else unknown).append(arg)
+            continue
+        name, value = kind
+        if name is None:
+            unknown.append(arg)
+        elif name == "--help":
+            if value is not None:
+                _usage_error("argument -h/--help: ignored explicit argument %r" % value)
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if index == len(items) or items[index][1] is not None:
+                    _usage_error("argument %s: expected one argument" % name)
+                value = items[index][0]
+                index += 1
+            choices = OPTIONS[name]
+            if choices is None:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error("argument %s: invalid int value: %r" % (name, value))
+            elif value not in choices:
+                _usage_error("argument %s: invalid choice: %r %s" % (name, value, _choices(choices)))
+            args[name[2:]] = value
+    if len(positionals) < 2:
+        _usage_error("the following arguments are required: %s" % ", ".join(("command", "config")[len(positionals):]))
+    if unknown:
+        _usage_error("unrecognized arguments: %s" % " ".join(unknown))
+    args["command"], args["config"] = positionals
+    if args["command"] == "shift" and args["kind"] is None:
+        _usage_error("shift requires --kind")
+    if args["command"] != "shift" and args["kind"] is not None:
+        _usage_error("--kind applies to shift only")
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="courant",
-        description="Exact verification of split-form regular Courant algebroids.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("config")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--degree", type=int, default=2)
-    parser.add_argument("--kind", choices=("hoist", "omega", "central"), help="shift only, required there")
-    args = parser.parse_args(argv)
-    if args.command == "shift" and args.kind is None:
-        parser.error("shift requires --kind")
-    if args.command != "shift" and args.kind is not None:
-        parser.error("--kind applies to shift only")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_config(args.config)
-        report = run_command(args.command, cfg, degree=args.degree, kind=args.kind or "")
+        cfg = parse_config(args["config"])
+        report = run_command(args["command"], cfg, degree=args["degree"], kind=args["kind"] or "")
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, args.format))
+    sys.stdout.write(emit_report(report, args["format"]))
     return report.exit_code
 
 

@@ -18,16 +18,12 @@ Two verification layers:
 * ``validate`` checks the five compatibility identities of the data
   exactly (connection invariances, Bianchi, curvature matching, and
   the Pontryagin identity d^F H = <R wedge R>).
-* ``check_axioms`` verifies the six Courant axioms.  The default
-  strategy (see ``_axioms_reduced``) checks both Leibniz rules on frame
-  pairs with coefficients x_a, which certifies them for all polynomial
-  sections, axiom 5 on coefficients of degree <= 2, and the other
-  axioms on frame tuples, axiom 1 on strictly increasing triples once
-  the Jacobiator is known to be totally skew.  The degree cap matters
-  only after a Leibniz failure, where the literal enumeration on the
-  family {monomial * frame section} supplies the records that the frame
-  checks cannot certify.  The test suite runs that enumeration,
-  ``_axioms_direct``, whole as the certificate's oracle.
+* ``check_axioms`` verifies the six Courant axioms.  The checks and the
+  argument that frame tuples suffice live in :mod:`courant.axioms`, a
+  lazy layer that only ``check`` and ``axioms`` compile;
+  ``axiom_family``, ``monomials`` and ``check_degree_cap`` stay here,
+  since the intertwining check of :mod:`courant.morphism` reads them
+  too.
 
 Zero components are skipped.  A section the axiom check brackets is
 a frame section, or one times x_a, with one nonzero component of
@@ -39,8 +35,9 @@ zero operand, factor or derivative.  That is exact: a + 0, a - 0 and
 report is the same and only the work changes.
 
 ``FrameBrackets`` brackets each ordered pair of frame sections at most
-once per call of the axiom check, the naive differential and the
-Chern-Weil form, which all read frame brackets many times over.
+once per table: the axiom check and the naive differential build one
+per call, and ``chernweil`` one per command, since all of them read
+frame brackets many times over.
 
 The naive differential lives here too.  Naive cohomology is the Lie
 algebroid cohomology of A, so the naive differential is
@@ -48,34 +45,27 @@ algebroid cohomology of A, so the naive differential is
 of a ``FrameBrackets`` table, as ``ce_differential`` is on the frame of
 A with the ample bracket; ``naive_matches_ce`` compares the two, which
 shows a Dorfman bracket whose A-part differs from the ample bracket.
-``IsoData``, an isomorphism of quintuples, lives here so that parsing a
-config's ``[iso]`` block loads no command layer.
+``standard_three_form`` (C_s, the canonical 3-form that ``charform``,
+``naive`` and the coboundary check of :mod:`courant.morphism` read)
+and ``IsoData``, an isomorphism of quintuples, live here so that those
+commands and the parsing of a config's ``[iso]`` block load no command
+layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
+from . import axioms, linalg
 from .ample import AForm, QuadAlgebroid, Section, add_live, ce_differential, frame_differential, frame_symbols, live, sub_live
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form, validate_connection
-from .linalg import poly_mat_mul
 from .poly import Poly
 from .report import Check, Record, Report
 
 HALF = Fraction(1, 2)
-
-AXIOM_IDENTITIES = {
-    1: "jacobiator",
-    2: "rho([[e1,e2]]) - [rho e1, rho e2]",
-    3: "[[e1, f e2]] - f[[e1,e2]] - (rho(e1)f) e2",
-    4: "[[e1,e2]] + [[e2,e1]] - 2 D<e1,e2>",
-    5: "[[D f, e]]",
-    6: "rho(e1)<e2,e3> - <[[e1,e2]],e3> - <e2,[[e1,e3]]>",
-}
-
 
 # Largest accepted degree cap.  The direct axiom check enumerates family
 # tuples with coefficients up to degree 2 * cap, whose count grows like
@@ -298,7 +288,7 @@ class Quintuple(QuadAlgebroid):
             ga = self.conn.gamma[a - 1]
             gb = self.conn.gamma[b - 1]
             ad_r = self.fiber.ad_matrix(self.curv.get((a, b)))
-            ab, ba = poly_mat_mul(ga, gb), poly_mat_mul(gb, ga)
+            ab, ba = linalg.poly_mat_mul(ga, gb), linalg.poly_mat_mul(gb, ga)
             for i in range(m):
                 for j in range(m):
                     acc = gb[i][j].diff(a) - ga[i][j].diff(b) - ad_r[i][j] + ab[i][j] - ba[i][j]
@@ -325,250 +315,10 @@ class Quintuple(QuadAlgebroid):
         return family, monos
 
     def check_axioms(self, degree_cap: int = 2) -> Report:
+        """The six Courant axioms, by the frame-level certificate
+        ``axioms.reduced``."""
         check_degree_cap(degree_cap, "axiom")
-        return self._axioms_reduced(degree_cap)
-
-    def _axioms_direct(
-        self, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_IDENTITIES)
-    ) -> Report:
-        """Literal enumeration: pairs for axioms 2-4, triples for 1 and 6.
-
-        Axiom 3 tries the coefficients f of degree <= cap, so at cap 0
-        only f = 1.  Axiom 5 pairs D f with every family member for the
-        monomials f of degree <= max(2 * cap, 2): its defect [[D f, e]]
-        has order 2 in f, which coefficients of degree <= 1 (D f
-        constant) cannot see.  Those monomials extend ``monos``, so the
-        witness indices keep the family numbering.  Only the records of
-        ``axioms`` are computed and returned, in axiom order."""
-        family, monos = self.axiom_family(degree_cap)
-        nf = len(family)
-        cache: Dict[Tuple[int, int], Section] = {}
-
-        def br(i: int, j: int) -> Section:
-            key = (i, j)
-            if key not in cache:
-                cache[key] = self.dorfman(family[i], family[j])
-            return cache[key]
-
-        ax = {k: Check("axiom_%d" % k, AXIOM_IDENTITIES[k]) for k in sorted(axioms)}
-
-        def live(k: int) -> bool:
-            return k in ax and not ax[k].failed
-
-        for i, j in product(range(nf), repeat=2):
-            if live(2):
-                lhs = self.anchor(br(i, j))
-                rhs = self.vf_bracket(family[i].x, family[j].x)
-                for a, (u, v) in enumerate(zip(lhs, rhs), start=1):
-                    ax[2].add((i + 1, j + 1, a), u - v)
-            if live(3):
-                for fi, f in enumerate(monos):
-                    lhs = self.dorfman(family[i], family[j].mul(f))
-                    rhs = br(i, j).mul(f) + family[j].scale(1).mul(self.anchor_apply(family[i], f))
-                    ax[3].add_section((i + 1, j + 1, fi + 1), lhs - rhs)
-                    if ax[3].failed:
-                        break
-            if live(4) and i <= j:
-                d = br(i, j) + br(j, i) - self.d_operator(self.pairing(family[i], family[j])).scale(2)
-                ax[4].add_section((i + 1, j + 1), d)
-
-        for fi, f in enumerate(monomials(self.patch.n, max(2 * degree_cap, 2))):
-            if not live(5):
-                break
-            df = self.d_operator(f)
-            if df.is_zero():
-                continue
-            for j in range(nf):
-                ax[5].add_section((fi + 1, j + 1), self.dorfman(df, family[j]))
-                if ax[5].failed:
-                    break
-
-        for i, j, k in product(range(nf), repeat=3):
-            if not (live(1) or live(6)):
-                break
-            if live(1):
-                d = (
-                    self.dorfman(family[i], br(j, k))
-                    - self.dorfman(br(i, j), family[k])
-                    - self.dorfman(family[j], br(i, k))
-                )
-                ax[1].add_section((i + 1, j + 1, k + 1), d)
-            if live(6):
-                d = (
-                    self.anchor_apply(family[i], self.pairing(family[j], family[k]))
-                    - self.pairing(br(i, j), family[k])
-                    - self.pairing(family[j], br(i, k))
-                )
-                ax[6].add((i + 1, j + 1, k + 1), d)
-
-        return Report([check.record() for check in ax.values()])
-
-    def _axioms_reduced(self, degree_cap: int) -> Report:
-        """Frame-level certificate of the six axioms for all polynomial sections.
-
-        Assumption (a structural property of ``dorfman``, which no finite
-        check can certify for arbitrary code): the bracket is bilinear with
-        polynomial coefficients, and each of its terms differentiates at
-        most one factor, at most once.  ``vf_bracket``, ``nabla_along``,
-        ``lie_covector``, the dual-pairing differential and ``p_form``
-        differentiate one factor once; the fiber bracket, ``curv_contract``,
-        ``h_contract`` and ``q_form`` differentiate nothing.  So the
-        bracket is a bidifferential operator of total order <= 1, and
-
-            [[e1, f e2]] - f[[e1,e2]] - (rho(e1)f) e2 = sum_a (d_a f) S_a(e1, e2)
-
-        with every S_a linear over functions in e1 and e2; the left
-        defect [[f e1, e2]] - f[[e1,e2]] + (rho(e2)f) e1 - 2<e1,e2> D f has
-        the same form.  Both defects are tensorial in the two sections and
-        depend on f only through df, and at f = x_a they equal S_a.  So
-        checking both rules on frame x frame x {x_n, .., x_1} certifies
-        them for all polynomial sections and coefficients, whatever the
-        degree cap.  f = 1 is skipped: u.mul(1) == u, so both defects
-        vanish there identically.
-
-        With both rules, and with rho(D f) = 0 and 2<D f, e> = rho(e) f
-        (D f has F* components only), the defects of axioms 2, 4 and 6
-        are tensorial, so frame pairs and triples certify them.
-
-        Axiom 5: by the assumption alone, [[D f, e]] for a frame e is a
-        linear differential operator of order <= 2 in f, sum_a c^a d_a f
-        + sum_{a<=b} c^{ab} d_a d_b f, which vanishes at f = 1.  At f =
-        x_a it is c^a, and at f = x_a x_b it is x_b c^a + x_a c^b + c^{ab}
-        (2 x_a c^a + 2 c^{aa} at a = b), so if it vanishes on all
-        monomials of degree <= 2 it vanishes for all f.  Those monomials
-        come first in the graded order, so they also hold the first
-        witness of any longer list.  When both Leibniz stages pass, the
-        order is 1 and degree <= 1 suffices: D f = sum_a (d_a f) delta^a
-        over the leaf directions, and the left rule with 2<delta^a, e> =
-        e^a = rho(e) x_a gives
-
-            [[D f, e]] = sum_a (d_a f) [[delta^a, e]]
-                         + sum_{a,b} (d_a d_b f) (e^a delta^b - e^b delta^a),
-
-        whose second sum vanishes: symmetric times skew in (a, b).  The
-        coefficients [[delta^a, e]] are the values at f = x_a.  After a
-        Leibniz failure the stage keeps degree <= 2, so that a frame-level
-        failure keeps its witness.
-
-        Axiom 1: given axioms 2, 4, 5 and 6 the Jacobiator J is
-        tensorial, so frame triples certify it.  When both rules and the
-        frame checks of 4, 5 and 6 pass (so 4, 5 and 6 hold for all
-        sections), J is also totally skew:
-
-            J(a,b,c) + J(b,a,c) = -[[2 D<a,b>, c]] = 0           (4, 5)
-            J(a,b,c) + J(a,c,b) = [[a, 2 D<b,c>]] - 2 D<[[a,b]],c>
-                                  - 2 D<[[a,c]],b>
-                                = 2 D(rho(a)<b,c> - <[[a,b]],c>
-                                  - <b,[[a,c]]>) = 0              (6)
-
-        using [[a, D f]] = -[[D f, a]] + 2 D<D f, a> = D(rho(a) f) by 4
-        and 5.  So J vanishes on triples with a repeated frame and is
-        +-J(sorted) on the others: the strictly increasing triples
-        certify it, and the lex-first failing triple of the full loop is
-        strictly increasing, so the witness is the same.  Otherwise the
-        full frame x frame x frame loop runs.  Every loop stops at its
-        first witness.
-
-        Uchino (LMP 2002) shows that some of these axioms follow from the
-        others; all six are still checked, since on broken code each
-        gives its own witness.  After a Leibniz failure a frame-level
-        pass of axiom 1, 2, 4, 5 or 6 certifies nothing, so those records
-        come from the literal enumeration at the degree cap, which
-        computes only them; a frame-level failure is a counterexample
-        and stays.  The cap matters only there.
-
-        Witness indices use family numbering: the frames are the first
-        members of ``axiom_family`` and 1, x_n, .., x_1 the first
-        monomials, and under the assumption a failing Leibniz instance
-        anywhere in family x frame x monomials implies one at some
-        (frame, frame, x_a), which comes earlier.  The test suite
-        cross-checks this certificate against the literal enumeration
-        ``_axioms_direct``, on valid and on mutated data.
-        """
-        br = self.frame_brackets()
-        frames = br.frames
-        nu = len(frames)
-        linear = list(enumerate(monomials(self.patch.n, 1)))[1:]
-        pairs = list(product(enumerate(frames), repeat=2))
-        pair = {(i, j): self.pairing(u, v) for (i, u), (j, v) in pairs}
-        # f u for every frame u and coefficient x_a, read by both Leibniz stages
-        times = {(i, fi): u.mul(f) for i, u in enumerate(frames) for fi, f in linear}
-
-        ax = {k: Check("axiom_%d" % k, text) for k, text in AXIOM_IDENTITIES.items()}
-        ax[3] = Check("axiom_3", "[[e1, f u]] - f[[e1,u]] - (rho(e1)f) u")
-        left = Check("leibniz_left_rule", "[[f u, e2]] - f[[u,e2]] + (rho(e2)f) u - 2<u,e2> D f")
-
-        # axiom 2 on frame pairs
-        for (i, u), (j, v) in pairs:
-            rhs = self.vf_bracket(u.x, v.x)
-            for a, (s, t) in enumerate(zip(self.anchor(br[(i, j)]), rhs), start=1):
-                ax[2].add((i + 1, j + 1, a), s - t)
-
-        # axiom 3 and the left Leibniz rule: frame pairs, coefficients x_n, .., x_1
-        for ((i, u), (j, v)), (fi, f) in product(pairs, linear):
-            rhs = br[(i, j)].mul(f)
-            rf = self.anchor_apply(u, f)
-            if rf:
-                rhs = rhs + v.mul(rf)
-            ax[3].add_section((i + 1, j + 1, fi + 1), self.dorfman(u, times[(j, fi)]) - rhs)
-            if ax[3].failed:
-                break
-        for ((i, u), (j, v)), (fi, f) in product(pairs, linear):
-            rhs = br[(i, j)].mul(f) - u.mul(self.anchor_apply(v, f))
-            if pair[(i, j)]:
-                rhs = rhs + self.d_operator(f).mul(pair[(i, j)].scale(2))
-            left.add_section((i + 1, j + 1, fi + 1), self.dorfman(times[(i, fi)], v) - rhs)
-            if left.failed:
-                break
-
-        # axiom 4 on unordered frame pairs
-        for i, j in combinations_with_replacement(range(nu), 2):
-            d = br[(i, j)] + br[(j, i)] - self.d_operator(pair[(i, j)]).scale(2)
-            ax[4].add_section((i + 1, j + 1), d)
-
-        # axiom 5 with frame second arguments, coefficients of degree <= 1
-        # given both Leibniz rules, else <= 2
-        leibniz = not (ax[3].failed or left.failed)
-        for fi, f in enumerate(monomials(self.patch.n, 1 if leibniz else 2)):
-            df = self.d_operator(f)
-            if df.is_zero():
-                continue
-            for j in range(nu):
-                ax[5].add_section((fi + 1, j + 1), self.dorfman(df, frames[j]))
-                if ax[5].failed:
-                    break
-            if ax[5].failed:
-                break
-
-        # axiom 6 on frame triples, symmetric in the last two
-        for i, (j, k) in product(range(nu), combinations_with_replacement(range(nu), 2)):
-            d = (
-                self.anchor_apply(frames[i], pair[(j, k)])
-                - self.pairing(br[(i, j)], frames[k])
-                - self.pairing(frames[j], br[(i, k)])
-            )
-            ax[6].add((i + 1, j + 1, k + 1), d)
-            if ax[6].failed:
-                break
-
-        # axiom 1: strictly increasing frame triples when J is totally skew
-        skew = leibniz and not any(c.failed for c in (ax[4], ax[5], ax[6]))
-        for i, j, k in combinations(range(nu), 3) if skew else product(range(nu), repeat=3):
-            d = (
-                self.dorfman(frames[i], br[(j, k)])
-                - self.dorfman(br[(i, j)], frames[k])
-                - self.dorfman(frames[j], br[(i, k)])
-            )
-            ax[1].add_section((i + 1, j + 1, k + 1), d)
-            if ax[1].failed:
-                break
-
-        records = [ax[k].record() for k in range(1, 7)]
-        if not leibniz:
-            redo = [k for k in (1, 2, 4, 5, 6) if not ax[k].failed]
-            direct = {r.name: r for r in self._axioms_direct(degree_cap, redo)}
-            records = [direct.get(r.name, r) for r in records]
-        return Report(records + [left.record()])
+        return axioms.reduced(self, degree_cap)
 
 
 class IsoData(Record):
@@ -597,8 +347,9 @@ class FrameBrackets(dict):
 
     Exact: the frames are fixed and the bracket is deterministic, so a
     lookup returns what ``q.dorfman(u_i, u_j)`` would.  A table serves
-    one call of its caller and is never kept, so a patched bracket
-    method is seen by the next table.
+    one call of its caller, or one ``chernweil`` command, and is never
+    kept beyond it, so a patched bracket method is seen by the next
+    table.
     """
 
     def __init__(self, q: Quintuple):
@@ -621,6 +372,25 @@ class FrameBrackets(dict):
             q, u, v = self.q, self.frames[i], self.frames[j]
             value = self._courant[key] = self[key] - q.d_operator(q.pairing(u, v))
         return value
+
+
+def standard_three_form(q: Quintuple) -> AForm:
+    """The canonical 3-form of a quintuple on its ample algebroid."""
+    patch, fiber = q.patch, q.fiber
+    m, p = fiber.dim, patch.p
+    comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
+    cartan = fiber.cartan_three_form()
+    for gidx in combinations(range(1, m + 1), 3):
+        i, j, k = gidx
+        comps[(gidx, ())] = Poly.const(patch.n, cartan[i - 1][j - 1][k - 1])
+    for k in range(1, m + 1):
+        ek = q.fiber_elem(k).r
+        for fidx in combinations(range(1, p + 1), 2):
+            a, b = fidx
+            comps[((k,), fidx)] = fiber.pairing(q.curv.get((a, b)), ek)
+    for fidx in combinations(range(1, p + 1), 3):
+        comps[((), fidx)] = q.hform.get(fidx)
+    return AForm(patch, m, 3, comps)
 
 
 def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Poly]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .linalg import rational_det
+from . import linalg
 from .poly import Poly, sum_products
 from .report import Record, Report, Witness, first_witness
 
@@ -98,7 +98,7 @@ class QuadLieAlgebra(Record):
             sym[j, i] = sym.get((j, i), 0) - v
         report.add(first_witness("fiber_metric_symmetric", "g[i][j] - g[j][i]", sym))
 
-        if rational_det(g):
+        if linalg.rational_det(g):
             report.add_pass("fiber_metric_nondegenerate")
         else:
             report.add_fail("fiber_metric_nondegenerate", Witness("det(g)", (), "0"))

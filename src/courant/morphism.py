@@ -24,19 +24,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Tuple
 
-from .ample import AForm, Hoist, Section, aform_keys, ce_differential, live
-from .charform import hoist_data, standard_three_form
-from .dorfman import IsoData, Quintuple, check_degree_cap
+from . import linalg
+from .ample import AForm, Hoist, Section, aform_keys, ce_differential, hoist_data, live
+from .dorfman import IsoData, Quintuple, check_degree_cap, standard_three_form
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
-from .linalg import (
-    poly_mat_det,
-    poly_mat_diff,
-    poly_mat_identity,
-    poly_mat_inverse_constant_det,
-    poly_mat_mul,
-    poly_mat_vec,
-)
 from .poly import Poly, sum_products
 from .report import Check, Report, Witness
 
@@ -74,7 +66,7 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
     report.add(metric.record())
 
     if m:
-        det = poly_mat_det(tau)
+        det = linalg.poly_mat_det(tau)
         if det.is_constant() and det.constant_value() != 0:
             report.add_pass("tau_det_constant")
         else:
@@ -93,7 +85,7 @@ def apply_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData, e: Section) -> 
     if parts:  # + beta(x)
         xi = [u + sum_products(n, [(1, x, col[a]) for x, _, col in parts]) for a, u in enumerate(xi)]
     if live(r):
-        r = poly_mat_vec(iso.tau, r)
+        r = linalg.poly_mat_vec(iso.tau, r)
         # - 2 phi^* tau(r), with (phi^* s)_a = <s, phi(d_a)>
         xi = [u - fiber.pairing(r, iso.phi_col(a), n).scale(2) for a, u in enumerate(xi, 1)]
     if parts:  # + phi(x)
@@ -107,14 +99,14 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
     m, p, n = fiber.dim, patch.p, patch.n
 
     tau = iso.tau
-    tau_inv = poly_mat_inverse_constant_det(tau) if m else []
+    tau_inv = linalg.poly_mat_inverse_constant_det(tau) if m else []
     phi = [iso.phi_col(a) for a in range(1, p + 1)]
-    jcols = [poly_mat_vec(tau_inv, col) for col in phi]  # tau^-1 phi(d_a)
+    jcols = [linalg.poly_mat_vec(tau_inv, col) for col in phi]  # tau^-1 phi(d_a)
 
     gamma2 = []
     for a in range(1, p + 1):
-        mat = poly_mat_mul(tau, poly_mat_diff(tau_inv, a))
-        conj = poly_mat_mul(tau, poly_mat_mul(q1.conn.gamma[a - 1], tau_inv))
+        mat = linalg.poly_mat_mul(tau, linalg.poly_mat_diff(tau_inv, a))
+        conj = linalg.poly_mat_mul(tau, linalg.poly_mat_mul(q1.conn.gamma[a - 1], tau_inv))
         ad_phi = fiber.ad_matrix(phi[a - 1])
         gamma2.append([[u + v - w for u, v, w in zip(*rows)] for rows in zip(mat, conj, ad_phi)])
     conn2 = GConnection(patch, m, gamma2)
@@ -128,7 +120,7 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
             )
         ]
         br = fiber.bracket(phi[a - 1], phi[b - 1])
-        curv_comps[(a, b)] = [u + v for u, v in zip(poly_mat_vec(tau, inner), br)]
+        curv_comps[(a, b)] = [u + v for u, v in zip(linalg.poly_mat_vec(tau, inner), br)]
     curv2 = GValuedForm(patch, m, 2, curv_comps)
 
     h_comps = {}
@@ -138,7 +130,7 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
         value = q1.hform.get(key) - fiber.pairing(phi[a - 1], br, n).scale(2)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             inner = [u - v for u, v in zip(q1.conn.apply(y, jcols[z - 1]), q1.curv.get((y, z)))]
-            value = value + fiber.pairing(phi[x - 1], poly_mat_vec(tau, inner), n).scale(2)
+            value = value + fiber.pairing(phi[x - 1], linalg.poly_mat_vec(tau, inner), n).scale(2)
             value = value + iso.beta[y - 1][z - 1].diff(x)
         h_comps[key] = value
     hform2 = FForm(patch, 3, h_comps)
@@ -235,7 +227,7 @@ def hoist_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]:
     m, p, n = fiber.dim, patch.p, patch.n
     cols = [j.get((a,)) for a in range(1, p + 1)]
     beta = [[-fiber.pairing(ja, jb, n) for ja in cols] for jb in cols]
-    iso = IsoData(poly_mat_identity(n, m), j, beta)
+    iso = IsoData(linalg.poly_mat_identity(n, m), j, beta)
     conn2, curv2 = hoist_data(q, Hoist(j.scale(-1)))
 
     h_comps = {}
@@ -262,7 +254,7 @@ def omega_shift_iso(q: Quintuple, omega: FForm) -> Tuple[IsoData, Quintuple]:
     for a in range(1, p + 1):
         for b in range(1, p + 1):
             beta[b - 1][a - 1] = -omega.get((a, b))
-    iso = IsoData(poly_mat_identity(n, m), GValuedForm.zero(patch, m, 1), beta)
+    iso = IsoData(linalg.poly_mat_identity(n, m), GValuedForm.zero(patch, m, 1), beta)
     target = Quintuple(patch, fiber, q.conn, q.curv, q.hform + leafwise_d(omega))
     return iso, target
 
@@ -293,7 +285,7 @@ def central_shift_iso(q: Quintuple, j: GValuedForm) -> Tuple[IsoData, Quintuple]
             )
     cols = [j.get((a,)) for a in range(1, p + 1)]
     beta = [[fiber.pairing(ja, jb, n).scale(Fraction(-1, 4)) for ja in cols] for jb in cols]
-    iso = IsoData(poly_mat_identity(n, m), j.scale(HALF), beta)
+    iso = IsoData(linalg.poly_mat_identity(n, m), j.scale(HALF), beta)
     h_comps = {}
     for key in combinations(range(1, p + 1), 3):
         a, b, c = key
@@ -339,10 +331,10 @@ def coboundary_identity_check(q1: Quintuple, q2: Quintuple, iso: IsoData) -> Rep
     c2 = standard_three_form(q2)
     lhs = pullback_aform(patch, fiber, c2, iso.tau, iso.phi) - c1
 
-    tau_inv = poly_mat_inverse_constant_det(iso.tau) if m else []
+    tau_inv = linalg.poly_mat_inverse_constant_det(iso.tau) if m else []
     j_comps = {}
     for a in range(1, patch.p + 1):
-        j_comps[(a,)] = poly_mat_vec(tau_inv, iso.phi_col(a))
+        j_comps[(a,)] = linalg.poly_mat_vec(tau_inv, iso.phi_col(a))
     jform = GValuedForm(patch, m, 1, j_comps)
     primitive = psi_form(patch, m, iso.beta).scale(HALF) + phi_form(patch, m, jform, fiber)
     rhs = ce_differential(q1, primitive)

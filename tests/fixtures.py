@@ -24,7 +24,6 @@ from courant import (
     validate_iso,
 )
 from courant.ample import AForm, Section
-from courant.geometry import FConnection
 from courant.linalg import (
     poly_mat_identity,
     poly_mat_inverse_constant_det,

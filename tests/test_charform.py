@@ -28,7 +28,7 @@ from courant import (
     su2,
 )
 from courant.ample import AForm
-from courant.charform import hoist_data
+from courant.ample import hoist_data
 from courant.cli import Config, config_to_text, main
 from fixtures import (
     ALL_FIXTURES,

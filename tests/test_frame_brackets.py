@@ -1,9 +1,10 @@
 """The frame-bracket table against the literal per-triple and per-wedge loops.
 
 ``e_connection_form`` and ``naive_differential`` read the skew bracket
-of a frame pair from one ``Quintuple.frame_brackets()`` table per call,
-so each pair is bracketed once instead of once per triple or wedge
-that holds it.  The literal loops they replaced are kept here as
+of a frame pair from one ``Quintuple.frame_brackets()`` table per call
+(``chernweil`` passes one table to all its leaf connections), so each
+pair is bracketed once instead of once per triple or wedge that holds
+it.  The literal loops they replaced are kept here as
 oracles: both must give equal forms and tables, on valid data and on
 a perturbed bracket, and raise the same error at the same wedge when
 the form does not descend.
@@ -185,17 +186,18 @@ def count_dorfman(monkeypatch):
 
 # Dorfman calls of one command.  With nu frames, a cyclic triple visits
 # each increasing pair but (0, nu - 1) and each decreasing pair of gap
-# >= 2, nu^2 - 2 nu ordered pairs, and chernweil brackets them once per
-# e_connection_form call: 63 at nu = 9 (form_c, form_s) and 35 at nu = 7
-# (form_d), for two leaf connections.  naive brackets the C(nu, 2)
+# >= 2, nu^2 - 2 nu ordered pairs, and chernweil brackets them once for
+# all its leaf connections, through one shared table: 63 at nu = 9
+# (form_c, form_s) and 35 at nu = 7 (form_d); one table per
+# e_connection_form call made twice that.  naive brackets the C(nu, 2)
 # increasing pairs once per form: 36 at nu = 9, 21 at nu = 7.  The
 # per-triple loop and a third e_connection_form call for the emitted
 # form made 756 (form_c, form_s) and 315 (form_d); the per-wedge loop
 # made 756 per form at nu = 9 and 210 at nu = 7.
 COMMAND_DORFMAN_CALLS = {
-    ("chernweil", "form_c_0"): 126,
-    ("chernweil", "form_s_0"): 126,
-    ("chernweil", "form_d_hoist"): 70,
+    ("chernweil", "form_c_0"): 63,
+    ("chernweil", "form_s_0"): 63,
+    ("chernweil", "form_d_hoist"): 35,
     ("naive", "form_c_0"): 36,
     ("naive", "form_s_0"): 72,
     ("naive", "form_d_cform"): 42,
@@ -208,6 +210,18 @@ def test_command_dorfman_calls(monkeypatch, command, config):
     calls = count_dorfman(monkeypatch)
     run_command(command, cfg)
     assert len(calls) == COMMAND_DORFMAN_CALLS[(command, config)]
+
+
+@pytest.mark.parametrize("fixture", sorted(COCHAIN_FIXTURES))
+def test_shared_table_gives_the_forms_of_fresh_tables(monkeypatch, fixture):
+    q = COCHAIN_FIXTURES[fixture]()
+    connections = [FConnection.flat(q.patch), _linear_symmetric_fconnection(q.patch)]
+    fresh = [e_connection_form(q, fc) for fc in connections]
+    table = q.frame_brackets()
+    calls = count_dorfman(monkeypatch)
+    assert [e_connection_form(q, fc, table) for fc in connections] == fresh
+    nu = len(table.frames)
+    assert len(calls) == nu * nu - 2 * nu
 
 
 @pytest.mark.parametrize("fixture", sorted(COCHAIN_FIXTURES))

@@ -22,6 +22,7 @@ import pytest
 
 from courant import Quintuple, ce_differential, standard_three_form
 from courant.cli import parse_config, run_command
+from courant.axioms import direct
 from courant.dorfman import naive_matches_ce
 from fixtures import COCHAIN_FIXTURES, fixture_a, fixture_c, fixture_d
 
@@ -93,7 +94,7 @@ def failing(report):
 
 # failing records of check_axioms(1) under each knockout; where a Leibniz
 # rule fails, the records of axioms 1, 2, 4, 5 and 6 that pass on frame
-# tuples are those of the literal enumeration ``_axioms_direct``
+# tuples are those of the literal enumeration ``axioms.direct``
 EXPECTED_A = {
     "lie_covector-transport": [
         ("axiom_1", (3, 5, 11), "-1"),
@@ -183,9 +184,9 @@ def test_h_knockouts_fail_jacobiator_on_rank_4_leaf(monkeypatch, knockout):
 def test_leibniz_failure_takes_axiom_passes_from_direct(monkeypatch):
     monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
     q = fixture_a()
-    reduced, direct = q.check_axioms(1), q._axioms_direct(1)
+    reduced, literal = q.check_axioms(1), direct(q, 1)
     for name, indices in (("axiom_1", (3, 5, 11)), ("axiom_6", (3, 3, 9))):
-        assert reduced[name] == direct[name]
+        assert reduced[name] == literal[name]
         assert reduced[name].witness.indices == indices
 
 
@@ -199,7 +200,7 @@ def test_both_methods_fail_second_order_axiom_5(monkeypatch, build, indices):
     # [[D f, e]] has order 2 in f: at cap 1 only coefficients of degree 2 see it
     monkeypatch.setattr(Quintuple, *KNOCKOUTS["lie_covector-transport"])
     q = build()
-    for report in (q.check_axioms(1), q._axioms_direct(1)):
+    for report in (q.check_axioms(1), direct(q, 1)):
         record = report["axiom_5"]
         assert not record.ok
         assert record.witness.indices == indices

@@ -4,8 +4,8 @@
 on all frame x frame x frame triples without an early exit, axiom 5 on
 coefficients up to degree max(2 * cap, 2), both Leibniz rules with f = 1
 included, and after a Leibniz failure the whole literal enumeration
-``_axioms_direct``.  ``check_axioms`` restricts these stages by the arguments in
-``Quintuple._axioms_reduced``; its reports must be byte-identical.
+``axioms.direct``.  ``check_axioms`` restricts these stages by the arguments in
+``axioms.reduced``; its reports must be byte-identical.
 """
 
 from itertools import product
@@ -13,7 +13,8 @@ from itertools import product
 import pytest
 
 from courant import Quintuple
-from courant.dorfman import AXIOM_IDENTITIES, monomials
+from courant.axioms import AXIOM_IDENTITIES, direct
+from courant.dorfman import monomials
 from courant.report import Check, Report
 from fixtures import (
     ALL_FIXTURES,
@@ -100,8 +101,8 @@ def literal_reduced_report(q, degree_cap):
 
     records = [ax[k].record() for k in range(1, 7)]
     if ax[3].failed or left.failed:
-        direct = q._axioms_direct(degree_cap)
-        records = [direct[r.name] if r.ok and r.name != "axiom_3" else r for r in records]
+        literal = direct(q, degree_cap)
+        records = [literal[r.name] if r.ok and r.name != "axiom_3" else r for r in records]
     return Report(records + [left.record()])
 
 
