@@ -6,7 +6,8 @@ quadratic Lie algebroid A = G + F is fixed by the patch, the fiber, a
 connection on G and the curvature 2-form.  ``QuadAlgebroid`` owns the
 whole A-structure: the vector field bracket, the anchor action,
 nabla along a vector field, the R-contraction and the shape checks of
-the data.  ``Quintuple`` extends it with the leafwise 3-form and the
+the data; the anchor and the vector field bracket are ``Patch.along``
+sums.  ``Quintuple`` extends it with the leafwise 3-form and the
 F* part.
 
 ``Section`` (xi, r, x) is the one section type of E = F* + G + F; a
@@ -163,15 +164,7 @@ class QuadAlgebroid(Record):
 
     def anchor_apply(self, u, f: Poly) -> Poly:
         """rho(u) f = sum_a x^a d_a f."""
-        acc = self._zero
-        if not f.num:
-            return acc
-        for a, xa in enumerate(u.x, start=1):
-            if xa.num:
-                d = f.diff(a)
-                if d.num:
-                    acc = acc + xa * d
-        return acc
+        return self.patch.along(u.x, f)
 
     def nabla(self, a: int, r: Sequence[Poly]) -> List[Poly]:
         return self.conn.apply(a, r)
@@ -181,21 +174,10 @@ class QuadAlgebroid(Record):
         return self.conn.along(x, r)
 
     def vf_bracket(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
-        """[x1, x2]^b = sum_a x1^a d_a x2^b - x2^a d_a x1^b."""
-        out = []
-        for f1, f2 in zip(x1, x2):
-            acc = self._zero
-            for a, (g1, g2) in enumerate(zip(x1, x2), start=1):
-                if g1.num and f2.num:
-                    d = f2.diff(a)
-                    if d.num:
-                        acc = acc + g1 * d
-                if g2.num and f1.num:
-                    d = f1.diff(a)
-                    if d.num:
-                        acc = acc - g2 * d
-            out.append(acc)
-        return out
+        """[x1, x2]^b = x1(x2^b) - x2(x1^b)."""
+        along, zero = self.patch.along, self._zero
+        x1_x2 = [along(x1, f) if f.num else zero for f in x2]
+        return sub_live(x1_x2, [along(x2, f) if f.num else zero for f in x1])
 
     def curv_contract(self, x1: Sequence[Poly], x2: Sequence[Poly]) -> List[Poly]:
         """R(x1, x2) as an m-vector."""
@@ -401,21 +383,22 @@ def frame_differential(
     ``w`` reads a frame through ``eval_frame`` at its ``frame_symbols``
     entry; a frame without one gives zero.  ``bracket(s, t)``
     is called once per increasing pair of frame indices, and its result
-    enters through its r and x parts, its projection to A.
+    enters through its r and x parts, its projection to A; a ``w`` of
+    degree 0 has no pair of positions, so then it is never called.
     """
     if w.patch != alg.patch or w.dim != alg.fiber.dim:
         raise ValueError("form does not live on this algebroid")
     asyms = _asyms(alg)
     syms = frame_symbols(alg, frames)
+    # every wedge has degree + 1 frames: its pairs (i, j) and the other positions
+    pairs = [(i, j, [k for k in range(w.degree + 1) if k != i and k != j])
+             for i, j in combinations(range(w.degree + 1), 2)]
     brackets = {}
-    for s, t in combinations(range(len(frames)), 2):
+    for s, t in combinations(range(len(frames)), 2) if pairs else ():
         br = bracket(s, t)
         terms = [(coeff, sym) for coeff, sym in zip(br.r + br.x, asyms) if coeff.num]
         if terms:
             brackets[(s, t)] = terms
-    # every wedge has degree + 1 frames: its pairs (i, j) and the other positions
-    pairs = [(i, j, [k for k in range(w.degree + 1) if k != i and k != j])
-             for i, j in combinations(range(w.degree + 1), 2)]
     zero = alg.zero_poly()
     out = []
     for wedge in wedges:

@@ -23,10 +23,9 @@ Only ``check`` and ``axioms`` run this code, so the layer is lazy
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
-from .ample import Section
-from .dorfman import Quintuple, monomials
+from .dorfman import FrameBrackets, Quintuple, monomials
 from .report import Check, Report
 
 AXIOM_IDENTITIES = {
@@ -51,13 +50,7 @@ def direct(q: Quintuple, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_ID
     ``axioms`` are computed and returned, in axiom order."""
     family, monos = q.axiom_family(degree_cap)
     nf = len(family)
-    cache: Dict[Tuple[int, int], Section] = {}
-
-    def br(i: int, j: int) -> Section:
-        key = (i, j)
-        if key not in cache:
-            cache[key] = q.dorfman(family[i], family[j])
-        return cache[key]
+    br = FrameBrackets(q, family)
 
     ax = {k: Check("axiom_%d" % k, AXIOM_IDENTITIES[k]) for k in sorted(axioms)}
 
@@ -66,19 +59,19 @@ def direct(q: Quintuple, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_ID
 
     for i, j in product(range(nf), repeat=2):
         if live(2):
-            lhs = q.anchor(br(i, j))
+            lhs = q.anchor(br[(i, j)])
             rhs = q.vf_bracket(family[i].x, family[j].x)
             for a, (u, v) in enumerate(zip(lhs, rhs), start=1):
                 ax[2].add((i + 1, j + 1, a), u - v)
         if live(3):
             for fi, f in enumerate(monos):
                 lhs = q.dorfman(family[i], family[j].mul(f))
-                rhs = br(i, j).mul(f) + family[j].scale(1).mul(q.anchor_apply(family[i], f))
+                rhs = br[(i, j)].mul(f) + family[j].mul(q.anchor_apply(family[i], f))
                 ax[3].add_section((i + 1, j + 1, fi + 1), lhs - rhs)
                 if ax[3].failed:
                     break
         if live(4) and i <= j:
-            d = br(i, j) + br(j, i) - q.d_operator(q.pairing(family[i], family[j])).scale(2)
+            d = br[(i, j)] + br[(j, i)] - q.d_operator(q.pairing(family[i], family[j])).scale(2)
             ax[4].add_section((i + 1, j + 1), d)
 
     for fi, f in enumerate(monomials(q.patch.n, max(2 * degree_cap, 2))):
@@ -97,16 +90,16 @@ def direct(q: Quintuple, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_ID
             break
         if live(1):
             d = (
-                q.dorfman(family[i], br(j, k))
-                - q.dorfman(br(i, j), family[k])
-                - q.dorfman(family[j], br(i, k))
+                q.dorfman(family[i], br[(j, k)])
+                - q.dorfman(br[(i, j)], family[k])
+                - q.dorfman(family[j], br[(i, k)])
             )
             ax[1].add_section((i + 1, j + 1, k + 1), d)
         if live(6):
             d = (
                 q.anchor_apply(family[i], q.pairing(family[j], family[k]))
-                - q.pairing(br(i, j), family[k])
-                - q.pairing(family[j], br(i, k))
+                - q.pairing(br[(i, j)], family[k])
+                - q.pairing(family[j], br[(i, k)])
             )
             ax[6].add((i + 1, j + 1, k + 1), d)
 

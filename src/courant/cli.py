@@ -444,8 +444,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         search = charform.find_hoist(alg, cform)
         report.extend(search.report)
         if search.hoist is not None:
-            cols = [(a, search.hoist.column(a)) for a in range(1, cfg.patch.p + 1)]
-            _emit(report, "hoist.J", [((a, k + 1), v) for a, col in cols for k, v in enumerate(col)])
+            _emit(report, "hoist.J", _unvectors(search.hoist.j).items())
     elif cmd == "build":
         cform = _require(cfg.cform, "cform")
         fiber_report = cfg.fiber.validate()
@@ -467,12 +466,8 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
             return report
         report.add_pass("build_coherent")
         report.extend(built.validate().renamed("built_%s"))
-        m = cfg.fiber.dim
-        gamma = [((a + 1, i + 1, j + 1), built.conn.gamma[a][i][j])
-                 for a in range(cfg.patch.p) for i in range(m) for j in range(m)]
-        _emit(report, "built.gamma", gamma)
-        curv = [(key + (k + 1,), v) for key in built.curv.keys() for k, v in enumerate(built.curv.comps[key])]
-        _emit(report, "built.R", curv)
+        _emit(report, "built.gamma", _sparse(built.conn.gamma).items())
+        _emit(report, "built.R", _unvectors(built.curv).items())
         _emit_fform(report, "built.H", built.hform)
     elif cmd == "roundtrip":
         pair = charform.characteristic_pair_of(q)

@@ -37,7 +37,8 @@ report is the same and only the work changes.
 ``FrameBrackets`` brackets each ordered pair of frame sections at most
 once per table: the axiom check and the naive differential build one
 per call, and ``chernweil`` one per command, since all of them read
-frame brackets many times over.
+frame brackets many times over; ``axioms.direct`` builds one on its
+family of sections.
 
 The naive differential lives here too.  Naive cohomology is the Lie
 algebroid cohomology of A, so the naive differential is
@@ -165,7 +166,7 @@ class Quintuple(QuadAlgebroid):
     def d_operator(self, f: Poly) -> Section:
         s = self.zero_section()
         for a in range(1, self.patch.p + 1):
-            s.xi[a - 1] = f.diff(a)
+            s.xi[a - 1] = self.patch.d(f, a)
         return s
 
     def p_form(self, r1: Sequence[Poly], r2: Sequence[Poly]) -> List[Poly]:
@@ -193,17 +194,14 @@ class Quintuple(QuadAlgebroid):
     # -- brackets ------------------------------------------------------------
 
     def lie_covector(self, x: Sequence[Poly], xi: Sequence[Poly]) -> List[Poly]:
-        """(L_x xi)_b = sum_a x^a d_a xi_b + xi_a d_b x^a."""
+        """(L_x xi)_b = x(xi_b) + sum_a xi_a d_b x^a."""
+        patch = self.patch
         out = []
         for b, xib in enumerate(xi, start=1):
-            acc = self._zero
-            for a, (xa, xia) in enumerate(zip(x, xi), start=1):
-                if xa.num and xib.num:
-                    d = xib.diff(a)
-                    if d.num:
-                        acc = acc + xa * d
+            acc = patch.along(x, xib)
+            for xa, xia in zip(x, xi):
                 if xia.num and xa.num:
-                    d = xa.diff(b)
+                    d = patch.d(xa, b)
                     if d.num:
                         acc = acc + xia * d
             out.append(acc)
@@ -247,7 +245,7 @@ class Quintuple(QuadAlgebroid):
                 if xi1.num and x2.num:
                     dual = dual + xi1 * x2
             if dual.num:
-                out = add_live(out, [dual.diff(b) for b in range(1, p + 1)])
+                out = add_live(out, [self.patch.d(dual, b) for b in range(1, p + 1)])
         if r1_live and r2_live:
             out = add_live(out, self.p_form(e1.r, e2.r))
         if x1_live and r2_live:
@@ -258,7 +256,7 @@ class Quintuple(QuadAlgebroid):
 
     def frame_brackets(self) -> "FrameBrackets":
         """A table of the brackets of the frame sections, for one call."""
-        return FrameBrackets(self)
+        return FrameBrackets(self, self.frame_sections())
 
     # -- data validation -------------------------------------------------------
 
@@ -284,6 +282,7 @@ class Quintuple(QuadAlgebroid):
         curvid = Check(
             "curvature_identity", "d_a Gamma_b - d_b Gamma_a + [Gamma_a,Gamma_b] - ad(R_ab)"
         )
+        d = self.patch.d
         for a, b in combinations(range(1, p + 1), 2):
             ga = self.conn.gamma[a - 1]
             gb = self.conn.gamma[b - 1]
@@ -291,7 +290,7 @@ class Quintuple(QuadAlgebroid):
             ab, ba = linalg.poly_mat_mul(ga, gb), linalg.poly_mat_mul(gb, ga)
             for i in range(m):
                 for j in range(m):
-                    acc = gb[i][j].diff(a) - ga[i][j].diff(b) - ad_r[i][j] + ab[i][j] - ba[i][j]
+                    acc = d(gb[i][j], a) - d(ga[i][j], b) - ad_r[i][j] + ab[i][j] - ba[i][j]
                     curvid.add((a, b, i + 1, j + 1), acc)
         report.add(curvid.record())
 
@@ -342,20 +341,21 @@ class IsoData(Record):
 
 
 class FrameBrackets(dict):
-    """The Dorfman brackets [[u_i, u_j]] of the frame sections u =
-    ``frame_sections()``, keyed by (i, j) and bracketed on first lookup.
+    """The Dorfman brackets [[u_i, u_j]] of a fixed list of sections u,
+    keyed by (i, j) and bracketed on first lookup: the frame sections
+    (``Quintuple.frame_brackets``) or the family of ``axioms.direct``.
 
-    Exact: the frames are fixed and the bracket is deterministic, so a
+    Exact: the sections are fixed and the bracket is deterministic, so a
     lookup returns what ``q.dorfman(u_i, u_j)`` would.  A table serves
     one call of its caller, or one ``chernweil`` command, and is never
     kept beyond it, so a patched bracket method is seen by the next
     table.
     """
 
-    def __init__(self, q: Quintuple):
+    def __init__(self, q: Quintuple, frames: List[Section]):
         super().__init__()
         self.q = q
-        self.frames = q.frame_sections()
+        self.frames = frames
         self._courant: Dict[Tuple[int, int], Section] = {}
 
     def __missing__(self, key: Tuple[int, int]) -> Section:

@@ -3,11 +3,13 @@
 The base is a polynomial patch in coordinates x1..xn whose integrable
 distribution F is spanned by the first p coordinate fields, so all
 frame Lie brackets vanish and every tensor identity can be checked on
-the coordinate frame alone.  Leafwise forms are stored sparsely on
-strictly increasing index tuples; coefficients may involve all n
-coordinates, but only the leafwise derivatives d/dx1..d/dxp ever act.
-The three form classes, ``FForm``, ``GValuedForm`` and
-``courant.ample.AForm``, share the sparse container ``Form``.
+the coordinate frame alone.  ``Patch.d`` is the one leaf derivative
+d_a = d/dx_a and ``Patch.along`` the one sum_a x^a d_a, which the anchor,
+the vector field bracket and L_x are written through.  Leafwise forms
+are stored sparsely on strictly increasing index tuples; coefficients
+may involve all n coordinates, but only d_1..d_p ever act.  The three
+form classes, ``FForm``, ``GValuedForm`` and ``courant.ample.AForm``,
+share the sparse container ``Form``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,25 @@ class Patch(FrozenRecord):
     def var(self, i: int) -> Poly:
         return Poly.variable(self.n, i)
 
+    def d(self, f: Poly, a: int) -> Poly:
+        """d_a f = df/dx_a, the one leaf derivative.  ``axioms.reduced``
+        and ``morphism.intertwining_report`` argue with d_a x_b =
+        delta_ab, so a change here must re-derive both."""
+        return f.diff(a)
+
+    def along(self, x: Sequence[Poly], f: Poly) -> Poly:
+        """x(f) = sum_a x^a d_a f for a leafwise vector field x; a zero f,
+        a zero x^a and a zero derivative are skipped."""
+        acc = self.zero()
+        if not f.num:
+            return acc
+        for a, xa in enumerate(x, start=1):
+            if xa.num:
+                d = self.d(f, a)
+                if d.num:
+                    acc = acc + xa * d
+        return acc
+
 
 def sort_with_sign(indices: Sequence) -> Tuple[tuple, int]:
     """Sort a tuple of comparable indices, returning (sorted tuple,
@@ -68,6 +89,7 @@ class Form(Record):
     ``_check`` (``AForm``) or the value hooks (``GValuedForm``)."""
 
     _fields = ("patch", "dim", "degree", "comps")
+    dim = None  # the fiber dimension, where the values have one
 
     def __init__(self, patch: Patch, degree: int, comps: Mapping = ()):
         self.patch = patch
@@ -106,10 +128,10 @@ class Form(Record):
         return value if sign == 1 else self._times(value, -1)
 
     def _like(self, comps) -> "Form":
-        """A form of the same class and shape with the given components."""
+        """A form of this class and shape on checked keys, zeros dropped."""
         out = object.__new__(self.__class__)
         out.__dict__.update(self.__dict__)
-        Form.__init__(out, self.patch, self.degree, comps)
+        out.comps = {key: value for key, value in comps.items() if self._live(value)}
         return out
 
     def keys(self):
@@ -121,6 +143,8 @@ class Form(Record):
     def __add__(self, other: "Form") -> "Form":
         if self.degree != other.degree:
             raise ValueError("form degree mismatch")
+        if (type(self), self.patch, self.dim) != (type(other), other.patch, other.dim):
+            raise ValueError("form shape mismatch")
         comps = dict(self.comps)
         for key, value in other.comps.items():
             comps[key] = self._plus(comps[key], value) if key in comps else value
@@ -169,7 +193,7 @@ def leafwise_d(w: FForm) -> FForm:
             value = w.comps.get(rest)
             if value is None:
                 continue
-            term = value.diff(a)
+            term = patch.d(value, a)
             acc = acc + term if pos % 2 == 0 else acc - term
         out[key] = acc
     return FForm(patch, w.degree + 1, out)
@@ -254,7 +278,7 @@ class GConnection(Record):
             mat = self.gamma[a - 1]
             out = []
             for k in range(self.dim):
-                acc = r[k].diff(a)
+                acc = self.patch.d(r[k], a)
                 row = mat[k]
                 for j in range(self.dim):
                     if row[j] and r[j]:

@@ -105,10 +105,6 @@ def poly_mat_vec(a, v):
     return [sum_products(nvars, [(1, x, y) for x, y in zip(row, v)]) for row in a]
 
 
-def poly_mat_diff(a, index: int):
-    return [[x.diff(index) for x in row] for row in a]
-
-
 def _charpoly(a) -> List[Poly]:
     """Coefficients c_0 = 1, c_1, .., c_m of det(t I - a) = sum c_i t^(m-i).
 

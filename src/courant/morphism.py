@@ -105,7 +105,8 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
 
     gamma2 = []
     for a in range(1, p + 1):
-        mat = linalg.poly_mat_mul(tau, linalg.poly_mat_diff(tau_inv, a))
+        d_tau_inv = [[patch.d(entry, a) for entry in row] for row in tau_inv]
+        mat = linalg.poly_mat_mul(tau, d_tau_inv)
         conj = linalg.poly_mat_mul(tau, linalg.poly_mat_mul(q1.conn.gamma[a - 1], tau_inv))
         ad_phi = fiber.ad_matrix(phi[a - 1])
         gamma2.append([[u + v - w for u, v, w in zip(*rows)] for rows in zip(mat, conj, ad_phi)])
@@ -131,7 +132,7 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             inner = [u - v for u, v in zip(q1.conn.apply(y, jcols[z - 1]), q1.curv.get((y, z)))]
             value = value + fiber.pairing(phi[x - 1], linalg.poly_mat_vec(tau, inner), n).scale(2)
-            value = value + iso.beta[y - 1][z - 1].diff(x)
+            value = value + patch.d(iso.beta[y - 1][z - 1], x)
         h_comps[key] = value
     hform2 = FForm(patch, 3, h_comps)
     return Quintuple(patch, fiber, conn2, curv2, hform2)
@@ -143,7 +144,7 @@ def intertwining_report(q1: Quintuple, q2: Quintuple, iso: IsoData, degree_cap: 
     Only family pairs (f u, g v) with deg f + deg g <= 1 are evaluated
     (u, v frame sections), which certifies both identities for all
     polynomial sections at any cap >= 1.  Assumption, as in
-    ``Quintuple._axioms_reduced``: ``Quintuple.dorfman`` is a
+    ``axioms.reduced``: ``Quintuple.dorfman`` is a
     bidifferential operator of total order <= 1.  ``apply_iso`` is
     linear over functions, so the defect D(e1, e2) = Theta[[e1,e2]]_1 -
     [[Theta e1, Theta e2]]_2 is one too:

@@ -225,3 +225,17 @@ def test_quintuple_equality_includes_hform():
     assert q == Quintuple(q.patch, q.fiber, q.conn, q.curv, q.hform)
     assert q != other
     assert QuadAlgebroid.of(q) == QuadAlgebroid.of(other)
+
+
+@pytest.mark.parametrize("degree, calls", [(0, 0), (1, 10), (2, 10)])
+def test_ce_differential_brackets_frame_pairs_only_above_degree_0(monkeypatch, degree, calls):
+    # a 0-form has no pair of positions, so its differential reads no
+    # bracket; from degree 1 on each of the C(5, 2) frame pairs of D
+    # (3 fiber frames, 2 leaf frames) is bracketed once
+    q = fixture_d()
+    made = []
+    bracket = QuadAlgebroid.bracket
+    monkeypatch.setattr(QuadAlgebroid, "bracket", lambda alg, u, v: made.append(1) or bracket(alg, u, v))
+    dw = ce_differential(q, rand_aform(random.Random(degree), q, degree))
+    assert len(made) == calls
+    assert dw.degree == degree + 1

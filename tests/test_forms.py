@@ -9,11 +9,12 @@ on a repeated index.
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from courant.ample import AForm
-from courant.geometry import FForm, GValuedForm, Patch
+from courant.geometry import FForm, Form, GValuedForm, Patch
 from courant.poly import Poly
 
 PATCH = Patch(3, 3)
@@ -119,3 +120,44 @@ def test_gvalued_form_addition_is_componentwise():
     assert (u + v).comps == {(1,): [x1 + one, x1], (2,): [one, one]}
     assert (u - u).comps == {}
     assert u.scale(-2).get((2,)) == [one.scale(-2), one.scale(-2)]
+
+
+def test_adding_forms_of_different_shape_raises():
+    # every key of both forms is a key on Patch(3, 2) too, so only the
+    # shape comparison of ``+`` tells them apart
+    wide, narrow = Patch(3, 3), Patch(3, 2)
+    a = FForm(wide, 1, {(1,): wide.var(3), (2,): wide.one()})
+    b = FForm(narrow, 1, {(2,): narrow.one()})
+    pairs = [
+        (a, b),
+        (b, a),
+        (GValuedForm(PATCH, 1, 1, {(1,): [PATCH.one()]}), GValuedForm(PATCH, 2, 1, {(1,): [PATCH.one()] * 2})),
+        (FForm(PATCH, 0, {(): PATCH.one()}), AForm(PATCH, DIM, 0, {((), ()): PATCH.one()})),
+    ]
+    for left, right in pairs:
+        with pytest.raises(ValueError, match="form shape mismatch"):
+            left + right
+        with pytest.raises(ValueError, match="form shape mismatch"):
+            left - right
+    with pytest.raises(ValueError, match="form degree mismatch"):
+        a + FForm(wide, 2)
+
+
+def test_sum_and_scale_do_not_recheck_keys(monkeypatch):
+    one, x1 = PATCH.one(), PATCH.var(1)
+    forms = [
+        (FForm(PATCH, 1, {(1,): x1}), FForm(PATCH, 1, {(1,): one, (2,): x1})),
+        (GValuedForm(PATCH, DIM, 1, {(1,): [x1, one]}), GValuedForm(PATCH, DIM, 1, {(2,): [one, one]})),
+        (AForm(PATCH, DIM, 1, {((1,), ()): x1}), AForm(PATCH, DIM, 1, {((), (1,)): one})),
+    ]
+    checked = []
+    for cls in (Form, GValuedForm, AForm):
+        check = cls.__dict__["_check"]
+        monkeypatch.setattr(cls, "_check", lambda self, key, value, check=check: checked.append(key) or check(self, key, value))
+    for a, b in forms:
+        total, difference, scaled = a + b, a - b, a.scale(3)
+        assert checked == []
+        assert sorted(total.comps) == sorted(set(a.comps) | set(b.comps))
+        assert difference + b == a
+        assert scaled.comps.keys() == a.comps.keys()
+        assert not a.scale(0).comps

@@ -3,7 +3,8 @@
 Each knockout replaces one helper of ``Quintuple``/``QuadAlgebroid`` by a
 broken variant: one of the two terms of the Lie derivative dropped, or
 the H-contraction, the Q-form, nabla along a vector field, the
-R-contraction or the P-form zeroed or sign-flipped.  The data stay
+R-contraction, the P-form, the vector field bracket or the anchor
+zeroed or sign-flipped.  The data stay
 valid, so every failure below comes from the implementation.  The full
 failing records of ``check_axioms(1)`` (name, witness indices, residual)
 are pinned, so a change to the checker that moves a witness shows up
@@ -56,10 +57,13 @@ def _lie_covector_without_dx(self, x, xi):
 
 
 def _zeroed(name):
+    """The helper with every value zero: a zero vector, or a zero Poly
+    for ``anchor_apply``."""
     orig = getattr(Quintuple, name)
 
     def broken(self, *args):
-        return [self._zero] * len(orig(self, *args))
+        value = orig(self, *args)
+        return [self._zero] * len(value) if isinstance(value, list) else self._zero
 
     return broken
 
@@ -68,7 +72,8 @@ def _flipped(name):
     orig = getattr(Quintuple, name)
 
     def broken(self, *args):
-        return [-v for v in orig(self, *args)]
+        value = orig(self, *args)
+        return [-v for v in value] if isinstance(value, list) else -value
 
     return broken
 
@@ -85,6 +90,10 @@ KNOCKOUTS = {
     "curv_contract=0": ("curv_contract", _zeroed("curv_contract")),
     "curv_contract*-1": ("curv_contract", _flipped("curv_contract")),
     "p_form=0": ("p_form", _zeroed("p_form")),
+    "vf_bracket=0": ("vf_bracket", _zeroed("vf_bracket")),
+    "vf_bracket*-1": ("vf_bracket", _flipped("vf_bracket")),
+    "anchor_apply=0": ("anchor_apply", _zeroed("anchor_apply")),
+    "anchor_apply*-1": ("anchor_apply", _flipped("anchor_apply")),
 }
 
 
@@ -119,6 +128,28 @@ EXPECTED_A = {
     "curv_contract=0": [],
     "curv_contract*-1": [],
     "p_form=0": [],
+    "vf_bracket=0": [
+        ("axiom_1", (3, 5, 11), "1"),
+        ("axiom_3", (3, 3, 3), "-1"),
+        ("axiom_6", (3, 1, 11), "1/2"),
+        ("leibniz_left_rule", (3, 3, 3), "1"),
+    ],
+    "vf_bracket*-1": [
+        ("axiom_1", (3, 5, 11), "2"),
+        ("axiom_3", (3, 3, 3), "-2"),
+        ("axiom_6", (3, 1, 11), "1"),
+        ("leibniz_left_rule", (3, 3, 3), "2"),
+    ],
+    "anchor_apply=0": [
+        ("axiom_3", (3, 1, 3), "1"),
+        ("axiom_6", (3, 1, 11), "-1/2"),
+        ("leibniz_left_rule", (1, 3, 3), "-1"),
+    ],
+    "anchor_apply*-1": [
+        ("axiom_3", (3, 1, 3), "2"),
+        ("axiom_6", (3, 1, 11), "-1"),
+        ("leibniz_left_rule", (1, 3, 3), "-2"),
+    ],
 }
 
 EXPECTED_D = {
@@ -160,6 +191,55 @@ EXPECTED_D = {
         ("axiom_6", (3, 5, 7), "-1"),
         ("leibniz_left_rule", (3, 3, 2), "-2"),
     ],
+    "vf_bracket=0": [
+        ("axiom_1", (3, 6, 21), "-1"),
+        ("axiom_3", (6, 6, 3), "-1"),
+        ("axiom_6", (6, 1, 20), "1/2"),
+        ("leibniz_left_rule", (6, 6, 3), "1"),
+    ],
+    "vf_bracket*-1": [
+        ("axiom_1", (3, 6, 21), "-2"),
+        ("axiom_3", (6, 6, 3), "-2"),
+        ("axiom_6", (6, 1, 20), "1"),
+        ("leibniz_left_rule", (6, 6, 3), "2"),
+    ],
+    "anchor_apply=0": [
+        ("axiom_3", (6, 1, 3), "1"),
+        ("axiom_6", (6, 1, 20), "-1/2"),
+        ("leibniz_left_rule", (1, 6, 3), "-1"),
+    ],
+    "anchor_apply*-1": [
+        ("axiom_3", (6, 1, 3), "2"),
+        ("axiom_6", (6, 1, 20), "-1"),
+        ("leibniz_left_rule", (1, 6, 3), "-2"),
+    ],
+}
+
+# fixture C (rank-4 leaf, line fiber) under the knockouts of the leaf
+# calculus, the vector field bracket and the anchor
+EXPECTED_C = {
+    "vf_bracket=0": [
+        ("axiom_1", (5, 6, 42), "-2"),
+        ("axiom_3", (6, 6, 5), "-1"),
+        ("axiom_6", (6, 1, 42), "1/2"),
+        ("leibniz_left_rule", (6, 6, 5), "1"),
+    ],
+    "vf_bracket*-1": [
+        ("axiom_1", (5, 6, 42), "-4"),
+        ("axiom_3", (6, 6, 5), "-2"),
+        ("axiom_6", (6, 1, 42), "1"),
+        ("leibniz_left_rule", (6, 6, 5), "2"),
+    ],
+    "anchor_apply=0": [
+        ("axiom_3", (6, 1, 5), "1"),
+        ("axiom_6", (6, 1, 42), "-1/2"),
+        ("leibniz_left_rule", (1, 6, 5), "-1"),
+    ],
+    "anchor_apply*-1": [
+        ("axiom_3", (6, 1, 5), "2"),
+        ("axiom_6", (6, 1, 42), "-1"),
+        ("leibniz_left_rule", (1, 6, 5), "-2"),
+    ],
 }
 
 
@@ -169,6 +249,12 @@ def test_knockout_witnesses(monkeypatch, knockout, build, expected):
     name, broken = KNOCKOUTS[knockout]
     monkeypatch.setattr(Quintuple, name, broken)
     assert failing(build().check_axioms(1)) == expected[knockout]
+
+
+@pytest.mark.parametrize("knockout", sorted(EXPECTED_C))
+def test_leaf_calculus_knockout_witnesses_on_fixture_c(monkeypatch, knockout):
+    monkeypatch.setattr(Quintuple, *KNOCKOUTS[knockout])
+    assert failing(fixture_c().check_axioms(1)) == EXPECTED_C[knockout]
 
 
 @pytest.mark.parametrize("knockout", ["h_contract=0", "h_contract*-1"])
@@ -230,12 +316,23 @@ def test_leibniz_failure_recomputes_only_replaced_records(monkeypatch):
 
 # Whether dC_s != 0 and whether naive_matches_ce fails, for the canonical
 # 3-form C_s.  ce_differential takes its frame brackets from the
-# algebroid, so a broken R-contraction breaks dC_s = 0: C_s(r, x, y) =
-# <r, R(x, y)> no longer matches the bracket.  naive_matches_ce reads
-# only the G + F part of the skew bracket, which is the same ample
-# bracket, so it passes under every knockout; the other knockouts leave
-# dC_s = 0 on these fixtures.
-CLOSEDNESS_CAUGHT = {"curv_contract=0", "curv_contract*-1"}
+# algebroid, so a broken R-contraction breaks dC_s = 0 on every fixture:
+# C_s(r, x, y) = <r, R(x, y)> no longer matches the bracket.  Its anchor
+# terms differentiate the coefficients of C_s, so a broken anchor breaks
+# dC_s = 0 on fixture C only, where H = 2 x1 dx2^dx3^dx4 gives d_1 H_234
+# = 2; on D and su2(4,3) every coefficient of C_s is constant, and on
+# D_transported (rank-2 leaf) the nonconstant ones, on (e_k, dx1, dx2),
+# only meet a fourth frame that is a fiber frame, whose anchor is zero.
+# The vector field bracket vanishes on the coordinate frames.
+# naive_matches_ce reads only the G + F part of the skew bracket and the
+# anchor, which the algebroid differential shares, so it passes under
+# every knockout; the other knockouts leave dC_s = 0 on these fixtures.
+CLOSEDNESS_CAUGHT = {
+    "curv_contract=0": set(COCHAIN_FIXTURES),
+    "curv_contract*-1": set(COCHAIN_FIXTURES),
+    "anchor_apply=0": {"C"},
+    "anchor_apply*-1": {"C"},
+}
 
 
 @pytest.mark.parametrize("knockout", sorted(KNOCKOUTS))
@@ -246,7 +343,7 @@ def test_knockouts_on_the_cochain_path(monkeypatch, knockout, fixture):
     monkeypatch.setattr(Quintuple, *KNOCKOUTS[knockout])
     not_closed = bool(ce_differential(q, c))
     naive_fails = not naive_matches_ce(q, c).ok
-    assert (not_closed, naive_fails) == (knockout in CLOSEDNESS_CAUGHT, False)
+    assert (not_closed, naive_fails) == (fixture in CLOSEDNESS_CAUGHT.get(knockout, ()), False)
 
 
 # -- the shift path ----------------------------------------------------------
@@ -262,7 +359,8 @@ def test_knockouts_on_the_cochain_path(monkeypatch, knockout, fixture):
 # message names nabla_1 J_2 - nabla_2 J_1 although J is curl-free; on
 # fixture D the central shift is rejected with or without a knockout (J
 # is not central).  The knockouts outside the G + F bracket cannot reach
-# the shift path.
+# the shift path, and neither can the vector field bracket, which
+# vanishes on the hoist sections (their leaf parts are constant).
 SHIFT_CONFIGS = {
     "fixture_d_hoist": os.path.join(ROOT, "demos", "configs", "fixture_d_hoist.cfg"),
     "form_d_hoist": os.path.join(ROOT, "bench", "pool", "form_d_hoist.cfg"),
