@@ -67,22 +67,18 @@ def direct(q: Quintuple, degree_cap: int, axioms: Sequence[int] = tuple(AXIOM_ID
             for fi, f in enumerate(monos):
                 lhs = q.dorfman(family[i], family[j].mul(f))
                 rhs = br[(i, j)].mul(f) + family[j].mul(q.anchor_apply(family[i], f))
-                ax[3].add_section((i + 1, j + 1, fi + 1), lhs - rhs)
-                if ax[3].failed:
+                if ax[3].add_section((i + 1, j + 1, fi + 1), lhs - rhs):
                     break
         if live(4) and i <= j:
             d = br[(i, j)] + br[(j, i)] - q.d_operator(q.pairing(family[i], family[j])).scale(2)
             ax[4].add_section((i + 1, j + 1), d)
 
-    for fi, f in enumerate(monomials(q.patch.n, max(2 * degree_cap, 2))):
-        if not live(5):
-            break
-        df = q.d_operator(f)
-        if df.is_zero():
-            continue
-        for j in range(nf):
-            ax[5].add_section((fi + 1, j + 1), q.dorfman(df, family[j]))
-            if ax[5].failed:
+    if live(5):
+        for fi, f in enumerate(monomials(q.patch.n, max(2 * degree_cap, 2))):
+            df = q.d_operator(f)
+            if df.is_zero():
+                continue
+            if any(ax[5].add_section((fi + 1, j + 1), q.dorfman(df, family[j])) for j in range(nf)):
                 break
 
     for i, j, k in product(range(nf), repeat=3):
@@ -212,15 +208,13 @@ def reduced(q: Quintuple, degree_cap: int) -> Report:
         rf = q.anchor_apply(u, f)
         if rf:
             rhs = rhs + v.mul(rf)
-        ax[3].add_section((i + 1, j + 1, fi + 1), q.dorfman(u, times[(j, fi)]) - rhs)
-        if ax[3].failed:
+        if ax[3].add_section((i + 1, j + 1, fi + 1), q.dorfman(u, times[(j, fi)]) - rhs):
             break
     for ((i, u), (j, v)), (fi, f) in product(pairs, linear):
         rhs = br[(i, j)].mul(f) - u.mul(q.anchor_apply(v, f))
         if pair[(i, j)]:
             rhs = rhs + q.d_operator(f).mul(pair[(i, j)].scale(2))
-        left.add_section((i + 1, j + 1, fi + 1), q.dorfman(times[(i, fi)], v) - rhs)
-        if left.failed:
+        if left.add_section((i + 1, j + 1, fi + 1), q.dorfman(times[(i, fi)], v) - rhs):
             break
 
     # axiom 4 on unordered frame pairs
@@ -235,11 +229,7 @@ def reduced(q: Quintuple, degree_cap: int) -> Report:
         df = q.d_operator(f)
         if df.is_zero():
             continue
-        for j in range(nu):
-            ax[5].add_section((fi + 1, j + 1), q.dorfman(df, frames[j]))
-            if ax[5].failed:
-                break
-        if ax[5].failed:
+        if any(ax[5].add_section((fi + 1, j + 1), q.dorfman(df, frames[j])) for j in range(nu)):
             break
 
     # axiom 6 on frame triples, symmetric in the last two
@@ -249,8 +239,7 @@ def reduced(q: Quintuple, degree_cap: int) -> Report:
             - q.pairing(br[(i, j)], frames[k])
             - q.pairing(frames[j], br[(i, k)])
         )
-        ax[6].add((i + 1, j + 1, k + 1), d)
-        if ax[6].failed:
+        if ax[6].add((i + 1, j + 1, k + 1), d):
             break
 
     # axiom 1: strictly increasing frame triples when J is totally skew
@@ -261,8 +250,7 @@ def reduced(q: Quintuple, degree_cap: int) -> Report:
             - q.dorfman(br[(i, j)], frames[k])
             - q.dorfman(frames[j], br[(i, k)])
         )
-        ax[1].add_section((i + 1, j + 1, k + 1), d)
-        if ax[1].failed:
+        if ax[1].add_section((i + 1, j + 1, k + 1), d):
             break
 
     records = [ax[k].record() for k in range(1, 7)]

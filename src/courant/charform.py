@@ -22,13 +22,12 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .ample import AForm, Hoist, QuadAlgebroid, Section, aform_keys, ce_differential, hoist_data
-from .dorfman import FrameBrackets, Quintuple, standard_three_form
+from .dorfman import HALF, FrameBrackets, Quintuple, standard_three_form
 from .geometry import FConnection, FForm, GValuedForm
 from .poly import Poly, coefficient_vectors
-from .report import Check, Record, Report, Witness
+from .report import Check, Record, Report
 
 THIRD = Fraction(1, 3)
-HALF = Fraction(1, 2)
 
 
 class CharPair(Record):
@@ -202,6 +201,7 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
 
     pairs = list(combinations(range(1, m + 1), 2))
     bmat = [[fiber.b[i - 1][j - 1][k] for k in range(m)] for i, j in pairs]
+    solvable = Check("hoist_solvable", "B J_a = C(e_i,e_j,d_a) has no solution")
 
     columns: List[List[Poly]] = []
     for a in range(1, p + 1):
@@ -211,15 +211,15 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
             mono = Poly(patch.n, {exp: 1})
             sol = linalg.solve(bmat, rhs)
             if sol is None:
-                witness = Witness("B J_a = C(e_i,e_j,d_a) has no solution", (a,) + exp, str(mono))
-                report.add_fail("hoist_solvable", witness)
+                solvable.add((a,) + exp, mono)
+                report.add(solvable.record())
                 return HoistSearch(None, report)
             col = [acc + mono.scale(v) if v else acc for acc, v in zip(col, sol)]
         columns.append(col)
 
     comps = {(a,): col for a, col in enumerate(columns, start=1)}
     hoist = Hoist(GValuedForm(patch, m, 1, comps))
-    report.add_pass("hoist_solvable")
+    report.add(solvable.record())
     for check in _hoist_conditions(alg, c, hoist):
         report.add(check.record())
     return HoistSearch(hoist if report.ok else None, report)

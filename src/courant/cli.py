@@ -24,7 +24,7 @@ from .dorfman import IsoData, Quintuple, naive_matches_ce, standard_three_form
 from .fiber import QuadLieAlgebra
 from .geometry import FConnection, FForm, GConnection, GValuedForm, Patch
 from .poly import Poly, PolyParseError, parse_poly
-from .report import Check, Record, Report, Witness
+from .report import Check, CheckRecord, Record, Report
 
 # The key families of the config format, in the order config_to_text
 # writes them, each with its index names as the README spells them and
@@ -356,22 +356,14 @@ def config_to_text(cfg: Config) -> str:
 # -- commands ----------------------------------------------------------------
 
 
-def _emit(report: Report, prefix: str, entries) -> None:
-    """A passing record ``prefix.i.j..`` per nonzero (indices, value)."""
-    for indices, value in entries:
-        if value:
-            name = "%s.%s" % (prefix, ".".join(str(t) for t in indices))
-            report.add_pass(name, Witness("component", indices, str(value)))
-
-
 def _emit_aform(report: Report, prefix: str, form: AForm) -> None:
     for gidx, fidx in form.keys():
         kind = "g" * len(gidx) + "f" * len(fidx)
-        _emit(report, "%s.%s" % (prefix, kind), [(gidx + fidx, form.comps[(gidx, fidx)])])
+        report.add_components("%s.%s" % (prefix, kind), [(gidx + fidx, form.comps[(gidx, fidx)])])
 
 
 def _emit_fform(report: Report, prefix: str, form: FForm) -> None:
-    _emit(report, prefix, ((key, form.comps[key]) for key in form.keys()))
+    report.add_components(prefix, ((key, form.comps[key]) for key in form.keys()))
 
 
 def _require(cfg_piece, what: str):
@@ -389,14 +381,20 @@ def _linear_symmetric_fconnection(patch: Patch) -> FConnection:
     return FConnection(patch, gamma)
 
 
+def _verdict(name: str, refusal: Optional[str] = None) -> CheckRecord:
+    """The record ``name``: PASS, or FAIL with witness ``refusal`` and
+    residual 1 when a refusal is given."""
+    check = Check(name, refusal or "")
+    if refusal is not None:
+        check.add((), 1)
+    return check.record()
+
+
 def _compare(report: Report, name: str, got: Quintuple, want: Quintuple, mismatch: str) -> None:
     """A record ``name % part`` per part connection, curvature and hform:
     PASS where ``got`` and ``want`` agree, else FAIL with ``mismatch``."""
     for part, attr in (("connection", "conn"), ("curvature", "curv"), ("hform", "hform")):
-        if getattr(got, attr) == getattr(want, attr):
-            report.add_pass(name % part)
-        else:
-            report.add_fail(name % part, Witness(mismatch, (), "1"))
+        report.add(_verdict(name % part, None if getattr(got, attr) == getattr(want, attr) else mismatch))
 
 
 def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Report:
@@ -444,7 +442,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         search = charform.find_hoist(alg, cform)
         report.extend(search.report)
         if search.hoist is not None:
-            _emit(report, "hoist.J", _unvectors(search.hoist.j).items())
+            report.add_components("hoist.J", _unvectors(search.hoist.j).items())
     elif cmd == "build":
         cform = _require(cfg.cform, "cform")
         fiber_report = cfg.fiber.validate()
@@ -462,12 +460,12 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
         try:
             built = charform.build_from_pair(charform.CharPair(alg, cform), hoist)
         except ValueError as exc:
-            report.add_fail("build_coherent", Witness(str(exc), (), "1"))
+            report.add(_verdict("build_coherent", str(exc)))
             return report
-        report.add_pass("build_coherent")
+        report.add(_verdict("build_coherent"))
         report.extend(built.validate().renamed("built_%s"))
-        _emit(report, "built.gamma", _sparse(built.conn.gamma).items())
-        _emit(report, "built.R", _unvectors(built.curv).items())
+        report.add_components("built.gamma", _sparse(built.conn.gamma).items())
+        report.add_components("built.R", _unvectors(built.curv).items())
         _emit_fform(report, "built.H", built.hform)
     elif cmd == "roundtrip":
         pair = charform.characteristic_pair_of(q)
@@ -475,7 +473,7 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
             rebuilt = charform.build_from_pair(pair, Hoist.standard(cfg.patch, cfg.fiber.dim))
         except ValueError as exc:
             # invalid data: the canonical pair is not coherent, as in ``build``
-            report.add_fail("roundtrip_coherent", Witness(str(exc), (), "1"))
+            report.add(_verdict("roundtrip_coherent", str(exc)))
             return report
         _compare(report, "roundtrip_%s", rebuilt, q, "component mismatch")
     elif cmd == "transport":
@@ -499,11 +497,11 @@ def run_command(cmd: str, cfg: Config, degree: int = 2, kind: str = "") -> Repor
             try:
                 iso, predicted = morphism.central_shift_iso(q, hoist.j)
             except ValueError as exc:
-                report.add_fail("shift_hypotheses", Witness(str(exc), (), "1"))
+                report.add(_verdict("shift_hypotheses", str(exc)))
                 return report
         else:
             raise ConfigError("unknown shift kind %r" % kind)
-        report.add_pass("shift_hypotheses")
+        report.add(_verdict("shift_hypotheses"))
         moved = morphism.transport(q, iso)
         _compare(report, "shift_%s_matches", moved, predicted, "transport differs from prediction")
         report.extend(predicted.validate().renamed("target_%s"))

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import linalg
 from .poly import Poly, sum_products
-from .report import Record, Report, Witness, first_witness
+from .report import Check, Record, Report
 
 
 def _exact(v: Fraction):
@@ -67,18 +67,23 @@ class QuadLieAlgebra(Record):
 
     def validate(self) -> Report:
         """The fiber identities, each with the first witness of the dense
-        loop over all index tuples in lexicographic order.  A residual is
-        a sum of (products of) tensor entries, so adding each nonzero one
-        into the residuals it appears in builds all nonzero residuals."""
-        report = Report()
+        loop over all index tuples in lexicographic order
+        (``Check.add_sparse``).  A residual is a sum of (products of)
+        tensor entries, so adding each nonzero one into the residuals it
+        appears in builds all nonzero residuals."""
         g, b = self.g, self.b
+        skew_check = Check("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]")
+        jacobi_check = Check("fiber_jacobi", "jacobiator")
+        sym_check = Check("fiber_metric_symmetric", "g[i][j] - g[j][i]")
+        det_check = Check("fiber_metric_nondegenerate", "det(g)")
+        adinv_check = Check("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]")
         nonzero = self._c_nonzero
 
         skew: Dict[tuple, Fraction] = {}
         for i, j, k, v in nonzero:
             for key in ((i, j, k), (j, i, k)):
                 skew[key] = skew.get(key, 0) + v
-        report.add(first_witness("fiber_bracket_skew", "c[i][j][k] + c[j][i][k]", skew))
+        skew_check.add_sparse(skew)
 
         # the jacobiator is the cyclic sum over (i, j, k) of
         # T[i, j, k, s] = sum_l c_ij^l c_lk^s
@@ -90,18 +95,15 @@ class QuadLieAlgebra(Record):
             for k, s, w in starting[l]:
                 for key in ((i, j, k, s), (k, i, j, s), (j, k, i, s)):
                     jacobi[key] = jacobi.get(key, 0) + v * w
-        report.add(first_witness("fiber_jacobi", "jacobiator", jacobi))
+        jacobi_check.add_sparse(jacobi)
 
         sym: Dict[tuple, Fraction] = {}
         for v, i, j in self.g_terms:
             sym[i, j] = sym.get((i, j), 0) + v
             sym[j, i] = sym.get((j, i), 0) - v
-        report.add(first_witness("fiber_metric_symmetric", "g[i][j] - g[j][i]", sym))
-
-        if linalg.rational_det(g):
-            report.add_pass("fiber_metric_nondegenerate")
-        else:
-            report.add_fail("fiber_metric_nondegenerate", Witness("det(g)", (), "0"))
+        sym_check.add_sparse(sym)
+        if not linalg.rational_det(g):
+            det_check.add((), "0")
 
         # total antisymmetry of B (skew in (i,j) is implied by the bracket
         # skew check; the new content is antisymmetry in the last two slots)
@@ -111,8 +113,8 @@ class QuadLieAlgebra(Record):
                 if v:
                     for key in ((i, j, k), (i, k, j)):
                         adinv[key] = adinv.get(key, 0) + v
-        report.add(first_witness("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]", adinv))
-        return report
+        adinv_check.add_sparse(adinv)
+        return Report([c.record() for c in (skew_check, jacobi_check, sym_check, det_check, adinv_check)])
 
     # -- operations --------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fiber import QuadLieAlgebra
 from .poly import Poly
-from .report import FrozenRecord, Record, Report, first_witness
+from .report import Check, FrozenRecord, Record, Report
 
 
 class Patch(FrozenRecord):
@@ -304,7 +304,7 @@ def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
     metric entry or a structure constant, so adding each such term into
     the residual it appears in builds every nonzero residual; each record
     carries the first witness of the dense loop over all index tuples in
-    lexicographic order (``first_witness``).
+    lexicographic order (``Check.add_sparse``).
     """
     m = conn.dim
     g_rows: List[list] = [[] for _ in range(m)]  # g_rows[i]: (j, g_ij)
@@ -344,14 +344,11 @@ def validate_connection(conn: GConnection, fiber: QuadLieAlgebra) -> Report:
                 for i, k, v in c_second[r]:
                     add(deriv, (a, i, s, k), gam.scale(-v))
 
-    return Report([
-        first_witness("conn_metric_skew", "g*Gamma_a + Gamma_a^T*g", skew),
-        first_witness(
-            "conn_bracket_derivation",
-            "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]",
-            deriv,
-        ),
-    ])
+    metric = Check("conn_metric_skew", "g*Gamma_a + Gamma_a^T*g")
+    derivation = Check("conn_bracket_derivation", "Gamma_a[e_i,e_j] - [Gamma_a e_i,e_j] - [e_i,Gamma_a e_j]")
+    metric.add_sparse(skew)
+    derivation.add_sparse(deriv)
+    return Report([metric.record(), derivation.record()])
 
 
 def pontryagin_form(curv: GValuedForm, fiber: QuadLieAlgebra) -> FForm:

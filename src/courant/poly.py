@@ -38,9 +38,9 @@ the checks nest these a few times), while reaching 2^64 takes more
 than 2^32 factors of degree below 2^32; so no product overflows a
 field.
 
-``terms``, ``coefficient_vectors``, ``evaluate``, ``is_constant``,
-``constant_value`` and ``str`` unpack keys at the boundary: the public
-view is exponent tuples.  ``terms`` is a read-only view of the
+``terms``, ``coefficient_vectors``, ``is_constant``, ``constant_value``
+and ``str`` unpack keys at the boundary: the public view is exponent
+tuples.  ``terms`` is a read-only view of the
 coefficients themselves: ints when a coefficient's reduced denominator
 is 1, ``fractions.Fraction`` otherwise.
 

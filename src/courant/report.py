@@ -5,6 +5,13 @@ carry a witness: the violated identity, the index tuple where it
 failed, and the residual polynomial in canonical text form.  Reports
 are fully deterministic (fixed record order, no timestamps), so two
 runs on the same input produce byte-identical output.
+
+One recorder: every check in ``src/`` records its verdict through a
+``Check``, whose ``add*`` methods return whether it has failed, so a
+first-witness loop stops with ``if check.add(...): break``.  Only this
+module builds ``Witness`` and ``CheckRecord`` values; the one record
+that is not a check, a component of a computed object, comes from
+``Report.add_components``.
 """
 
 from __future__ import annotations
@@ -86,7 +93,8 @@ class Check:
     the first nonzero residual becomes the witness of a failing record.
     ``add_section`` and ``add_form`` take a whole section or form and
     pick its residual by the shared rules: the first nonzero component
-    of a section, and the component at the first key of a form.
+    of a section, and the component at the first key of a form.  Every
+    ``add*`` returns ``failed``, so a loop stops on its first witness.
     """
 
     def __init__(self, name: str, identity: str):
@@ -98,15 +106,17 @@ class Check:
     def failed(self) -> bool:
         return self.witness is not None
 
-    def add(self, indices: Sequence, residual) -> None:
+    def add(self, indices: Sequence, residual) -> bool:
         if residual and self.witness is None:
             self.witness = Witness(self.identity, tuple(indices), str(residual))
+        return self.failed
 
-    def add_section(self, indices: Sequence, section) -> None:
+    def add_section(self, indices: Sequence, section) -> bool:
         if self.witness is None and not section.is_zero():
             self.add(indices, next(c for c in section.components() if c))
+        return self.failed
 
-    def add_form(self, form) -> None:
+    def add_form(self, form) -> bool:
         """The residual is the component at the form's first key.  Keys
         of forms on A, (fiber, leaf) pairs of index tuples, flatten to
         the fiber indices followed by the leaf indices."""
@@ -114,22 +124,20 @@ class Check:
         if keys:
             key = keys[0]
             self.add(key[0] + key[1] if key and isinstance(key[0], tuple) else key, form.comps[key])
+        return self.failed
+
+    def add_sparse(self, residuals: dict) -> bool:
+        """The residuals at their 0-based index tuples, in lexicographic
+        order, up to the first witness: the witness of the dense loop
+        over all index tuples, when ``residuals`` holds every nonzero
+        residual of that loop."""
+        for key in sorted(residuals):
+            if self.add(tuple(t + 1 for t in key), residuals[key]):
+                break
+        return self.failed
 
     def record(self) -> CheckRecord:
         return CheckRecord(self.name, "fail" if self.failed else "pass", self.witness)
-
-
-def first_witness(name: str, identity: str, residuals: dict) -> CheckRecord:
-    """The record of ``identity`` fed the residuals at their 0-based index
-    tuples in lexicographic order, up to its first witness: the record of
-    the dense loop over all index tuples, when ``residuals`` holds every
-    nonzero residual of that loop."""
-    check = Check(name, identity)
-    for key in sorted(residuals):
-        check.add(tuple(t + 1 for t in key), residuals[key])
-        if check.failed:
-            break
-    return check.record()
 
 
 class Report(Record):
@@ -141,11 +149,13 @@ class Report(Record):
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
-    def add_pass(self, name: str, witness: Optional[Witness] = None) -> None:
-        self.records.append(CheckRecord(name, "pass", witness))
-
-    def add_fail(self, name: str, witness: Optional[Witness] = None) -> None:
-        self.records.append(CheckRecord(name, "fail", witness))
+    def add_components(self, prefix: str, entries) -> None:
+        """A passing record ``prefix.i.j..`` per nonzero (indices, value),
+        whose witness is the component itself."""
+        for indices, value in entries:
+            if value:
+                name = "%s.%s" % (prefix, ".".join(str(t) for t in indices))
+                self.records.append(CheckRecord(name, "pass", Witness("component", indices, str(value))))
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)

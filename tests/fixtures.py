@@ -34,7 +34,7 @@ from courant.linalg import (
 )
 from courant.morphism import pullback_aform
 from courant.poly import sum_products
-from courant.report import Report, Witness
+from courant.report import CheckRecord, Report, Witness
 
 
 def direct_sum(a: QuadLieAlgebra, b: QuadLieAlgebra) -> QuadLieAlgebra:
@@ -300,11 +300,13 @@ def is_ample_automorphism(q: Quintuple, tau: List[List[Poly]], phi: GValuedForm)
     report.records = [r for r in report.records if r.name != "iso_pairing_condition"]
     moved = transport(q, iso)
     if moved.conn != q.conn:
-        report.add_fail("ample_bracket_preserved", Witness("transported connection differs", (), "nonzero"))
+        witness = Witness("transported connection differs", (), "nonzero")
+        report.add(CheckRecord("ample_bracket_preserved", "fail", witness))
     elif moved.curv != q.curv:
-        report.add_fail("ample_bracket_preserved", Witness("transported curvature differs", (), "nonzero"))
+        witness = Witness("transported curvature differs", (), "nonzero")
+        report.add(CheckRecord("ample_bracket_preserved", "fail", witness))
     else:
-        report.add_pass("ample_bracket_preserved")
+        report.add(CheckRecord("ample_bracket_preserved", "pass"))
     return report
 
 

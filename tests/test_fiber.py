@@ -11,7 +11,7 @@ from courant.geometry import FForm, GConnection, GValuedForm
 from courant.dorfman import Quintuple
 from courant.linalg import rational_det
 from courant.poly import parse_poly
-from courant.report import Check, Report, Witness
+from courant.report import Check, CheckRecord, Report, Witness
 from fixtures import center, direct_sum, rand_poly
 
 
@@ -328,9 +328,9 @@ def dense_validate(fib) -> Report:
     report.add(sym.record())
 
     if rational_det(g):
-        report.add_pass("fiber_metric_nondegenerate")
+        report.add(CheckRecord("fiber_metric_nondegenerate", "pass"))
     else:
-        report.add_fail("fiber_metric_nondegenerate", Witness("det(g)", (), "0"))
+        report.add(CheckRecord("fiber_metric_nondegenerate", "fail", Witness("det(g)", (), "0")))
 
     adinv = Check("fiber_ad_invariance", "B[i][j][k] + B[i][k][j]")
     for i, j, k in product(range(m), repeat=3):

@@ -90,6 +90,7 @@ KNOCKOUTS = {
     "curv_contract=0": ("curv_contract", _zeroed("curv_contract")),
     "curv_contract*-1": ("curv_contract", _flipped("curv_contract")),
     "p_form=0": ("p_form", _zeroed("p_form")),
+    "p_form*-1": ("p_form", _flipped("p_form")),
     "vf_bracket=0": ("vf_bracket", _zeroed("vf_bracket")),
     "vf_bracket*-1": ("vf_bracket", _flipped("vf_bracket")),
     "anchor_apply=0": ("anchor_apply", _zeroed("anchor_apply")),
@@ -128,6 +129,7 @@ EXPECTED_A = {
     "curv_contract=0": [],
     "curv_contract*-1": [],
     "p_form=0": [],
+    "p_form*-1": [],
     "vf_bracket=0": [
         ("axiom_1", (3, 5, 11), "1"),
         ("axiom_3", (3, 3, 3), "-1"),
@@ -190,6 +192,12 @@ EXPECTED_D = {
         ("axiom_4", (3, 10), "-2"),
         ("axiom_6", (3, 5, 7), "-1"),
         ("leibniz_left_rule", (3, 3, 2), "-2"),
+    ],
+    "p_form*-1": [
+        ("axiom_1", (3, 4, 6), "-4"),
+        ("axiom_4", (3, 10), "-4"),
+        ("axiom_6", (3, 5, 7), "-2"),
+        ("leibniz_left_rule", (3, 3, 2), "-4"),
     ],
     "vf_bracket=0": [
         ("axiom_1", (3, 6, 21), "-1"),

@@ -1,6 +1,6 @@
 from courant import FForm, Patch, Poly
 from courant.ample import AForm, Section
-from courant.report import Check, Report, Witness
+from courant.report import Check, CheckRecord, Report, Witness
 
 
 def test_check_keeps_first_nonzero_witness():
@@ -40,8 +40,8 @@ def test_check_form_rule_takes_first_key():
 
 def test_report_renamed():
     report = Report()
-    report.add_pass("a")
-    report.add_fail("b", Witness("id", (1,), "2"))
+    report.add(CheckRecord("a", "pass"))
+    report.add(CheckRecord("b", "fail", Witness("id", (1,), "2")))
     renamed = report.renamed("target_%s")
     assert [r.name for r in renamed] == ["target_a", "target_b"]
     assert [r.status for r in renamed] == ["pass", "fail"]
