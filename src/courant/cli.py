@@ -7,13 +7,15 @@ grammar of :mod:`courant.poly` and may be double-quoted.  ``FAMILIES``
 holds every indexed key, for the parser and the writer alike; the
 README documents each one.
 
+``parse_args`` reads COMMAND CONFIG and full ``--option value`` pairs
+itself (``_plain``) and imports argparse (~2 ms) only for other argv.
+
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input
 error (I/O, syntax, shape or a missing config block).
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
@@ -525,122 +527,66 @@ def emit_report(report: Report, fmt: str = "text") -> str:
 
 
 USAGE = "usage: courant COMMAND CONFIG [--format {text,json}] [--degree INT] [--kind {hoist,omega,central}]"
-HELP = USAGE + """
-
-Exact verification of split-form regular Courant algebroids.
-COMMAND: %s.
---format defaults to text and --degree (the degree cap) to 2; --kind
-applies to shift only, where it is required.
-""" % ", ".join(COMMANDS)
-# Option -> the choices of its value; --degree takes an int, --help no value.
-OPTIONS = {"--help": (), "--format": ("text", "json"), "--degree": None, "--kind": ("hoist", "omega", "central")}
-# argparse's negative number, which is a value and not an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# Option -> the choices of its value; --degree takes an int.
+OPTIONS = {"--format": ("text", "json"), "--degree": None, "--kind": ("hoist", "omega", "central")}
 
 
-def _usage_error(message: str):
-    sys.stderr.write("%s\ncourant: error: %s\n" % (USAGE, message))
-    raise SystemExit(2)
-
-
-def _choices(values) -> str:
-    return "(choose from %s)" % ", ".join(map(repr, values))
-
-
-def _classify(arg: str):
-    """How argparse reads ``arg``: (option, explicit value or None) for
-    one of ``OPTIONS``, (None, None) for an unknown option, None for a
-    value (no leading '-', '-' alone, a negative number or a string with
-    a space)."""
-    if len(arg) < 2 or arg[0] != "-":
+def _plain(argv: List[str]) -> Optional[Dict[str, object]]:
+    """The values of ``argv``, as argparse reads them, if it is COMMAND
+    CONFIG and ``--option value`` pairs, each option in full, each value
+    valid and none of them or CONFIG starting with '-'; else None."""
+    if len(argv) < 2 or len(argv) % 2 or argv[0] not in COMMANDS or argv[1].startswith("-"):
         return None
-    name, eq, value = arg.partition("=")
-    explicit = value if eq else None
-    if name == "-h":
-        return "--help", explicit
-    if name in OPTIONS:
-        return name, explicit
-    if arg[1] == "-":
-        matches = [option for option in OPTIONS if option.startswith(name)]
-        if len(matches) > 1:
-            _usage_error("ambiguous option: %s could match %s" % (arg, ", ".join(matches)))
-        if matches:
-            return matches[0], explicit
-    elif arg[1] == "h":
-        # argparse reads -hh.. as repeated -h, and refuses what follows
-        return "--help", arg[2:].lstrip("h") or None
-    if _NEGATIVE.match(arg) or " " in arg:
-        return None
-    return None, None
+    args: Dict[str, object] = {"command": argv[0], "config": argv[1], "format": "text", "degree": 2, "kind": None}
+    for option, value in zip(argv[2::2], argv[3::2]):
+        if option not in OPTIONS or value.startswith("-"):
+            return None
+        if option == "--degree":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif value not in OPTIONS[option]:
+            return None
+        args[option[2:]] = value
+    return args
+
+
+def _parser():
+    """The argparse parser of the whole grammar, for the argv that _plain
+    leaves; its errors, like the kind rule's, write USAGE first."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="courant",
+        usage=USAGE[len("usage: "):],
+        description="Exact verification of split-form regular Courant algebroids.",
+    )
+    parser.add_argument("command", choices=COMMANDS, help="what to check, emit or build")
+    parser.add_argument("config", help="the config file")
+    parser.add_argument("--format", choices=OPTIONS["--format"], default="text", help="report format (default: %(default)s)")
+    parser.add_argument("--degree", type=int, default=2, metavar="INT", help="degree cap (default: %(default)s)")
+    parser.add_argument("--kind", choices=OPTIONS["--kind"], help="shift only, required there")
+    return parser
 
 
 def parse_args(argv: List[str]) -> Dict[str, object]:
-    """The command, config, format, degree and kind that ``argv`` gives.
-
-    The grammar is COMMAND CONFIG [--format {text,json}] [--degree INT]
-    [--kind {hoist,omega,central}], read as argparse reads it: options
-    in any position, ``--opt value`` or ``--opt=value``, a unique prefix
-    of an option, the last of repeated options, and ``--`` ending the
-    options.  ``-h``/``--help`` prints the help and raises
-    SystemExit(0); a usage error writes the usage and the error to
-    stderr and raises SystemExit(2).  (argparse itself costs every
-    command ~2 ms of import.)"""
-    # the first "--" ends the options; argparse hands it to an adjacent
-    # positional, else it is unrecognized, and no option takes it as a value
-    if "--" in argv:
-        cut = argv.index("--")
-        items = [(arg, _classify(arg)) for arg in argv[:cut]] + [("--", "--")] + [(arg, None) for arg in argv[cut + 1:]]
-    else:
-        items = [(arg, _classify(arg)) for arg in argv]
-    args: Dict[str, object] = {"format": "text", "degree": 2, "kind": None}
-    positionals: List[str] = []
-    unknown: List[str] = []
-    index, took_positional = 0, False
-    while index < len(items):
-        arg, kind = items[index]
-        index += 1
-        if kind == "--":
-            if not (took_positional or index < len(items) and len(positionals) < 2):
-                unknown.append(arg)
-            continue
-        took_positional = kind is None and len(positionals) < 2
-        if kind is None:
-            if not positionals and arg not in COMMANDS:
-                _usage_error("argument command: invalid choice: %r %s" % (arg, _choices(COMMANDS)))
-            (positionals if took_positional else unknown).append(arg)
-            continue
-        name, value = kind
-        if name is None:
-            unknown.append(arg)
-        elif name == "--help":
-            if value is not None:
-                _usage_error("argument -h/--help: ignored explicit argument %r" % value)
-            sys.stdout.write(HELP)
-            raise SystemExit(0)
-        else:
-            if value is None:
-                if index == len(items) or items[index][1] is not None:
-                    _usage_error("argument %s: expected one argument" % name)
-                value = items[index][0]
-                index += 1
-            choices = OPTIONS[name]
-            if choices is None:
-                try:
-                    value = int(value)
-                except ValueError:
-                    _usage_error("argument %s: invalid int value: %r" % (name, value))
-            elif value not in choices:
-                _usage_error("argument %s: invalid choice: %r %s" % (name, value, _choices(choices)))
-            args[name[2:]] = value
-    if len(positionals) < 2:
-        _usage_error("the following arguments are required: %s" % ", ".join(("command", "config")[len(positionals):]))
-    if unknown:
-        _usage_error("unrecognized arguments: %s" % " ".join(unknown))
-    args["command"], args["config"] = positionals
+    """The command, config, format, degree and kind that ``argv`` gives,
+    by _plain or else by argparse.  ``-h`` prints the help and raises
+    SystemExit(0); a usage error, shift without --kind or --kind on any
+    other command included, writes USAGE and the error to stderr and
+    raises SystemExit(2)."""
+    args = _plain(argv)
+    if args is None:
+        args = vars(_parser().parse_args(argv))
+        if args["config"] == []:
+            # argparse drops the "--" it hands to a positional, so a
+            # second "--" after the first reaches the config as []
+            args["config"] = "--"
     if args["command"] == "shift" and args["kind"] is None:
-        _usage_error("shift requires --kind")
+        _parser().error("shift requires --kind")
     if args["command"] != "shift" and args["kind"] is not None:
-        _usage_error("--kind applies to shift only")
+        _parser().error("--kind applies to shift only")
     return args
 
 

@@ -74,6 +74,32 @@ def test_import_cli_loads_no_json_and_no_lazy_layer():
     assert _fresh(code) == ["[]", "[]"]
 
 
+def test_plain_argv_imports_no_argparse():
+    # the argv shapes of the benchmark's tasks: CMD CFG --format F, then
+    # nothing, --degree 1, --degree 2 or --kind K; any other argv goes
+    # to argparse, as --deg=1 does
+    runs = [
+        ["charform", "fixture_d.cfg", "--format", "json"],
+        ["axioms", "fixture_c.cfg", "--format", "text", "--degree", "1"],
+        ["check", "fixture_d.cfg", "--format", "json", "--degree", "2"],
+        ["shift", "fixture_d_hoist.cfg", "--format", "text", "--kind", "hoist"],
+    ]
+    runs = [[argv[0], str(CONFIGS / argv[1])] + argv[2:] for argv in runs]
+    code = (
+        "import contextlib, io, sys\n"
+        "from courant.cli import main, parse_args\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    print([m for m in ('argparse', 'gettext') if m in sys.modules])\n"
+        "print(sorted(parse_args(['axioms', 'a.cfg', '--deg=1']).items()))\n"
+        "print('argparse' in sys.modules)\n"
+    ) % (runs,)
+    want = ["[]"] * len(runs)
+    want.append(repr(sorted(dict(command="axioms", config="a.cfg", format="text", degree=1, kind=None).items())))
+    assert _fresh(code) == want + ["True"]
+
+
 def test_reading_a_lazy_module_dict_loads_it():
     # bench/tracing.py wraps each layer through vars(module)
     code = (
