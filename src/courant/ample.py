@@ -23,9 +23,10 @@ Forms on A are stored by bigraded components: the value on
 (e_{i_1},..,e_{i_s}, d/dx_{a_1},..,d/dx_{a_t}) with both index groups
 strictly increasing and fiber arguments first; ``AForm`` shares the
 container ``geometry.Form`` with ``FForm`` and ``GValuedForm``, and
-adds the bigraded key check.  Evaluation on any
-argument order resolves the permutation sign, and evaluation on
-general sections expands multilinearly over the frame.
+adds the bigraded key check.  A frame element of A is named by its
+position t in a section's ``r + x`` (e_{t+1}, or d/dx_{t+1-m} for
+t >= m): ``frame_wedge`` gives a key's positions, and ``eval_frame``
+reads positions in any order with the permutation sign.
 ``frame_differential`` is the one Chevalley-Eilenberg sum on wedges of
 frame sections: ``ce_differential`` runs it on the frame of A with the
 ample bracket, the naive differential of :mod:`courant.dorfman` on the
@@ -241,12 +242,9 @@ class Hoist(Record):
     def standard(patch: Patch, dim: int) -> "Hoist":
         return Hoist(GValuedForm.zero(patch, dim, 1))
 
-    def column(self, a: int) -> List[Poly]:
-        return self.j.get((a,))
-
     def section(self, alg: QuadAlgebroid, a: int) -> Section:
         s = alg.coord(a)
-        s.r = self.column(a)
+        s.r = self.j.get((a,))
         return s
 
 
@@ -259,7 +257,7 @@ def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
     p = patch.p
     gamma = []
     for a in range(1, p + 1):
-        ja = h.column(a)
+        ja = h.j.get((a,))
         ad_j = alg.fiber.ad_matrix(ja)
         base = alg.conn.gamma[a - 1]
         gamma.append([[base[i][j] + ad_j[i][j] for j in range(m)] for i in range(m)])
@@ -270,9 +268,6 @@ def hoist_data(alg: QuadAlgebroid, h: Hoist) -> Tuple[GConnection, GValuedForm]:
         comps[(a, b)] = alg.bracket(h.section(alg, a), h.section(alg, b)).r
     curv = GValuedForm(patch, m, 2, comps)
     return conn, curv
-
-
-FrameSym = Tuple[str, int]
 
 
 class AForm(Form):
@@ -306,14 +301,13 @@ class AForm(Form):
             raise ValueError("component index out of range")
         return (gidx, fidx), value
 
-    def eval_frame(self, args: Sequence[FrameSym]) -> Poly:
-        """Value on frame symbols in any order; repeats give zero."""
+    def eval_frame(self, args: Sequence[int]) -> Poly:
+        """Value on A-frame positions in any order; repeats give zero."""
         if len(args) != self.degree:
             raise ValueError("wrong number of arguments")
-        ranked = [(0, idx) if kind == "g" else (1, idx) for kind, idx in args]
-        key, sign = sort_with_sign(ranked)
-        gidx = tuple(idx for rank, idx in key if rank == 0)
-        fidx = tuple(idx for rank, idx in key if rank == 1)
+        key, sign = sort_with_sign(args)
+        gidx = tuple(t + 1 for t in key if t < self.dim)
+        fidx = tuple(t + 1 - self.dim for t in key if t >= self.dim)
         return self._signed((gidx, fidx), sign)
 
     def eval_sections(self, args: Sequence[Section]) -> Poly:
@@ -321,6 +315,8 @@ class AForm(Form):
         their r and x parts."""
         if len(args) != self.degree:
             raise ValueError("wrong number of arguments")
+        if any(len(u.r) != self.dim or len(u.x) != self.patch.p for u in args):
+            raise ValueError("section shape does not match the form")
         return self._expand(args, 0, [])
 
     def _expand(self, args, pos, frame_args) -> Poly:
@@ -328,14 +324,9 @@ class AForm(Form):
             return self.eval_frame(frame_args)
         total = self.patch.zero()
         sec = args[pos]
-        for i, coeff in enumerate(sec.r, start=1):
+        for t, coeff in enumerate(sec.r + sec.x):
             if coeff:
-                sub = self._expand(args, pos + 1, frame_args + [("g", i)])
-                if sub:
-                    total = total + coeff * sub
-        for a, coeff in enumerate(sec.x, start=1):
-            if coeff:
-                sub = self._expand(args, pos + 1, frame_args + [("f", a)])
+                sub = self._expand(args, pos + 1, frame_args + [t])
                 if sub:
                     total = total + coeff * sub
         return total
@@ -358,17 +349,17 @@ def aform_keys(patch: Patch, dim: int, degree: int):
     return sorted(keys)
 
 
-def _asyms(alg: QuadAlgebroid) -> List[FrameSym]:
-    """The frame symbols of A in the order of the r and x parts."""
-    m, p = alg.fiber.dim, alg.patch.p
-    return [("g", i) for i in range(1, m + 1)] + [("f", a) for a in range(1, p + 1)]
+def frame_wedge(dim: int, key) -> List[int]:
+    """The A-frame positions of a component key (gidx, fidx): e_i at
+    i - 1, d/dx_a at dim + a - 1."""
+    gidx, fidx = key
+    return [i - 1 for i in gidx] + [dim + a - 1 for a in fidx]
 
 
-def frame_symbols(alg: QuadAlgebroid, frames: Sequence) -> List:
-    """Each frame's symbol, its one nonzero r or x component (a unit), or
-    None for a frame with neither (delta^a): every form on A vanishes there."""
-    asyms = _asyms(alg)
-    return [next((sym for coeff, sym in zip(u.r + u.x, asyms) if coeff.num), None) for u in frames]
+def frame_positions(frames: Sequence) -> List:
+    """The position of each frame's one nonzero r or x component (a unit),
+    or None for a frame with neither (delta^a): forms on A vanish there."""
+    return [next((t for t, coeff in enumerate(u.r + u.x) if coeff.num), None) for u in frames]
 
 
 def frame_differential(
@@ -380,31 +371,30 @@ def frame_differential(
         sum_pos (-1)^pos rho(u_pos) w(.., u_pos omitted, ..)
         + sum_{i<j} (-1)^(i+j) w([u_i, u_j], .., u_i, u_j omitted, ..).
 
-    ``w`` reads a frame through ``eval_frame`` at its ``frame_symbols``
-    entry; a frame without one gives zero.  ``bracket(s, t)``
-    is called once per increasing pair of frame indices, and its result
-    enters through its r and x parts, its projection to A; a ``w`` of
-    degree 0 has no pair of positions, so then it is never called.
+    ``w`` reads a frame through ``eval_frame`` at its ``frame_positions``
+    entry; a frame without one gives zero.  ``bracket(s, t)`` is called
+    once per increasing pair of frame indices, and its result enters
+    through its r and x parts, its projection to A, at their positions;
+    a ``w`` of degree 0 has no pair (i, j), so then it is never called.
     """
     if w.patch != alg.patch or w.dim != alg.fiber.dim:
         raise ValueError("form does not live on this algebroid")
-    asyms = _asyms(alg)
-    syms = frame_symbols(alg, frames)
-    # every wedge has degree + 1 frames: its pairs (i, j) and the other positions
+    positions = frame_positions(frames)
+    # every wedge has degree + 1 frames: its pairs (i, j) and the other slots
     pairs = [(i, j, [k for k in range(w.degree + 1) if k != i and k != j])
              for i, j in combinations(range(w.degree + 1), 2)]
     brackets = {}
-    for s, t in combinations(range(len(frames)), 2) if pairs else ():
-        br = bracket(s, t)
-        terms = [(coeff, sym) for coeff, sym in zip(br.r + br.x, asyms) if coeff.num]
+    for i, j in combinations(range(len(frames)), 2) if pairs else ():
+        br = bracket(i, j)
+        terms = [(coeff, t) for t, coeff in enumerate(br.r + br.x) if coeff.num]
         if terms:
-            brackets[(s, t)] = terms
+            brackets[(i, j)] = terms
     zero = alg.zero_poly()
     out = []
     for wedge in wedges:
-        args = [syms[k] for k in wedge]
+        args = [positions[k] for k in wedge]
         total = zero
-        # a frame without a symbol has zero anchor, and w vanishes on it
+        # a frame without a position has zero anchor, and w vanishes on it
         if None not in args:
             for pos, k in enumerate(wedge):
                 value = alg.anchor_apply(frames[k], w.eval_frame(args[:pos] + args[pos + 1:]))
@@ -418,8 +408,8 @@ def frame_differential(
             if None in rest:
                 continue
             acc = zero
-            for coeff, sym in terms:
-                sub = w.eval_frame([sym] + rest)
+            for coeff, t in terms:
+                sub = w.eval_frame([t] + rest)
                 if sub.num:
                     acc = acc + coeff * sub
             if acc.num:
@@ -435,7 +425,7 @@ def ce_differential(alg: QuadAlgebroid, w: AForm) -> AForm:
     m, p = alg.fiber.dim, alg.patch.p
     frames = [alg.fiber_elem(i) for i in range(1, m + 1)] + [alg.coord(a) for a in range(1, p + 1)]
     keys = aform_keys(alg.patch, m, w.degree + 1)
-    wedges = [[i - 1 for i in gidx] + [m + a - 1 for a in fidx] for gidx, fidx in keys]
+    wedges = [frame_wedge(m, key) for key in keys]
     table = frame_differential(alg, w, frames, lambda s, t: alg.bracket(frames[s], frames[t]), wedges)
     # zero values skip the constructor's key checks
     return AForm(alg.patch, m, w.degree + 1, {key: v for key, (_, v) in zip(keys, table) if v})

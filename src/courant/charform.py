@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .ample import AForm, Hoist, QuadAlgebroid, Section, aform_keys, ce_differential, hoist_data
+from .ample import AForm, Hoist, QuadAlgebroid, Section, aform_keys, ce_differential, frame_wedge, hoist_data
 from .dorfman import HALF, FrameBrackets, Quintuple, standard_three_form
 from .geometry import FConnection, FForm, GValuedForm
 from .poly import Poly, coefficient_vectors
@@ -104,8 +104,7 @@ def e_connection_form(q: Quintuple, fc: FConnection, table: Optional[FrameBracke
 
     comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
     for key in aform_keys(q.patch, m, 3):
-        gidx, fidx = key
-        comps[key] = value_on(tuple([p + i - 1 for i in gidx] + [p + m + a - 1 for a in fidx]))
+        comps[key] = value_on(tuple(p + t for t in frame_wedge(m, key)))
     return AForm(q.patch, m, 3, comps)
 
 
@@ -122,7 +121,7 @@ def _coherent_cartan(alg: QuadAlgebroid, c: AForm) -> Check:
     for gidx in combinations(range(1, m + 1), 3):
         i, j, k = gidx
         expected = Poly.const(n, cartan[i - 1][j - 1][k - 1])
-        check.add(gidx, c.eval_frame([("g", i), ("g", j), ("g", k)]) - expected)
+        check.add(gidx, c.eval_frame(frame_wedge(m, (gidx, ()))) - expected)
     return check
 
 
@@ -205,7 +204,7 @@ def find_hoist(alg: QuadAlgebroid, c: AForm) -> HoistSearch:
 
     columns: List[List[Poly]] = []
     for a in range(1, p + 1):
-        rhs_polys = [c.eval_frame([("g", i), ("g", j), ("f", a)]) for i, j in pairs]
+        rhs_polys = [c.eval_frame(frame_wedge(m, (pair, (a,)))) for pair in pairs]
         col = [Poly.zero(patch.n) for _ in range(m)]
         for exp, rhs in coefficient_vectors(rhs_polys):
             mono = Poly(patch.n, {exp: 1})

@@ -60,7 +60,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 from . import axioms, linalg
-from .ample import AForm, QuadAlgebroid, Section, add_live, ce_differential, frame_differential, frame_symbols, live, sub_live
+from .ample import AForm, QuadAlgebroid, Section, add_live, ce_differential, frame_differential, frame_positions, live, sub_live
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d, pontryagin_form, validate_connection
 from .poly import Poly
@@ -332,13 +332,6 @@ class IsoData(Record):
         self.phi = phi
         self.beta = beta
 
-    def phi_col(self, a: int) -> List[Poly]:
-        return self.phi.get((a,))
-
-    def beta_col(self, a: int) -> List[Poly]:
-        """Components of beta(d_a) in the dual frame."""
-        return [row[a - 1] for row in self.beta]
-
 
 class FrameBrackets(dict):
     """The Dorfman brackets [[u_i, u_j]] of a fixed list of sections u,
@@ -409,10 +402,10 @@ def naive_differential(q: Quintuple, s: AForm) -> List[Tuple[Tuple[int, ...], Po
 def naive_matches_ce(q: Quintuple, s: AForm) -> Report:
     """Compare the naive-differential table with the algebroid differential."""
     ds = ce_differential(q, s)
-    syms = frame_symbols(q, q.frame_sections())
+    positions = frame_positions(q.frame_sections())
     check = Check("naive_matches_ce", "naive table minus algebroid differential")
     for wedge, value in naive_differential(q, s):
-        args = [syms[t] for t in wedge]
+        args = [positions[k] for k in wedge]
         expected = q.zero_poly() if None in args else ds.eval_frame(args)
         check.add(tuple(t + 1 for t in wedge), value - expected)
     return Report([check.record()])

@@ -63,11 +63,7 @@ class Patch(FrozenRecord):
 
 def sort_with_sign(indices: Sequence) -> Tuple[tuple, int]:
     """Sort a tuple of comparable indices, returning (sorted tuple,
-    permutation sign).
-
-    Repeated indices give sign 0.  Indices may themselves be tuples,
-    such as the (rank, index) pairs of ample frame symbols.
-    """
+    permutation sign); repeated indices give sign 0."""
     idx = list(indices)
     sign = 1
     for i in range(1, len(idx)):

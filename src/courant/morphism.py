@@ -25,7 +25,7 @@ from itertools import combinations, product
 from typing import List, Tuple
 
 from . import linalg
-from .ample import AForm, Hoist, Section, aform_keys, ce_differential, hoist_data, live
+from .ample import AForm, Hoist, Section, aform_keys, ce_differential, frame_wedge, hoist_data, live
 from .dorfman import HALF, IsoData, Quintuple, check_degree_cap, standard_three_form
 from .fiber import QuadLieAlgebra
 from .geometry import FForm, GConnection, GValuedForm, Patch, leafwise_d
@@ -42,7 +42,7 @@ def validate_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData) -> Report:
     for a in range(1, p + 1):
         for b in range(a, p + 1):
             residual = (beta[b - 1][a - 1] + beta[a - 1][b - 1]).scale(HALF) + fiber.pairing(
-                iso.phi_col(a), iso.phi_col(b), n
+                iso.phi.get((a,)), iso.phi.get((b,)), n
             )
             pairing.add((a, b), residual)
     report.add(pairing.record())
@@ -76,14 +76,14 @@ def apply_iso(patch: Patch, fiber: QuadLieAlgebra, iso: IsoData, e: Section) -> 
     """Image of a section; preserves the pseudo-metric exactly.  The map
     is linear in the section, so a zero part r or x is skipped."""
     n = patch.n
-    parts = [(x, iso.phi_col(a), iso.beta_col(a)) for a, x in enumerate(e.x, 1) if x]
+    parts = [(x, iso.phi.get((a,)), [row[a - 1] for row in iso.beta]) for a, x in enumerate(e.x, 1) if x]
     xi, r = e.xi, e.r
     if parts:  # + beta(x)
         xi = [u + sum_products(n, [(1, x, col[a]) for x, _, col in parts]) for a, u in enumerate(xi)]
     if live(r):
         r = linalg.poly_mat_vec(iso.tau, r)
         # - 2 phi^* tau(r), with (phi^* s)_a = <s, phi(d_a)>
-        xi = [u - fiber.pairing(r, iso.phi_col(a), n).scale(2) for a, u in enumerate(xi, 1)]
+        xi = [u - fiber.pairing(r, iso.phi.get((a,)), n).scale(2) for a, u in enumerate(xi, 1)]
     if parts:  # + phi(x)
         r = [u + sum_products(n, [(1, x, col[k]) for x, col, _ in parts]) for k, u in enumerate(r)]
     return Section(list(xi), list(r), list(e.x))
@@ -96,7 +96,7 @@ def transport(q1: Quintuple, iso: IsoData) -> Quintuple:
 
     tau = iso.tau
     tau_inv = linalg.poly_mat_inverse_constant_det(tau) if m else []
-    phi = [iso.phi_col(a) for a in range(1, p + 1)]
+    phi = [iso.phi.get((a,)) for a in range(1, p + 1)]
     jcols = [linalg.poly_mat_vec(tau_inv, col) for col in phi]  # tau^-1 phi(d_a)
 
     gamma2 = []
@@ -302,17 +302,15 @@ def pullback_aform(
     """Pull back a form along r + x -> tau(r) + phi(x) + x."""
     m = fiber.dim
     zero = [Poly.zero(patch.n)] * patch.p
-    images_g = [Section(zero, [tau[l][i] for l in range(m)], zero) for i in range(m)]
-    images_f = []
+    # the image of the A-frame element at each position
+    images = [Section(zero, [tau[l][i] for l in range(m)], zero) for i in range(m)]
     for a in range(1, patch.p + 1):
         x = list(zero)
         x[a - 1] = patch.one()
-        images_f.append(Section(zero, phi.get((a,)), x))
+        images.append(Section(zero, phi.get((a,)), x))
     comps = {}
     for key in aform_keys(patch, m, c.degree):
-        gidx, fidx = key
-        args = [images_g[i - 1] for i in gidx] + [images_f[a - 1] for a in fidx]
-        comps[key] = c.eval_sections(args)
+        comps[key] = c.eval_sections([images[t] for t in frame_wedge(m, key)])
     return AForm(patch, m, c.degree, comps)
 
 
@@ -328,7 +326,7 @@ def coboundary_identity_check(q1: Quintuple, q2: Quintuple, iso: IsoData) -> Rep
     tau_inv = linalg.poly_mat_inverse_constant_det(iso.tau) if m else []
     j_comps = {}
     for a in range(1, patch.p + 1):
-        j_comps[(a,)] = linalg.poly_mat_vec(tau_inv, iso.phi_col(a))
+        j_comps[(a,)] = linalg.poly_mat_vec(tau_inv, iso.phi.get((a,)))
     jform = GValuedForm(patch, m, 1, j_comps)
     primitive = psi_form(patch, m, iso.beta).scale(HALF) + phi_form(patch, m, jform, fiber)
     rhs = ce_differential(q1, primitive)

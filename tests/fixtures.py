@@ -272,16 +272,16 @@ def compose_iso(patch: Patch, fiber: QuadLieAlgebra, second: IsoData, first: Iso
     m, p, n = fiber.dim, patch.p, patch.n
     tau = poly_mat_mul(second.tau, first.tau)
     # tau_2 phi_1(d_a), read by both the new phi and the beta correction
-    moved = [poly_mat_vec(second.tau, first.phi_col(a)) for a in range(1, p + 1)]
+    moved = [poly_mat_vec(second.tau, first.phi.get((a,))) for a in range(1, p + 1)]
     phi_comps = {}
     for a in range(1, p + 1):
-        col = [u + v for u, v in zip(moved[a - 1], second.phi_col(a))]
+        col = [u + v for u, v in zip(moved[a - 1], second.phi.get((a,)))]
         if any(col):
             phi_comps[(a,)] = col
     beta = [[Poly.zero(n)] * p for _ in range(p)]
     for a in range(1, p + 1):
         for b in range(1, p + 1):
-            corr = fiber.pairing(moved[a - 1], second.phi_col(b), n)
+            corr = fiber.pairing(moved[a - 1], second.phi.get((b,)), n)
             beta[b - 1][a - 1] = (
                 first.beta[b - 1][a - 1]
                 + second.beta[b - 1][a - 1]

@@ -106,16 +106,17 @@ def test_ce_of_standard_form_vanishes():
 
 
 def test_eval_frame_signs():
+    # positions: e_i at i - 1, d/dx_a at m + a - 1
     q = fixture_d()
     c = standard_three_form(q)
-    v1 = c.eval_frame([("g", 1), ("g", 2), ("g", 3)])
+    m = q.fiber.dim
+    v1 = c.eval_frame([0, 1, 2])
     assert v1 == -q.patch.one()
-    assert c.eval_frame([("g", 2), ("g", 1), ("g", 3)]) == q.patch.one()
-    assert not c.eval_frame([("g", 1), ("g", 1), ("g", 2)])
+    assert c.eval_frame([1, 0, 2]) == q.patch.one()
+    assert not c.eval_frame([0, 0, 1])
     # mixed arguments reorder fiber-first with a single transposition sign
-    assert c.eval_frame([("f", 1), ("g", 3), ("f", 2)]) == -c.eval_frame(
-        [("g", 3), ("f", 1), ("f", 2)]
-    )
+    assert c.eval_frame([m, 2, m + 1]) == -c.eval_frame([2, m, m + 1])
+    assert c.eval_frame([2, m, m + 1]) == c.comps[((3,), (1, 2))]
 
 
 def test_eval_sections_multilinear():

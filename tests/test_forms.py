@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from courant.ample import AForm
+from courant.ample import AForm, aform_keys, frame_wedge
 from courant.geometry import FForm, Form, GValuedForm, Patch
 from courant.poly import Poly
 
@@ -104,13 +104,15 @@ def test_gvalued_form_linear_algebra_and_signed_lookup(data, degree):
 def test_aform_linear_algebra_and_signed_lookup(data, degree):
     check_linear_algebra(aform, data, degree, bool)
     _, a = aform(data, degree)
-    gidx, fidx = key = data.draw(st.sampled_from(a_keys(degree)))
-    syms = [("g", i) for i in gidx] + [("f", j) for j in fidx]
+    key = data.draw(st.sampled_from(a_keys(degree)))
+    wedge = frame_wedge(DIM, key)
     perm = data.draw(st.permutations(range(degree)))
     value = a.comps.get(key, PATCH.zero())
-    assert a.eval_frame([syms[i] for i in perm]) == value.scale(perm_sign(perm))
+    assert a.eval_frame([wedge[i] for i in perm]) == value.scale(perm_sign(perm))
     if degree > 1:
-        assert a.eval_frame(syms[:-1] + syms[:1]) == PATCH.zero()
+        assert a.eval_frame(wedge[:-1] + wedge[:1]) == PATCH.zero()
+    for stored in aform_keys(PATCH, DIM, degree):
+        assert a.eval_frame(frame_wedge(DIM, stored)) == a.comps.get(stored, PATCH.zero())
 
 
 def test_gvalued_form_addition_is_componentwise():
