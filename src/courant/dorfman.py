@@ -407,5 +407,5 @@ def naive_matches_ce(q: Quintuple, s: AForm) -> Report:
     for wedge, value in naive_differential(q, s):
         args = [positions[k] for k in wedge]
         expected = q.zero_poly() if None in args else ds.eval_frame(args)
-        check.add(tuple(t + 1 for t in wedge), value - expected)
+        check.add(tuple(k + 1 for k in wedge), value - expected)
     return Report([check.record()])
